@@ -25,26 +25,6 @@ MARGIN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class Identity:
-    """phi(r) = r; both remainder terms vanish identically."""
-
-    def derivatives(self, v):
-        v = np.asarray(v, dtype=float)
-        one = np.ones_like(v)
-        zero = np.zeros_like(v)
-        return one, zero, zero
-
-    def ratio(self, v):
-        return np.zeros_like(np.asarray(v, dtype=float))
-
-    def ratio_prime(self, v):
-        return np.zeros_like(np.asarray(v, dtype=float))
-
-    def check_domain(self, v):
-        pass
-
-
-@dataclass(frozen=True)
 class Phi1:
     """phi(r) = (2 K r - r^2)^(1/alpha) on (0, K]; the perturbed power
     substitution behind the t^{-1/p} composite gradient bound."""
@@ -222,12 +202,6 @@ class ProofCheckReport:
         return cls(name, grid_desc, worst, worst >= -MARGIN_SLACK,
                    tuple(np.atleast_1d(points[i]).tolist()))
 
-    def merge(self, other):
-        """Combine partitioned scans by the worse margin."""
-        a, b = (self, other) if self.worst_margin <= other.worst_margin else (other, self)
-        return ProofCheckReport(self.name, f"{self.grid_desc} + {other.grid_desc}",
-                                a.worst_margin, a.passed and b.passed, a.worst_point)
-
 
 def c14_constant(q):
     """The explicit constant of the absorption-bracket bound: the two
@@ -338,3 +312,23 @@ def verify_power_supersolution(c, d, m, sigma, theta, T) -> ProofCheckReport:
     desc = f"c={c}, d={d}, m={m}, sigma={sigma}, theta={theta}, T={T}"
     return ProofCheckReport("power-supersolution", desc, float(margin),
                             margin >= -MARGIN_SLACK, (float(theta),))
+
+
+# ---------------------------------------------------------------------------
+# the standard scan list
+
+B22_QS = (1.1, 1.5, 2.0, 2.5, 3.0, 4.0)
+
+
+def standard_scans():
+    """The scans of `gradabs bernstein-check` and the acceptance battery:
+    the absorption bracket at each q in B22_QS, the phi1 properties at
+    (p, N) = (3, 1), eps = 1e-3 with the smallest working mu, and the
+    power supersolution at equality (margin 0), in that order."""
+    alpha = alpha_p(3.0, 1)
+    reports = [check_b22(q) for q in B22_QS]
+    mu = search_mu(1.0, 1e-3, 0.75, alpha)
+    reports.append(check_phi1_properties(mu, 1.0, 1e-3, 0.75, alpha))
+    reports.append(verify_power_supersolution(
+        1.0, 0.0, 2.5, 2.0 / 3.0, (2.0 / 3.0) ** (2.0 / 3.0), 1.0))
+    return reports

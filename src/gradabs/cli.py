@@ -2,14 +2,16 @@
 sweeps, series fitting, the proof-machinery battery, and the acceptance
 suite.
 
-Exit codes: 0 ok, 2 configuration error, 3 numerical failure, 4 verdict or
-criterion failure.
+Exit codes: 0 ok, 2 configuration error, 3 numerical failure (for a sweep:
+any cell failed), 4 verdict or criterion failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import multiprocessing
 import sys
@@ -133,7 +135,8 @@ def _sweep_cell(job):
                "status": "ok", "passes": f"{passes}/{len(verdicts)}",
                "report": report}
     except Exception as exc:
-        row = {"p": config.p, "q": config.q, "regime": "", "status": f"error: {exc}",
+        row = {"p": config.p, "q": config.q, "regime": "",
+               "status": f"error: {type(exc).__name__}: {exc}",
                "passes": "", "report": None}
     return row
 
@@ -154,15 +157,19 @@ def cmd_sweep(args):
     else:
         rows = [_sweep_cell(job) for job in jobs]
     rows.sort(key=lambda r: (r["p"], r["q"]))
-    lines = ["p,q,regime,status,passes"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["p", "q", "regime", "status", "passes"])
     for row in rows:
-        lines.append(f"{row['p']:g},{row['q']:g},{row['regime']},"
-                     f"{row['status']},{row['passes']}")
+        writer.writerow([f"{row['p']:g}", f"{row['q']:g}", row["regime"],
+                         row["status"], row["passes"]])
         if row["report"] is not None:
             path = out / f"p{row['p']:g}_q{row['q']:g}.report.json"
             path.write_text(json.dumps(row["report"], indent=2))
-    (out / "summary.csv").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    (out / "summary.csv").write_text(buf.getvalue())
+    print(buf.getvalue(), end="")
+    if any(row["status"] != "ok" for row in rows):
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -181,14 +188,8 @@ def cmd_fit(args):
 
 
 def cmd_bernstein_check(args):
-    reports = [bernstein.check_b22(q) for q in (1.1, 1.5, 2.0, 2.5, 3.0, 4.0)]
-    alpha = 0.5  # alpha_p(3, 1); representative scan point
-    reports.append(bernstein.check_phi1_properties(
-        bernstein.search_mu(1.0, 1e-3, 0.75, alpha), 1.0, 1e-3, 0.75, alpha))
-    reports.append(bernstein.verify_power_supersolution(
-        1.0, 0.0, 2.5, 2.0 / 3.0, (2.0 / 3.0) ** (2.0 / 3.0), 1.0))
     ok = True
-    for rep in reports:
+    for rep in bernstein.standard_scans():
         print(json.dumps({"name": rep.name, "grid": rep.grid_desc,
                           "worst_margin": rep.worst_margin,
                           "pass": rep.passed,

@@ -159,6 +159,9 @@ class BarenblattSolution:
 
 # ---------------------------------------------------------------------------
 # initial-data profiles
+#
+# Every profile has a start time t0, value(r, params), support_radius(params)
+# and feature_width(params), the narrowest width the grid must resolve.
 
 
 @dataclass(frozen=True)
@@ -168,15 +171,16 @@ class Bump:
     R0: float = 1.0
     H: float = 1.0
     m: float = 2.0
+    t0 = 0.0
 
     def value(self, r, params=None):
         r = np.asarray(r, dtype=float)
         return self.H * np.maximum(1.0 - (r / self.R0) ** 2, 0.0) ** self.m
 
-    def support_radius(self):
+    def support_radius(self, params):
         return self.R0
 
-    def feature_width(self):
+    def feature_width(self, params):
         return self.R0
 
 
@@ -187,6 +191,7 @@ class DeadCoreAnnulus:
     R0: float = 2.0
     R1: float = 4.0
     H: float = 1.0
+    t0 = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.R0 < self.R1:
@@ -198,10 +203,10 @@ class DeadCoreAnnulus:
         hump = 4.0 * (r - self.R0) * (self.R1 - r) / (w * w)
         return self.H * np.maximum(hump, 0.0) ** 2
 
-    def support_radius(self):
+    def support_radius(self, params):
         return self.R1
 
-    def feature_width(self):
+    def feature_width(self, params):
         return self.R1 - self.R0
 
 
@@ -215,10 +220,11 @@ class BarenblattAt:
     def value(self, r, params):
         return self.M_scale * barenblatt_value(self.t0, r, params.p, params.N)
 
-    def support_radius(self, params=None, p=None, N=None):
-        if params is not None:
-            p, N = params.p, params.N
-        return float(barenblatt_support_radius(self.t0, p, N))
+    def support_radius(self, params):
+        return float(barenblatt_support_radius(self.t0, params.p, params.N))
+
+    def feature_width(self, params):
+        return self.support_radius(params)
 
 
 def parse_profile(spec):
@@ -247,10 +253,7 @@ def parse_profile(spec):
 def sample_profile(profile, grid, params: ProblemParams):
     """Sample a profile at cell centers (radial distance), rejecting grids
     that resolve the narrowest support feature with fewer than 8 cells."""
-    if isinstance(profile, BarenblattAt):
-        width = profile.support_radius(params=params)
-    else:
-        width = profile.feature_width()
+    width = profile.feature_width(params)
     if width < 8.0 * grid.h:
         raise GridResolutionError(
             f"profile feature of width {width} needs >= 8 cells, have h={grid.h}"

@@ -4,7 +4,12 @@ equation on line and radial grids.
 The scheme is first order in time, monotone under the CFL restriction, and
 preserves the floor eps**gamma without clamping.  Boundary cells are pinned
 at the floor (the constant floor is an exact solution); the radial origin
-uses a zero-flux face at r = 0.
+uses a zero-flux face at r = 0 for the diffusive flux and a mirror ghost
+cell for the centered gradient of the absorption term.
+
+`_Stepper.gradients` is the one place the face and centered gradients are
+formed, and `_Stepper.stable_dt_from` the one CFL rule: `run`, `step`,
+`stable_dt` and `comparison_run` all take their dt from that pair.
 """
 
 from __future__ import annotations
@@ -111,22 +116,13 @@ class State:
                      self.absorbed_mass, self.boundary_out)
 
 
-@dataclass(frozen=True)
-class StepStats:
-    dt: float
-    max_face_gradient: float
-    max_diffusivity: float
-    boundary_flux: float
-
-
 def initial_state(params, grid, profile):
     """Sampled profile lifted by the floor, with boundary cells pinned."""
     vals = model.sample_profile(profile, grid, params) + params.floor
     vals[-1] = params.floor
     if grid.geometry == "line":
         vals[0] = params.floor
-    t0 = profile.t0 if isinstance(profile, model.BarenblattAt) else 0.0
-    return State(t0, vals, params, grid)
+    return State(profile.t0, vals, params, grid)
 
 
 class _Stepper:
@@ -137,17 +133,11 @@ class _Stepper:
         self.grid = grid
         self.absorption = absorption
         self.safety = safety
-        p, q, eps = params.p, params.q, params.eps
-        self.p = p
-        self.q = q
-        self.eps2 = eps * eps
-        self.epsq = eps ** q
+        self.p = params.p
+        self.q = params.q
         self.floor = params.floor
-        self.pe = 0.5 * (p - 2.0)
-        self.qh = 0.5 * q
         self.inv_h = 1.0 / grid.h
         n = grid.n
-        self.n = n
         self.radial = grid.geometry == "radial"
         self.neff = grid.N if self.radial else 1
         self.cellw = grid.cell_measures()
@@ -163,22 +153,40 @@ class _Stepper:
         self.hi_max = n - 1           # cell n-1 is pinned at the floor
         self.absorbed = 0.0
         self.boundary_out = 0.0
-        self.last_stats = StepStats(0.0, 0.0, 0.0, 0.0)
 
-    # -- CFL ---------------------------------------------------------------
+    # -- gradients and CFL ---------------------------------------------------
 
-    def _diffusivity(self, s):
-        return model.effective_diffusivity(s, self.params.eps, self.p)
+    def gradients(self, u, a, b):
+        """Gradients seen by a step of cells [a, b): the face gradients g on
+        the b - a + 1 bounding faces (zero-flux face at r = 0), their squares
+        s, and the squared centered cell gradients sc (mirror ghost at
+        r = 0), or sc = None when absorption is off."""
+        seg = u[max(a - 1, 0):b + 1]
+        g = np.diff(seg) * self.inv_h
+        if self.radial and a == 0:
+            g = np.concatenate(([0.0], g))
+        sc = None
+        if self.absorption:
+            if self.radial and a == 0:
+                left = np.concatenate((u[:1], u[:b - 1]))
+            else:
+                left = u[a - 1:b - 1]
+            gc = (u[a + 1:b + 1] - left) * (0.5 * self.inv_h)
+            sc = gc * gc
+        return g, g * g, sc
 
-    def stable_dt_from(self, smax, scmax, safety):
-        """Explicit CFL bound; effective_diffusivity and b_eps are increasing
-        in s, so the face/cell maxima suffice."""
-        dmax = self._diffusivity(smax)
-        dt = safety * self.grid.h ** 2 / (2.0 * self.neff * dmax)
-        if self.absorption and scmax > 0.0:
-            bmax = model.b_eps(scmax, self.params.eps, self.q)
-            if bmax > 0.0:
-                dt = min(dt, safety * self.floor / bmax)
+    def stable_dt_from(self, s, sc):
+        """Explicit CFL bound safety * h^2 / (2 N_eff D_max), capped so one
+        absorption step cannot undershoot the floor; effective_diffusivity
+        and b_eps are increasing in s, so the face/cell maxima suffice."""
+        dmax = model.effective_diffusivity(float(s.max()), self.params.eps, self.p)
+        dt = self.safety * self.grid.h ** 2 / (2.0 * self.neff * dmax)
+        if sc is not None:
+            scmax = float(sc.max())
+            if scmax > 0.0:
+                bmax = model.b_eps(scmax, self.params.eps, self.q)
+                if bmax > 0.0:
+                    dt = min(dt, self.safety * self.floor / bmax)
         return dt
 
     # -- one step on the active window --------------------------------------
@@ -189,30 +197,9 @@ class _Stepper:
         Cells outside [a, b) must be at the floor beyond one padding cell so
         that the omitted fluxes vanish identically.
         """
-        h = self.grid.h
-        seg_lo = max(a - 1, 0)
-        seg = u[seg_lo:b + 1]
-        g = np.diff(seg) * self.inv_h        # faces between consecutive cells
-        if self.radial and a == 0:
-            g = np.concatenate(([0.0], g))   # zero-flux symmetry face at r=0
-        s = g * g
-        smax = float(s.max())
-
-        if self.absorption:
-            # centered cell gradient; mirror ghost at the radial origin
-            if self.radial and a == 0:
-                left = np.concatenate((u[:1], u[:b - 1]))
-            else:
-                left = u[a - 1:b - 1]
-            gc = (u[a + 1:b + 1] - left) * (0.5 * self.inv_h)
-            sc = gc * gc
-            scmax = float(sc.max())
-        else:
-            sc = None
-            scmax = 0.0
-
+        g, s, sc = self.gradients(u, a, b)
         if dt is None:
-            dt = self.stable_dt_from(smax, scmax, self.safety)
+            dt = self.stable_dt_from(s, sc)
         dt = min(dt, t_budget)
 
         flux = model.a_eps(s, self.params.eps, self.p) * g
@@ -225,7 +212,7 @@ class _Stepper:
             self.boundary_out += dt * (flux[0] - flux[-1])
         u[a:b] += dt * div
 
-        if self.absorption:
+        if sc is not None:
             babs = model.b_eps(sc, self.params.eps, self.q)
             u[a:b] -= dt * babs
             self.absorbed += dt * float(babs @ self.cellw[a:b])
@@ -235,12 +222,6 @@ class _Stepper:
             raise FloorViolationError(
                 f"floor violated by {self.floor - umin:.3e} at t-step dt={dt:.3e}"
             )
-        self.last_stats = StepStats(
-            dt=dt,
-            max_face_gradient=math.sqrt(smax),
-            max_diffusivity=self._diffusivity(smax),
-            boundary_flux=abs(float(flux[0])) + abs(float(flux[-1])),
-        )
         return dt
 
     # -- window tracking and time advancement --------------------------------
@@ -269,25 +250,17 @@ class _Stepper:
 
 
 def stable_dt(state, safety=1.0, absorption=True):
-    """CFL-stable time step: safety * h^2 / (2 N_eff D_max), further capped
-    so one absorption step cannot undershoot the floor."""
+    """CFL-stable time step of a full-grid step of state."""
     if not 0.0 < safety <= 1.0:
         raise InvalidParams("safety must lie in (0, 1]")
     st = _Stepper(state.params, state.grid, absorption=absorption, safety=safety)
-    u = state.values
-    g = np.diff(u) * st.inv_h
-    smax = float(np.max(g * g)) if g.size else 0.0
-    if absorption:
-        gc = (u[2:] - u[:-2]) * (0.5 * st.inv_h)
-        scmax = float(np.max(gc * gc)) if gc.size else 0.0
-    else:
-        scmax = 0.0
-    return st.stable_dt_from(smax, scmax, safety)
+    _, s, sc = st.gradients(state.values, st.lo_min, st.hi_max)
+    return st.stable_dt_from(s, sc)
 
 
 def step(state, dt, absorption=True):
     """One explicit step with a caller-supplied dt <= stable_dt(state, 1).
-    Returns (new state, step statistics)."""
+    Returns the new state."""
     st = _Stepper(state.params, state.grid, absorption=absorption)
     new = state.copy()
     st.absorbed = state.absorbed_mass
@@ -296,7 +269,7 @@ def step(state, dt, absorption=True):
     new.time = state.time + dt
     new.absorbed_mass = st.absorbed
     new.boundary_out = st.boundary_out
-    return new, st.last_stats
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +309,7 @@ class RunConfig:
         """User-supplied L, or margin * (R0 + 2 t_end^eta * Barenblatt edge)."""
         if self.L is not None:
             return self.L
-        prof = self.profile_obj()
-        params = self.params()
-        if isinstance(prof, model.BarenblattAt):
-            r0 = prof.support_radius(params=params)
-        else:
-            r0 = prof.support_radius()
+        r0 = self.profile_obj().support_radius(self.params())
         eta = eta_exponent(self.p, self.N)
         gp = model.gamma_p_constant(self.p, self.N)
         edge = gp ** (-(self.p - 1.0) / self.p)
@@ -462,15 +430,9 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
     worst = 0.0
     lo, hi = st_a.lo_min, st_a.hi_max
     while t < config.t_end:
-        ga = np.diff(ua) * st_a.inv_h
-        gb = np.diff(ub) * st_b.inv_h
-        sca = (ua[2:] - ua[:-2]) * (0.5 * st_a.inv_h)
-        scb = (ub[2:] - ub[:-2]) * (0.5 * st_b.inv_h)
-        dt = min(
-            st_a.stable_dt_from(float(np.max(ga * ga)), float(np.max(sca * sca)), config.safety),
-            st_b.stable_dt_from(float(np.max(gb * gb)), float(np.max(scb * scb)), config.safety),
-            config.t_end - t,
-        )
+        dt = min(st_a.stable_dt_from(*st_a.gradients(ua, lo, hi)[1:]),
+                 st_b.stable_dt_from(*st_b.gradients(ub, lo, hi)[1:]),
+                 config.t_end - t)
         st_a.step_window(ua, lo, hi, dt=dt)
         st_b.step_window(ub, lo, hi, dt=dt)
         t += dt

@@ -176,6 +176,11 @@ def test_parse_profile():
         model.parse_profile("bump:R0")
     with pytest.raises(InvalidParams):
         model.parse_profile("bump:R9=1")
+    # t0 is a class constant of the fixed-start profiles, not an option
+    assert bump.t0 == ann.t0 == 0.0
+    for spec in ("bump:t0=1", "annulus:t0=1"):
+        with pytest.raises(InvalidParams):
+            model.parse_profile(spec)
 
 
 def test_sample_profile_rejects_underresolved_feature():
