@@ -4,12 +4,15 @@ equation on line and radial grids.
 The scheme is first order in time, monotone under the CFL restriction, and
 preserves the floor eps**gamma without clamping.  Boundary cells are pinned
 at the floor (the constant floor is an exact solution); the radial origin
-uses a zero-flux face at r = 0 for the diffusive flux and a mirror ghost
-cell for the centered gradient of the absorption term.
+is a zero-flux face at r = 0.  The absorption term sees the centered cell
+gradient, the mean of the cell's two face gradients; at r = 0 that equals
+the mirror-ghost difference.
 
 `_Stepper.gradients` is the one place the face and centered gradients are
 formed, and `_Stepper.stable_dt_from` the one CFL rule: `run`, `step`,
-`stable_dt` and `comparison_run` all take their dt from that pair.
+`stable_dt` and `comparison_run` all take their dt from that pair, and
+`comparison_run` forms each field's gradients once per step.  A step writes
+into the stepper's own scratch arrays.
 """
 
 from __future__ import annotations
@@ -111,10 +114,6 @@ class State:
     def floor(self):
         return self.params.floor
 
-    def copy(self):
-        return State(self.time, self.values.copy(), self.params, self.grid,
-                     self.absorbed_mass, self.boundary_out)
-
 
 def initial_state(params, grid, profile):
     """Sampled profile lifted by the floor, with boundary cells pinned."""
@@ -126,31 +125,29 @@ def initial_state(params, grid, profile):
 
 
 class _Stepper:
-    """Precomputed geometry/coefficient data plus the in-place update kernel."""
+    """Precomputed geometry data, per-step scratch and the in-place update
+    kernel; a step allocates only what model.a_eps and model.b_eps return."""
 
     def __init__(self, params, grid, absorption=True, safety=0.4):
-        self.params = params
-        self.grid = grid
         self.absorption = absorption
         self.safety = safety
-        self.p = params.p
-        self.q = params.q
-        self.floor = params.floor
+        self.p, self.q, self.eps, self.floor = params.p, params.q, params.eps, params.floor
+        self.cfl = safety * grid.h ** 2           # dt = cfl / (2 N_eff D_max)
         self.inv_h = 1.0 / grid.h
-        n = grid.n
-        self.radial = grid.geometry == "radial"
-        self.neff = grid.N if self.radial else 1
+        n, self.neff = grid.n, grid.N
         self.cellw = grid.cell_measures()
-        if self.radial:
-            faces = np.arange(n + 1) * grid.h
-            self.rw = faces ** (grid.N - 1.0)
-            self.inv_rch = 1.0 / (grid.centers() ** (grid.N - 1.0) * grid.h)
-            self.omega = sphere_area(grid.N)
-            self.lo_min = 0
-        else:
-            self.omega = 1.0
-            self.lo_min = 1           # cell 0 is pinned at the floor
-        self.hi_max = n - 1           # cell n-1 is pinned at the floor
+        # face weights r^(N-1) and cell factors 1/(r^(N-1) h); a line has
+        # N = 1, so its weights are 1 and its factors 1/h
+        self.rw = (np.arange(n + 1) * grid.h) ** (grid.N - 1.0)
+        self.inv_rch = 1.0 / (grid.centers() ** (grid.N - 1.0) * grid.h)
+        radial = grid.geometry == "radial"
+        self.omega = sphere_area(grid.N) if radial else 1.0
+        self.lo_min = 0 if radial else 1      # a line's cell 0 is pinned at the floor
+        self.hi_max = n - 1                   # cell n-1 is pinned at the floor
+        # scratch: face i lies between cells i-1 and i; face 0 is never
+        # written, so its gradient stays 0 (the zero-flux face at r = 0)
+        self.g, self.s = np.zeros(n + 1), np.empty(n + 1)
+        self.sc, self.div = np.empty(n), np.empty(n)
         self.absorbed = 0.0
         self.boundary_out = 0.0
 
@@ -159,65 +156,69 @@ class _Stepper:
     def gradients(self, u, a, b):
         """Gradients seen by a step of cells [a, b): the face gradients g on
         the b - a + 1 bounding faces (zero-flux face at r = 0), their squares
-        s, and the squared centered cell gradients sc (mirror ghost at
-        r = 0), or sc = None when absorption is off."""
-        seg = u[max(a - 1, 0):b + 1]
-        g = np.diff(seg) * self.inv_h
-        if self.radial and a == 0:
-            g = np.concatenate(([0.0], g))
-        sc = None
-        if self.absorption:
-            if self.radial and a == 0:
-                left = np.concatenate((u[:1], u[:b - 1]))
-            else:
-                left = u[a - 1:b - 1]
-            gc = (u[a + 1:b + 1] - left) * (0.5 * self.inv_h)
-            sc = gc * gc
-        return g, g * g, sc
+        s, and the squared centered cell gradients sc, or sc = None when
+        absorption is off.  A centered gradient is the mean of its cell's two
+        face gradients, which at r = 0 equals the mirror-ghost difference.
+
+        The arrays are views on this stepper's scratch and are overwritten
+        by its next call, so a caller that holds the gradients of several
+        fields at once needs one stepper per field."""
+        lo = max(a, 1)
+        g = self.g[a:b + 1]
+        inner = np.subtract(u[lo:b + 1], u[lo - 1:b], out=self.g[lo:b + 1])
+        inner *= self.inv_h
+        s = np.multiply(g, g, out=self.s[:b - a + 1])
+        if not self.absorption:
+            return g, s, None
+        sc = np.add(g[:-1], g[1:], out=self.sc[:b - a])
+        sc *= 0.5
+        np.multiply(sc, sc, out=sc)
+        return g, s, sc
 
     def stable_dt_from(self, s, sc):
         """Explicit CFL bound safety * h^2 / (2 N_eff D_max), capped so one
         absorption step cannot undershoot the floor; effective_diffusivity
         and b_eps are increasing in s, so the face/cell maxima suffice."""
-        dmax = model.effective_diffusivity(float(s.max()), self.params.eps, self.p)
-        dt = self.safety * self.grid.h ** 2 / (2.0 * self.neff * dmax)
+        dmax = model.effective_diffusivity(float(np.maximum.reduce(s)), self.eps, self.p)
+        dt = self.cfl / (2.0 * self.neff * dmax)
         if sc is not None:
-            scmax = float(sc.max())
-            if scmax > 0.0:
-                bmax = model.b_eps(scmax, self.params.eps, self.q)
-                if bmax > 0.0:
-                    dt = min(dt, self.safety * self.floor / bmax)
+            bmax = model.b_eps(float(np.maximum.reduce(sc)), self.eps, self.q)
+            if bmax > 0.0:
+                dt = min(dt, self.safety * self.floor / bmax)
         return dt
 
     # -- one step on the active window --------------------------------------
 
-    def step_window(self, u, a, b, dt=None, t_budget=np.inf):
+    def step_window(self, u, a, b, dt=None, t_budget=np.inf, grads=None):
         """Advance cells [a, b) by one explicit step; returns the dt used.
+        `grads` is this stepper's gradients(u, a, b), if already formed.
 
         Cells outside [a, b) must be at the floor beyond one padding cell so
         that the omitted fluxes vanish identically.
         """
-        g, s, sc = self.gradients(u, a, b)
+        g, s, sc = self.gradients(u, a, b) if grads is None else grads
         if dt is None:
             dt = self.stable_dt_from(s, sc)
         dt = min(dt, t_budget)
 
-        flux = model.a_eps(s, self.params.eps, self.p) * g
-        if self.radial:
-            rwin = self.rw[a:b + 1]
-            div = (rwin[1:] * flux[1:] - rwin[:-1] * flux[:-1]) * self.inv_rch[a:b]
-            self.boundary_out += dt * self.omega * (rwin[0] * flux[0] - rwin[-1] * flux[-1])
-        else:
-            div = (flux[1:] - flux[:-1]) * self.inv_h
-            self.boundary_out += dt * (flux[0] - flux[-1])
-        u[a:b] += dt * div
+        # radially weighted flux r^(N-1) a_eps g on the faces (weight 1 on a line)
+        flux = model.a_eps(s, self.eps, self.p)
+        flux *= g
+        flux *= self.rw[a:b + 1]
+        div = np.subtract(flux[1:], flux[:-1], out=self.div[:b - a])
+        div *= self.inv_rch[a:b]
+        div *= dt
+        self.boundary_out += dt * self.omega * (flux[0] - flux[-1])
+        uw = u[a:b]
+        uw += div
 
         if sc is not None:
-            babs = model.b_eps(sc, self.params.eps, self.q)
-            u[a:b] -= dt * babs
+            babs = model.b_eps(sc, self.eps, self.q)
             self.absorbed += dt * float(babs @ self.cellw[a:b])
+            babs *= dt
+            uw -= babs
 
-        umin = float(u[a:b].min())
+        umin = float(np.minimum.reduce(uw))
         if umin < self.floor - FLOOR_SLACK:
             raise FloorViolationError(
                 f"floor violated by {self.floor - umin:.3e} at t-step dt={dt:.3e}"
@@ -262,14 +263,11 @@ def step(state, dt, absorption=True):
     """One explicit step with a caller-supplied dt <= stable_dt(state, 1).
     Returns the new state."""
     st = _Stepper(state.params, state.grid, absorption=absorption)
-    new = state.copy()
-    st.absorbed = state.absorbed_mass
-    st.boundary_out = state.boundary_out
-    st.step_window(new.values, st.lo_min, st.hi_max, dt=dt)
-    new.time = state.time + dt
-    new.absorbed_mass = st.absorbed
-    new.boundary_out = st.boundary_out
-    return new
+    st.absorbed, st.boundary_out = state.absorbed_mass, state.boundary_out
+    values = state.values.copy()
+    st.step_window(values, st.lo_min, st.hi_max, dt=dt)
+    return State(state.time + dt, values, state.params, state.grid,
+                 st.absorbed, st.boundary_out)
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +424,18 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
     st_a = _Stepper(params, grid, absorption=aa, safety=config.safety)
     st_b = _Stepper(params, grid, absorption=ab, safety=config.safety)
     ua, ub = sa.values, sb.values
-    t = 0.0
-    worst = 0.0
+    t = worst = 0.0
     lo, hi = st_a.lo_min, st_a.hi_max
+    gap = np.empty_like(ua)
     while t < config.t_end:
-        dt = min(st_a.stable_dt_from(*st_a.gradients(ua, lo, hi)[1:]),
-                 st_b.stable_dt_from(*st_b.gradients(ub, lo, hi)[1:]),
+        # one stepper per field, so that each keeps its gradients until its step
+        ga, gb = st_a.gradients(ua, lo, hi), st_b.gradients(ub, lo, hi)
+        dt = min(st_a.stable_dt_from(*ga[1:]), st_b.stable_dt_from(*gb[1:]),
                  config.t_end - t)
-        st_a.step_window(ua, lo, hi, dt=dt)
-        st_b.step_window(ub, lo, hi, dt=dt)
+        st_a.step_window(ua, lo, hi, dt=dt, grads=ga)
+        st_b.step_window(ub, lo, hi, dt=dt, grads=gb)
         t += dt
-        worst = max(worst, float(np.max(ua - ub)))
+        worst = max(worst, float(np.maximum.reduce(np.subtract(ua, ub, out=gap))))
     return {
         "max_violation": max(worst, 0.0),
         "t_end": config.t_end,

@@ -8,6 +8,9 @@ import pytest
 
 from gradabs.acceptance import AcceptanceLab
 
+# the battery's long runs are deselected by `pytest -m "not slow"`
+pytestmark = pytest.mark.slow
+
 
 @pytest.fixture(scope="session")
 def lab():

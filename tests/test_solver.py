@@ -274,3 +274,110 @@ def test_comparison_principle_geometries(geometry, N, pair):
         rep = comparison_run(model.Bump(), model.Bump(), cfg,
                              absorption_a=True, absorption_b=False)
     assert rep["max_violation"] <= 1e-12
+
+
+KERNEL_PARAMS = ProblemParams(3.0, 1.6, 1)
+
+
+def reference_step(u, params, grid, a, b, dt, absorption):
+    """One explicit step of cells [a, b) written out plainly: np.diff face
+    gradients (zero-flux face at r = 0), a concatenated mirror ghost for the
+    centered gradient of cell 0, and the radial divergence as a difference
+    of two weighted products.  Returns (new values, absorbed increment,
+    boundary_out increment)."""
+    p, q, eps = params.p, params.q, params.eps
+    inv_h = 1.0 / grid.h
+    radial = grid.geometry == "radial"
+    u = u.copy()
+    g = np.diff(u[max(a - 1, 0):b + 1]) * inv_h
+    if radial and a == 0:
+        g = np.concatenate(([0.0], g))
+    left = np.concatenate((u[:1], u[:b - 1])) if radial and a == 0 else u[a - 1:b - 1]
+    gc = (u[a + 1:b + 1] - left) * (0.5 * inv_h)
+    flux = model.a_eps(g * g, eps, p) * g
+    if radial:
+        rw = (np.arange(grid.n + 1) * grid.h)[a:b + 1] ** (grid.N - 1.0)
+        inv_rch = 1.0 / (grid.centers() ** (grid.N - 1.0) * grid.h)
+        div = (rw[1:] * flux[1:] - rw[:-1] * flux[:-1]) * inv_rch[a:b]
+        out = dt * solver.sphere_area(grid.N) * (rw[0] * flux[0] - rw[-1] * flux[-1])
+    else:
+        div = (flux[1:] - flux[:-1]) * inv_h
+        out = dt * (flux[0] - flux[-1])
+    u[a:b] += dt * div
+    absorbed = 0.0
+    if absorption:
+        babs = model.b_eps(gc * gc, eps, q)
+        u[a:b] -= dt * babs
+        absorbed = dt * float(babs @ grid.cell_measures()[a:b])
+    return u, absorbed, out
+
+
+def reference_stable_dt(u, params, grid, a, b, safety, absorption):
+    """The CFL rule of the step above, on the same plain gradients."""
+    inv_h = 1.0 / grid.h
+    radial = grid.geometry == "radial"
+    s = (np.diff(u[max(a - 1, 0):b + 1]) * inv_h) ** 2
+    dmax = model.effective_diffusivity(float(s.max()), params.eps, params.p)
+    dt = safety * grid.h ** 2 / (2.0 * grid.N * dmax)
+    if absorption:
+        left = np.concatenate((u[:1], u[:b - 1])) if radial and a == 0 else u[a - 1:b - 1]
+        scmax = float((((u[a + 1:b + 1] - left) * (0.5 * inv_h)) ** 2).max())
+        if scmax > 0.0:
+            dt = min(dt, safety * params.floor / model.b_eps(scmax, params.eps, params.q))
+    return dt
+
+
+@pytest.mark.parametrize("geometry,N", [("line", 1), ("radial", 1),
+                                        ("radial", 2), ("radial", 3)])
+@pytest.mark.parametrize("absorption", [False, True])
+@pytest.mark.parametrize("window", ["full", "interior"])
+def test_step_kernel_matches_plain_reference(geometry, N, absorption, window):
+    params = dataclasses.replace(KERNEL_PARAMS, N=N)
+    grid = Grid.from_extent(geometry, 0.05, 1.5, N)
+    state = initial_state(params, grid, model.Bump(R0=2.0, H=1.0, m=2.0))
+    u0 = state.values
+    st = solver._Stepper(params, grid, absorption=absorption, safety=0.5)
+    a, b = (st.lo_min, st.hi_max) if window == "full" else (3, grid.n - 4)
+    dt_ref = reference_stable_dt(u0, params, grid, a, b, 0.5, absorption)
+    ref, absorbed, out = reference_step(u0, params, grid, a, b, dt_ref, absorption)
+    if window == "full":
+        dt = stable_dt(state, safety=0.5, absorption=absorption)
+        new = step(state, dt_ref, absorption=absorption)
+        got, got_absorbed, got_out = new.values, new.absorbed_mass, new.boundary_out
+    else:
+        dt = st.stable_dt_from(*st.gradients(u0, a, b)[1:])
+        got = u0.copy()
+        st.step_window(got, a, b, dt=dt_ref)
+        got_absorbed, got_out = st.absorbed, st.boundary_out
+    assert np.any(got != u0) and out != 0.0
+    # the diffusive flux and its ledger term are formed as before
+    assert got_out == out
+    if not absorption:
+        assert np.array_equal(got, ref)
+        assert dt == dt_ref and got_absorbed == absorbed == 0.0
+    else:
+        # the centered gradient is now the mean of the two face gradients
+        assert absorbed > 0.0
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+        assert got_absorbed == pytest.approx(absorbed, rel=1e-14, abs=0.0)
+        assert dt == pytest.approx(dt_ref, rel=1e-14, abs=0.0)
+
+
+def test_comparison_run_forms_gradients_once_per_field_per_step(monkeypatch):
+    calls = {"gradients": 0, "step_window": 0}
+
+    def counting(name):
+        original = getattr(solver._Stepper, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver._Stepper, name, counting(name))
+    cfg = RunConfig(3.0, 2.0, 1, geometry="radial", h=0.02, L=4.0, t_end=0.05)
+    comparison_run(model.Bump(H=1.0), model.Bump(H=1.5), cfg)
+    steps = calls["step_window"] // 2
+    assert steps > 0 and calls["step_window"] == 2 * steps
+    assert calls["gradients"] == 2 * steps
