@@ -21,6 +21,11 @@ class FitError(ValueError):
     pass
 
 
+class ConstantAbscissaError(FitError):
+    """The composite law's abscissa is constant on the fit window, so the
+    regression slope is undefined."""
+
+
 @dataclass(frozen=True)
 class FitResult:
     kind: str                 # power | log_growth | plateau | composite
@@ -110,6 +115,8 @@ def fit_composite(t, y, abscissa, window=None) -> FitResult:
     if np.any(y <= 0.0) or np.any(a <= 0.0):
         raise FitError("composite fit requires positive samples")
     la, ly = np.log(a), np.log(y)
+    if np.ptp(la) == 0.0:
+        raise ConstantAbscissaError("composite abscissa is constant on the window")
     slope, intercept = np.polyfit(la, ly, 1)
     r2 = _r2(la, ly, slope * la + intercept)
     win = (float(t[0]), float(t[-1]))
@@ -157,6 +164,17 @@ def _exponent_verdict(name, fitted: FitResult, predicted, tol, one_sided):
         pred = f"power({predicted:.6g})"
     return Verdict(name, pred, f"power({fitted.exponent:.6g})", fitted.r2,
                    fitted.window, bool(ok))
+
+
+def _composite_verdict(kind, t, l1, model, window):
+    try:
+        fitted = fit_composite(t, l1, model, window)
+    except ConstantAbscissaError:
+        return Verdict("l1_excess", kind,
+                       "composite_undefined(constant abscissa on window)",
+                       0.0, window, False)
+    return Verdict("l1_excess", kind, f"composite_slope({fitted.exponent:.6g})",
+                   fitted.r2, fitted.window, bool(fitted.passed))
 
 
 def verdict(params: ProblemParams, series, h=None, tol=DEFAULT_EXPONENT_TOL):
@@ -222,17 +240,11 @@ def verdict(params: ProblemParams, series, h=None, tol=DEFAULT_EXPONENT_TOL):
         tp = np.maximum(np.asarray(t, dtype=float), 1e-300)
         model = tp ** (-1.0 / (q - 1.0)) * np.log(np.maximum(tp, 1.0 + 1e-9)) ** (
             1.0 / (xi * (q - 1.0)))
-        fit_l1 = fit_composite(t, l1, model, window)
-        out.append(Verdict("l1_excess", "power_log",
-                           f"composite_slope({fit_l1.exponent:.6g})",
-                           fit_l1.r2, fit_l1.window, bool(fit_l1.passed)))
+        out.append(_composite_verdict("power_log", t, l1, model, window))
     elif laws.l1.kind == "inverse_log_power":
-        q = params.q
-        model = np.log(np.maximum(t, 1.0 + 1e-9)) ** (-1.0 / (q - 1.0))
-        fit_l1 = fit_composite(t, l1, model, window)
-        out.append(Verdict("l1_excess", "inverse_log_power",
-                           f"composite_slope({fit_l1.exponent:.6g})",
-                           fit_l1.r2, fit_l1.window, bool(fit_l1.passed)))
+        # constant, hence undefined, while the whole window lies in t <= 1
+        model = np.log(np.maximum(t, 1.0 + 1e-9)) ** (-1.0 / (params.q - 1.0))
+        out.append(_composite_verdict("inverse_log_power", t, l1, model, window))
     else:  # positive_limit
         res = plateau_test(t, l1, window, rel_tol=0.05)
         ok = bool(res.passed) and res.amplitude > 0.0

@@ -19,16 +19,27 @@ class GridResolutionError(ValueError):
 # regularized coefficients
 
 
-def a_eps(s, eps, p):
-    """Regularized diffusivity (eps^2 + s)^((p-2)/2), s = |grad u|^2."""
-    return (eps * eps + s) ** (0.5 * (p - 2.0))
+def a_eps(s, eps, p, out=None):
+    """Regularized diffusivity (eps^2 + s)^((p-2)/2), s = |grad u|^2.
+    With an array `out`, the result is written into it and returned."""
+    if out is None:
+        return (eps * eps + s) ** (0.5 * (p - 2.0))
+    out = np.add(eps * eps, s, out=out)
+    out **= 0.5 * (p - 2.0)       # the same ufunc path as ** above
+    return out
 
 
-def b_eps(s, eps, q):
-    """Regularized absorption rate (eps^2 + s)^(q/2) - eps^q; vanishes at s=0."""
+def b_eps(s, eps, q, out=None):
+    """Regularized absorption rate (eps^2 + s)^(q/2) - eps^q; vanishes at s=0.
+    With an array `out`, the result is written into it and returned."""
     e2 = eps * eps
     # evaluate eps^q as (eps^2)^(q/2) so the difference is exactly 0 at s = 0
-    return (e2 + s) ** (0.5 * q) - e2 ** (0.5 * q)
+    if out is None:
+        return (e2 + s) ** (0.5 * q) - e2 ** (0.5 * q)
+    out = np.add(e2, s, out=out)
+    out **= 0.5 * q
+    out -= e2 ** (0.5 * q)
+    return out
 
 
 def effective_diffusivity(s, eps, p):

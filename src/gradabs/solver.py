@@ -12,11 +12,16 @@ the mirror-ghost difference.
 formed, and `_Stepper.stable_dt_from` the one CFL rule: `run`, `step`,
 `stable_dt` and `comparison_run` all take their dt from that pair, and
 `comparison_run` forms each field's gradients once per step.  A step writes
-into the stepper's own scratch arrays.
+into the stepper's own scratch arrays, model.a_eps and model.b_eps included,
+through views that are formed once per field and window, so it allocates
+nothing.  `run` and `comparison_run` step only the active window: the cells
+above the floor plus a padding the front cannot cross before the window is
+refreshed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,7 +131,9 @@ def initial_state(params, grid, profile):
 
 class _Stepper:
     """Precomputed geometry data, per-step scratch and the in-place update
-    kernel; a step allocates only what model.a_eps and model.b_eps return."""
+    kernel.  The views a step of cells [a, b) takes of its field and of the
+    scratch are formed once per field and window, so a step allocates
+    nothing."""
 
     def __init__(self, params, grid, absorption=True, safety=0.4):
         self.absorption = absorption
@@ -146,10 +153,27 @@ class _Stepper:
         self.hi_max = n - 1                   # cell n-1 is pinned at the floor
         # scratch: face i lies between cells i-1 and i; face 0 is never
         # written, so its gradient stays 0 (the zero-flux face at r = 0)
-        self.g, self.s = np.zeros(n + 1), np.empty(n + 1)
-        self.sc, self.div = np.empty(n), np.empty(n)
+        self.g, self.s, self.flux = np.zeros(n + 1), np.empty(n + 1), np.empty(n + 1)
+        self.sc, self.div, self.babs = np.empty(n), np.empty(n), np.empty(n)
         self.absorbed = 0.0
         self.boundary_out = 0.0
+        self._u, self._a, self._b = None, -1, -1
+
+    def _bind(self, u, a, b):
+        """Form the views of u and of the scratch that a step of cells
+        [a, b) uses, unless they are already formed for this very array and
+        window.  The array is held by reference, not by id(), so a different
+        array always gets views of its own."""
+        if u is self._u and a == self._a and b == self._b:
+            return
+        lo, m = max(a, 1), b - a
+        g, flux = self.g[a:b + 1], self.flux[:m + 1]
+        self._grad_views = (u[lo:b + 1], u[lo - 1:b], self.g[lo:b + 1], g,
+                            self.s[:m + 1], g[:-1], g[1:], self.sc[:m])
+        self._step_views = (flux, flux[1:], flux[:-1], self.rw[a:b + 1],
+                            self.div[:m], self.inv_rch[a:b], u[a:b],
+                            self.babs[:m], self.cellw[a:b])
+        self._u, self._a, self._b = u, a, b
 
     # -- gradients and CFL ---------------------------------------------------
 
@@ -163,14 +187,14 @@ class _Stepper:
         The arrays are views on this stepper's scratch and are overwritten
         by its next call, so a caller that holds the gradients of several
         fields at once needs one stepper per field."""
-        lo = max(a, 1)
-        g = self.g[a:b + 1]
-        inner = np.subtract(u[lo:b + 1], u[lo - 1:b], out=self.g[lo:b + 1])
+        self._bind(u, a, b)
+        u_right, u_left, inner, g, s, g_left, g_right, sc = self._grad_views
+        np.subtract(u_right, u_left, out=inner)
         inner *= self.inv_h
-        s = np.multiply(g, g, out=self.s[:b - a + 1])
+        np.multiply(g, g, out=s)
         if not self.absorption:
             return g, s, None
-        sc = np.add(g[:-1], g[1:], out=self.sc[:b - a])
+        np.add(g_left, g_right, out=sc)
         sc *= 0.5
         np.multiply(sc, sc, out=sc)
         return g, s, sc
@@ -196,25 +220,29 @@ class _Stepper:
         Cells outside [a, b) must be at the floor beyond one padding cell so
         that the omitted fluxes vanish identically.
         """
-        g, s, sc = self.gradients(u, a, b) if grads is None else grads
+        if grads is None:
+            grads = self.gradients(u, a, b)
+        else:
+            self._bind(u, a, b)
+        g, s, sc = grads
         if dt is None:
             dt = self.stable_dt_from(s, sc)
         dt = min(dt, t_budget)
+        flux, flux_right, flux_left, rw, div, inv_rch, uw, babs, cellw = self._step_views
 
         # radially weighted flux r^(N-1) a_eps g on the faces (weight 1 on a line)
-        flux = model.a_eps(s, self.eps, self.p)
+        model.a_eps(s, self.eps, self.p, out=flux)
         flux *= g
-        flux *= self.rw[a:b + 1]
-        div = np.subtract(flux[1:], flux[:-1], out=self.div[:b - a])
-        div *= self.inv_rch[a:b]
+        flux *= rw
+        np.subtract(flux_right, flux_left, out=div)
+        div *= inv_rch
         div *= dt
         self.boundary_out += dt * self.omega * (flux[0] - flux[-1])
-        uw = u[a:b]
         uw += div
 
         if sc is not None:
-            babs = model.b_eps(sc, self.eps, self.q)
-            self.absorbed += dt * float(babs @ self.cellw[a:b])
+            model.b_eps(sc, self.eps, self.q, out=babs)
+            self.absorbed += dt * float(babs @ cellw)
             babs *= dt
             uw -= babs
 
@@ -250,11 +278,18 @@ class _Stepper:
         return t_target
 
 
+@functools.lru_cache(maxsize=16)
+def _stepper(params, grid, absorption, safety):
+    """The stepper `stable_dt` and `step` share per problem, grid and rule,
+    so a loop of single steps builds the grid weights once."""
+    return _Stepper(params, grid, absorption=absorption, safety=safety)
+
+
 def stable_dt(state, safety=1.0, absorption=True):
     """CFL-stable time step of a full-grid step of state."""
     if not 0.0 < safety <= 1.0:
         raise InvalidParams("safety must lie in (0, 1]")
-    st = _Stepper(state.params, state.grid, absorption=absorption, safety=safety)
+    st = _stepper(state.params, state.grid, absorption, safety)
     _, s, sc = st.gradients(state.values, st.lo_min, st.hi_max)
     return st.stable_dt_from(s, sc)
 
@@ -262,7 +297,8 @@ def stable_dt(state, safety=1.0, absorption=True):
 def step(state, dt, absorption=True):
     """One explicit step with a caller-supplied dt <= stable_dt(state, 1).
     Returns the new state."""
-    st = _Stepper(state.params, state.grid, absorption=absorption)
+    # the dt is the caller's, so the stepper's safety never enters
+    st = _stepper(state.params, state.grid, absorption, 1.0)
     st.absorbed, st.boundary_out = state.absorbed_mass, state.boundary_out
     values = state.values.copy()
     st.step_window(values, st.lo_min, st.hi_max, dt=dt)
@@ -412,7 +448,13 @@ def run(config: RunConfig, on_record=None):
 def comparison_run(profile_a, profile_b, config: RunConfig,
                    absorption_a=None, absorption_b=None):
     """Evolve two ordered initial profiles with an identical dt sequence and
-    report the worst ordering violation max_t max_i (uA - uB)_+."""
+    report the worst ordering violation max_t max_i (uA - uB)_+.
+
+    Both fields advance on the union of their active windows, refreshed
+    every WINDOW_EVERY steps as in `_Stepper.advance`, and the gap is taken
+    on that window only.  Outside it both fields sit exactly at the floor:
+    their fluxes and absorption vanish there identically, so a full-grid
+    step would leave those cells unchanged and their gap exactly 0."""
     params = config.params()
     grid = config.grid()
     sa = initial_state(params, grid, profile_a)
@@ -425,17 +467,24 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
     st_b = _Stepper(params, grid, absorption=ab, safety=config.safety)
     ua, ub = sa.values, sb.values
     t = worst = 0.0
-    lo, hi = st_a.lo_min, st_a.hi_max
     gap = np.empty_like(ua)
     while t < config.t_end:
-        # one stepper per field, so that each keeps its gradients until its step
-        ga, gb = st_a.gradients(ua, lo, hi), st_b.gradients(ub, lo, hi)
-        dt = min(st_a.stable_dt_from(*ga[1:]), st_b.stable_dt_from(*gb[1:]),
-                 config.t_end - t)
-        st_a.step_window(ua, lo, hi, dt=dt, grads=ga)
-        st_b.step_window(ub, lo, hi, dt=dt, grads=gb)
-        t += dt
-        worst = max(worst, float(np.maximum.reduce(np.subtract(ua, ub, out=gap))))
+        wins = [w for w in (st_a.active_window(ua), st_b.active_window(ub)) if w]
+        if not wins:
+            break                     # both at the floor: a steady state
+        lo, hi = min(w[0] for w in wins), max(w[1] for w in wins)
+        va, vb, vgap = ua[lo:hi], ub[lo:hi], gap[:hi - lo]
+        for _ in range(WINDOW_EVERY):
+            # one stepper per field, so that each keeps its gradients until its step
+            ga, gb = st_a.gradients(ua, lo, hi), st_b.gradients(ub, lo, hi)
+            dt = min(st_a.stable_dt_from(*ga[1:]), st_b.stable_dt_from(*gb[1:]),
+                     config.t_end - t)
+            st_a.step_window(ua, lo, hi, dt=dt, grads=ga)
+            st_b.step_window(ub, lo, hi, dt=dt, grads=gb)
+            t += dt
+            worst = max(worst, float(np.maximum.reduce(np.subtract(va, vb, out=vgap))))
+            if t >= config.t_end:
+                break
     return {
         "max_violation": max(worst, 0.0),
         "t_end": config.t_end,

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from gradabs import fit, observe
+from gradabs import fit, observe, solver
 from gradabs.exponents import ProblemParams
 from gradabs.fit import (FitError, fit_composite, fit_log_growth, fit_power,
                          plateau_test, verdict)
@@ -65,6 +67,30 @@ def test_fit_composite():
     res = fit_composite(t, 2.0 * model, model)
     assert res.exponent == pytest.approx(1.0, abs=1e-12)
     assert res.passed
+
+
+def test_fit_composite_rejects_constant_abscissa():
+    t = geom_times(4.0, 256.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError, match="constant"):
+            fit_composite(t, 1.0 / t, np.full_like(t, 2.0))
+
+
+def test_verdict_on_constant_composite_abscissa():
+    # the sweep cell p = 3.5, q = 3 to t = 1/2: the inverse-log law's
+    # abscissa log(max(t, 1 + 1e-9)) is constant on the window [1/16, 1/2]
+    cfg = solver.RunConfig(3.5, 3.0, 1, geometry="radial", h=0.01, L=8.0, t_end=0.5)
+    _, series = solver.run(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = verdict(cfg.params(), series, h=cfg.h)
+    lookup = {v.quantity: v for v in out}
+    l1 = lookup["l1_excess"]
+    assert l1.predicted == "inverse_log_power"
+    assert l1.fitted == "composite_undefined(constant abscissa on window)"
+    assert l1.r2 == 0.0 and not l1.passed
+    assert sum(v.passed for v in out) == 3 and len(out) == 4
 
 
 def synthetic_series(t, sup, l1, rho, grad, absorbed):

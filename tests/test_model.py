@@ -57,6 +57,19 @@ def test_coefficients_nondecreasing_in_s():
             assert np.all(np.diff(model.b_eps(s, eps, q)) >= 0.0)
 
 
+@pytest.mark.parametrize("p,q", [(3.0, 2.0), (3.0, 1.6), (4.0, 4.0), (6.0, 1.2)])
+def test_coefficients_out_matches_allocating_call(p, q):
+    # the exponents 0.5, 1 and 2 take numpy's fast scalar-power paths
+    s = np.random.default_rng(3).uniform(0.0, 40.0, 257)
+    s[0] = 0.0
+    for eps in (1e-3, 0.3):
+        for coef, k in ((model.a_eps, p), (model.b_eps, q)):
+            out = np.full_like(s, np.nan)
+            assert coef(s, eps, k, out=out) is out
+            assert np.array_equal(out, coef(s, eps, k))
+    assert model.b_eps(s, 0.3, q, out=np.empty_like(s))[0] == 0.0
+
+
 def test_gamma_p_examples():
     assert model.gamma_p_constant(3.0, 1) == pytest.approx(1.0 / 6.0, abs=1e-15)
     assert model.gamma_p_constant(4.0, 1) == pytest.approx(

@@ -362,6 +362,22 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window):
         assert got_absorbed == pytest.approx(absorbed, rel=1e-14, abs=0.0)
         assert dt == pytest.approx(dt_ref, rel=1e-14, abs=0.0)
 
+    # one stepper reused across two arrays and two windows: each step must
+    # match the reference and leave the other array alone, so no step
+    # writes through views bound to another array or window
+    fields = [u0.copy(), initial_state(params, grid, model.Bump(R0=1.0, H=0.5)).values]
+    windows = [(a, b), (st.lo_min + 2, st.hi_max - 5)]
+    reused = solver._Stepper(params, grid, absorption=absorption, safety=0.5)
+    for k, w in ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0)):
+        u, other = fields[k], fields[1 - k].copy()
+        ref, _, _ = reference_step(u, params, grid, *windows[w], dt_ref, absorption)
+        reused.step_window(u, *windows[w], dt=dt_ref)
+        assert np.array_equal(fields[1 - k], other)
+        if absorption:
+            np.testing.assert_allclose(u, ref, rtol=1e-14, atol=0.0)
+        else:
+            assert np.array_equal(u, ref)
+
 
 def test_comparison_run_forms_gradients_once_per_field_per_step(monkeypatch):
     calls = {"gradients": 0, "step_window": 0}
@@ -381,3 +397,96 @@ def test_comparison_run_forms_gradients_once_per_field_per_step(monkeypatch):
     steps = calls["step_window"] // 2
     assert steps > 0 and calls["step_window"] == 2 * steps
     assert calls["gradients"] == 2 * steps
+
+
+def test_step_reuses_one_stepper_and_reloads_the_ledger(monkeypatch):
+    start = barenblatt_state(h=0.01)
+    dt = stable_dt(start, safety=0.5)
+    solver._stepper.cache_clear()
+    built = []
+    init = solver._Stepper.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver._Stepper, "__init__", counting_init)
+    # two chains on one problem and grid, with different ledgers, stepped
+    # alternately: 50 calls of step in all
+    starts = (start, dataclasses.replace(start, absorbed_mass=0.25, boundary_out=0.125))
+    chains = list(starts)
+    for i in range(50):
+        chains[i % 2] = step(chains[i % 2], dt)
+    assert len(built) == 1
+    for k, state in enumerate(starts):
+        values, absorbed, out = state.values, state.absorbed_mass, state.boundary_out
+        for _ in range(25):       # a fresh stepper for every step
+            st = solver._Stepper(PARAMS, state.grid)
+            st.absorbed, st.boundary_out = absorbed, out
+            values = values.copy()
+            st.step_window(values, st.lo_min, st.hi_max, dt=dt)
+            absorbed, out = st.absorbed, st.boundary_out
+        assert np.array_equal(chains[k].values, values)
+        assert chains[k].absorbed_mass == absorbed and chains[k].boundary_out == out
+
+
+def reference_comparison_run(profile_a, profile_b, config, absorption_a, absorption_b):
+    """The full-grid lockstep loop: both fields advance on every cell with a
+    shared dt, and the gap is taken over the whole grid.  Returns the final
+    fields and max_violation."""
+    params, grid = config.params(), config.grid()
+    ua = initial_state(params, grid, profile_a).values
+    ub = initial_state(params, grid, profile_b).values
+    st_a = solver._Stepper(params, grid, absorption=absorption_a, safety=config.safety)
+    st_b = solver._Stepper(params, grid, absorption=absorption_b, safety=config.safety)
+    lo, hi = st_a.lo_min, st_a.hi_max
+    t = worst = 0.0
+    while t < config.t_end:
+        ga, gb = st_a.gradients(ua, lo, hi), st_b.gradients(ub, lo, hi)
+        dt = min(st_a.stable_dt_from(*ga[1:]), st_b.stable_dt_from(*gb[1:]),
+                 config.t_end - t)
+        st_a.step_window(ua, lo, hi, dt=dt, grads=ga)
+        st_b.step_window(ub, lo, hi, dt=dt, grads=gb)
+        t += dt
+        worst = max(worst, float((ua - ub).max()))
+    return ua, ub, max(worst, 0.0)
+
+
+@pytest.mark.parametrize("geometry,N", [("line", 1), ("radial", 1),
+                                        ("radial", 2), ("radial", 3)])
+@pytest.mark.parametrize("pair", ["ordered", "nested", "absorption_on_off",
+                                  "absorption_off_on"])
+def test_windowed_comparison_run_matches_full_grid(monkeypatch, geometry, N, pair):
+    cfg = RunConfig(3.0, 2.0, N, geometry=geometry, h=0.02, L=4.0, t_end=0.25)
+    # "nested": the upper field's support is wider than the lower field's
+    # window, so only the union of the two windows holds both
+    profiles = {"ordered": (model.Bump(H=1.0), model.Bump(H=1.5)),
+                "nested": (model.Bump(R0=0.25), model.Bump(R0=2.0))}.get(
+                    pair, (model.Bump(), model.Bump()))
+    absorption = {"absorption_on_off": (True, False),
+                  "absorption_off_on": (False, True)}.get(pair, (True, True))
+    ref_a, ref_b, ref_violation = reference_comparison_run(*profiles, cfg, *absorption)
+
+    states, widths = [], []
+    init, step_window = solver.initial_state, solver._Stepper.step_window
+
+    def recording_init(*args):
+        states.append(init(*args))
+        return states[-1]
+
+    def recording_step(self, u, a, b, *args, **kwargs):
+        widths.append(b - a)
+        return step_window(self, u, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "initial_state", recording_init)
+    monkeypatch.setattr(solver._Stepper, "step_window", recording_step)
+    rep = comparison_run(*profiles, cfg, absorption_a=absorption[0],
+                         absorption_b=absorption[1])
+    # the window is narrower than the grid, yet the result is bit for bit
+    # that of the full-grid loop
+    assert max(widths) < cfg.grid().n - 2
+    assert np.array_equal(states[0].values, ref_a)
+    assert np.array_equal(states[1].values, ref_b)
+    assert rep["max_violation"] == ref_violation
+    if pair == "absorption_off_on":
+        assert ref_violation > 0.0
