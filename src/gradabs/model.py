@@ -21,22 +21,19 @@ class GridResolutionError(ValueError):
 
 def a_eps(s, eps, p, out=None):
     """Regularized diffusivity (eps^2 + s)^((p-2)/2), s = |grad u|^2.
-    With an array `out`, the result is written into it and returned."""
-    if out is None:
-        return (eps * eps + s) ** (0.5 * (p - 2.0))
-    out = np.add(eps * eps, s, out=out)
-    out **= 0.5 * (p - 2.0)       # the same ufunc path as ** above
+    With an array `out`, the result is written into it."""
+    # on an array **= works in place; a float is simply rebound
+    out = eps * eps + s if out is None else np.add(eps * eps, s, out=out)
+    out **= 0.5 * (p - 2.0)
     return out
 
 
 def b_eps(s, eps, q, out=None):
     """Regularized absorption rate (eps^2 + s)^(q/2) - eps^q; vanishes at s=0.
-    With an array `out`, the result is written into it and returned."""
+    With an array `out`, the result is written into it."""
     e2 = eps * eps
     # evaluate eps^q as (eps^2)^(q/2) so the difference is exactly 0 at s = 0
-    if out is None:
-        return (e2 + s) ** (0.5 * q) - e2 ** (0.5 * q)
-    out = np.add(e2, s, out=out)
+    out = e2 + s if out is None else np.add(e2, s, out=out)
     out **= 0.5 * q
     out -= e2 ** (0.5 * q)
     return out

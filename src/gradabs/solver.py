@@ -21,7 +21,6 @@ refreshed.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -278,18 +277,11 @@ class _Stepper:
         return t_target
 
 
-@functools.lru_cache(maxsize=16)
-def _stepper(params, grid, absorption, safety):
-    """The stepper `stable_dt` and `step` share per problem, grid and rule,
-    so a loop of single steps builds the grid weights once."""
-    return _Stepper(params, grid, absorption=absorption, safety=safety)
-
-
 def stable_dt(state, safety=1.0, absorption=True):
     """CFL-stable time step of a full-grid step of state."""
     if not 0.0 < safety <= 1.0:
         raise InvalidParams("safety must lie in (0, 1]")
-    st = _stepper(state.params, state.grid, absorption, safety)
+    st = _Stepper(state.params, state.grid, absorption=absorption, safety=safety)
     _, s, sc = st.gradients(state.values, st.lo_min, st.hi_max)
     return st.stable_dt_from(s, sc)
 
@@ -297,8 +289,7 @@ def stable_dt(state, safety=1.0, absorption=True):
 def step(state, dt, absorption=True):
     """One explicit step with a caller-supplied dt <= stable_dt(state, 1).
     Returns the new state."""
-    # the dt is the caller's, so the stepper's safety never enters
-    st = _stepper(state.params, state.grid, absorption, 1.0)
+    st = _Stepper(state.params, state.grid, absorption=absorption)
     st.absorbed, st.boundary_out = state.absorbed_mass, state.boundary_out
     values = state.values.copy()
     st.step_window(values, st.lo_min, st.hi_max, dt=dt)

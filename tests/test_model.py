@@ -58,15 +58,23 @@ def test_coefficients_nondecreasing_in_s():
 
 
 @pytest.mark.parametrize("p,q", [(3.0, 2.0), (3.0, 1.6), (4.0, 4.0), (6.0, 1.2)])
-def test_coefficients_out_matches_allocating_call(p, q):
-    # the exponents 0.5, 1 and 2 take numpy's fast scalar-power paths
+def test_coefficients_write_into_out(p, q):
+    # bit for bit the plain formulas, on arrays (where the exponents 0.5, 1
+    # and 2 take numpy's fast scalar-power paths) and on Python floats
+    def a_plain(s, eps):
+        return (eps * eps + s) ** (0.5 * (p - 2.0))
+
+    def b_plain(s, eps):
+        return (eps * eps + s) ** (0.5 * q) - (eps * eps) ** (0.5 * q)
+
     s = np.random.default_rng(3).uniform(0.0, 40.0, 257)
     s[0] = 0.0
     for eps in (1e-3, 0.3):
-        for coef, k in ((model.a_eps, p), (model.b_eps, q)):
+        for coef, k, plain in ((model.a_eps, p, a_plain), (model.b_eps, q, b_plain)):
             out = np.full_like(s, np.nan)
             assert coef(s, eps, k, out=out) is out
-            assert np.array_equal(out, coef(s, eps, k))
+            assert np.array_equal(out, plain(s, eps))
+            assert all(coef(x, eps, k) == plain(x, eps) for x in s[:32].tolist())
     assert model.b_eps(s, 0.3, q, out=np.empty_like(s))[0] == 0.0
 
 

@@ -399,37 +399,6 @@ def test_comparison_run_forms_gradients_once_per_field_per_step(monkeypatch):
     assert calls["gradients"] == 2 * steps
 
 
-def test_step_reuses_one_stepper_and_reloads_the_ledger(monkeypatch):
-    start = barenblatt_state(h=0.01)
-    dt = stable_dt(start, safety=0.5)
-    solver._stepper.cache_clear()
-    built = []
-    init = solver._Stepper.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(solver._Stepper, "__init__", counting_init)
-    # two chains on one problem and grid, with different ledgers, stepped
-    # alternately: 50 calls of step in all
-    starts = (start, dataclasses.replace(start, absorbed_mass=0.25, boundary_out=0.125))
-    chains = list(starts)
-    for i in range(50):
-        chains[i % 2] = step(chains[i % 2], dt)
-    assert len(built) == 1
-    for k, state in enumerate(starts):
-        values, absorbed, out = state.values, state.absorbed_mass, state.boundary_out
-        for _ in range(25):       # a fresh stepper for every step
-            st = solver._Stepper(PARAMS, state.grid)
-            st.absorbed, st.boundary_out = absorbed, out
-            values = values.copy()
-            st.step_window(values, st.lo_min, st.hi_max, dt=dt)
-            absorbed, out = st.absorbed, st.boundary_out
-        assert np.array_equal(chains[k].values, values)
-        assert chains[k].absorbed_mass == absorbed and chains[k].boundary_out == out
-
-
 def reference_comparison_run(profile_a, profile_b, config, absorption_a, absorption_b):
     """The full-grid lockstep loop: both fields advance on every cell with a
     shared dt, and the gap is taken over the whole grid.  Returns the final
