@@ -34,19 +34,15 @@ class _Failure(Exception):
         self.code = code
 
 
-def _load_config(path, overrides=None):
+def _load_config(path):
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise _Failure(EXIT_CONFIG, f"cannot read config: {exc}") from None
     try:
-        config = solver.parse_config(text)
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
-            config.params()
-    except (solver.ConfigError, InvalidParams) as exc:
+        return solver.parse_config(text)
+    except solver.ConfigError as exc:
         raise _Failure(EXIT_CONFIG, f"bad config: {exc}") from None
-    return config
 
 
 def cmd_exponents(args):

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.exceptions import RankWarning
 
 from .exponents import (ProblemParams, Regime, classify_regime,
                         compute_exponents, predicted_laws)
@@ -47,7 +49,7 @@ def _window_mask(t, window):
     return (t >= lo * (1.0 - 1e-12)) & (t <= hi * (1.0 + 1e-12))
 
 
-def _r2(x, y, yhat):
+def _r2(y, yhat):
     ss_res = float(np.sum((y - yhat) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     if ss_tot == 0.0:
@@ -55,46 +57,49 @@ def _r2(x, y, yhat):
     return max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
 
 
+def _windowed(t, window, *columns, min_size=6):
+    """t and each column restricted to the window, as float arrays, with
+    at least min_size samples."""
+    t = np.asarray(t, dtype=float)
+    mask = _window_mask(t, window)
+    t = t[mask]
+    if t.size < min_size:
+        raise FitError(f"need at least {min_size} samples in window, have {t.size}")
+    return (t,) + tuple(np.asarray(c, dtype=float)[mask] for c in columns)
+
+
+def _line(x, y):
+    """Least-squares line y ~ slope x + intercept: (slope, intercept, r2).
+    A near-singular regression, which numpy only warns about, raises
+    FitError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RankWarning)
+        try:
+            slope, intercept = np.polyfit(x, y, 1)
+        except RankWarning as exc:
+            raise FitError(f"near-singular least-squares fit: {exc}") from None
+    return float(slope), float(intercept), _r2(y, slope * x + intercept)
+
+
 def fit_power(t, y, window=None) -> FitResult:
     """Least-squares line on (ln t, ln y); the exponent is the slope."""
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mask = _window_mask(t, window)
-    t, y = t[mask], y[mask]
-    if t.size < 6:
-        raise FitError(f"need at least 6 samples in window, have {t.size}")
+    t, y = _windowed(t, window, y)
     if np.any(y <= 0.0):
         raise FitError("fit_power requires positive samples in the window")
-    lt, ly = np.log(t), np.log(y)
-    slope, intercept = np.polyfit(lt, ly, 1)
-    r2 = _r2(lt, ly, slope * lt + intercept)
-    win = (float(t[0]), float(t[-1]))
-    return FitResult("power", float(slope), math.exp(intercept), r2, win)
+    slope, intercept, r2 = _line(np.log(t), np.log(y))
+    return FitResult("power", slope, math.exp(intercept), r2, (float(t[0]), float(t[-1])))
 
 
 def fit_log_growth(t, y, window=None) -> FitResult:
     """Least-squares line on (ln t, y); the slope is the log-growth rate."""
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mask = _window_mask(t, window)
-    t, y = t[mask], y[mask]
-    if t.size < 6:
-        raise FitError(f"need at least 6 samples in window, have {t.size}")
-    lt = np.log(t)
-    slope, intercept = np.polyfit(lt, y, 1)
-    r2 = _r2(lt, y, slope * lt + intercept)
-    win = (float(t[0]), float(t[-1]))
-    return FitResult("log_growth", float(slope), float(intercept), r2, win)
+    t, y = _windowed(t, window, y)
+    slope, intercept, r2 = _line(np.log(t), y)
+    return FitResult("log_growth", slope, intercept, r2, (float(t[0]), float(t[-1])))
 
 
 def plateau_test(t, y, window=None, rel_tol=0.05) -> FitResult:
     """Pass when the total relative variation over the window is small."""
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mask = _window_mask(t, window)
-    t, y = t[mask], y[mask]
-    if t.size < 4:
-        raise FitError(f"need at least 4 samples in window, have {t.size}")
+    t, y = _windowed(t, window, y, min_size=4)
     top = float(y.max())
     variation = 0.0 if top == 0.0 else (top - float(y.min())) / top
     win = (float(t[0]), float(t[-1]))
@@ -105,22 +110,14 @@ def plateau_test(t, y, window=None, rel_tol=0.05) -> FitResult:
 def fit_composite(t, y, abscissa, window=None) -> FitResult:
     """Regress ln y on the log of a predicted composite law; slope near 1
     confirms the composite shape."""
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    a = np.asarray(abscissa, dtype=float)
-    mask = _window_mask(t, window)
-    t, y, a = t[mask], y[mask], a[mask]
-    if t.size < 6:
-        raise FitError(f"need at least 6 samples in window, have {t.size}")
+    t, y, a = _windowed(t, window, y, abscissa)
     if np.any(y <= 0.0) or np.any(a <= 0.0):
         raise FitError("composite fit requires positive samples")
-    la, ly = np.log(a), np.log(y)
+    la = np.log(a)
     if np.ptp(la) == 0.0:
         raise ConstantAbscissaError("composite abscissa is constant on the window")
-    slope, intercept = np.polyfit(la, ly, 1)
-    r2 = _r2(la, ly, slope * la + intercept)
-    win = (float(t[0]), float(t[-1]))
-    return FitResult("composite", float(slope), float(intercept), r2, win,
+    slope, intercept, r2 = _line(la, np.log(y))
+    return FitResult("composite", slope, intercept, r2, (float(t[0]), float(t[-1])),
                      passed=abs(slope - 1.0) <= COMPOSITE_SLOPE_TOL)
 
 

@@ -50,7 +50,7 @@ def effective_diffusivity(s, eps, p):
 # Barenblatt solution of d_t w = div(|grad w|^{p-2} grad w)
 
 
-def gamma_p_constant(p, N, validate=True):
+def gamma_p_constant(p, N):
     """Profile constant making the self-similar source solution exact:
     gamma_p = ((p-2)/p) * eta^(1/(p-1)).
 
@@ -61,16 +61,15 @@ def gamma_p_constant(p, N, validate=True):
         raise InvalidParams(f"need p > 2 and N >= 1, got p={p}, N={N}")
     eta = eta_exponent(p, N)
     gp = ((p - 2.0) / p) * eta ** (1.0 / (p - 1.0))
-    if validate:
-        t = np.linspace(1.0, 2.0, 20)
-        edge = barenblatt_support_radius(1.0, p, N, gamma=gp)
-        r = np.linspace(0.05, 0.9, 20) * edge
-        res = barenblatt_residual(t, r, p, N, gamma=gp)
-        scale = max(1.0, float(np.max(np.abs(barenblatt_time_derivative(t, r, p, N, gamma=gp)))))
-        if np.max(np.abs(res)) > 1e-6 * scale:
-            raise RuntimeError(
-                f"gamma_p closed form fails residual check for p={p}, N={N}"
-            )
+    t = np.linspace(1.0, 2.0, 20)
+    edge = barenblatt_support_radius(1.0, p, N, gamma=gp)
+    r = np.linspace(0.05, 0.9, 20) * edge
+    res = barenblatt_residual(t, r, p, N, gamma=gp)
+    scale = max(1.0, float(np.max(np.abs(barenblatt_time_derivative(t, r, p, N, gamma=gp)))))
+    if np.max(np.abs(res)) > 1e-6 * scale:
+        raise RuntimeError(
+            f"gamma_p closed form fails residual check for p={p}, N={N}"
+        )
     return gp
 
 

@@ -9,14 +9,13 @@ gradient, the mean of the cell's two face gradients; at r = 0 that equals
 the mirror-ghost difference.
 
 `_Stepper.gradients` is the one place the face and centered gradients are
-formed, and `_Stepper.stable_dt_from` the one CFL rule: `run`, `step`,
-`stable_dt` and `comparison_run` all take their dt from that pair, and
-`comparison_run` forms each field's gradients once per step.  A step writes
+formed, and `_Stepper.stable_dt_from` the one CFL rule.  `_advance` is the
+one time loop: `run` drives it with one field and `comparison_run` with two
+in lockstep, each field's gradients formed once per step.  A step writes
 into the stepper's own scratch arrays, model.a_eps and model.b_eps included,
 through views that are formed once per field and window, so it allocates
-nothing.  `run` and `comparison_run` step only the active window: the cells
-above the floor plus a padding the front cannot cross before the window is
-refreshed.
+nothing.  The loop steps only the active window: the cells above the floor
+plus a padding the front cannot cross before the window is refreshed.
 """
 
 from __future__ import annotations
@@ -210,23 +209,17 @@ class _Stepper:
                 dt = min(dt, self.safety * self.floor / bmax)
         return dt
 
-    # -- one step on the active window --------------------------------------
+    # -- one step on a window, and the active window -------------------------
 
-    def step_window(self, u, a, b, dt=None, t_budget=np.inf, grads=None):
-        """Advance cells [a, b) by one explicit step; returns the dt used.
-        `grads` is this stepper's gradients(u, a, b), if already formed.
+    def step_window(self, u, a, b, dt, grads):
+        """Advance cells [a, b) by one explicit step of size dt <= the
+        stable_dt_from(grads), where grads is this stepper's gradients(u, a, b).
 
         Cells outside [a, b) must be at the floor beyond one padding cell so
         that the omitted fluxes vanish identically.
         """
-        if grads is None:
-            grads = self.gradients(u, a, b)
-        else:
-            self._bind(u, a, b)
+        self._bind(u, a, b)
         g, s, sc = grads
-        if dt is None:
-            dt = self.stable_dt_from(s, sc)
-        dt = min(dt, t_budget)
         flux, flux_right, flux_left, rw, div, inv_rch, uw, babs, cellw = self._step_views
 
         # radially weighted flux r^(N-1) a_eps g on the faces (weight 1 on a line)
@@ -250,9 +243,6 @@ class _Stepper:
             raise FloorViolationError(
                 f"floor violated by {self.floor - umin:.3e} at t-step dt={dt:.3e}"
             )
-        return dt
-
-    # -- window tracking and time advancement --------------------------------
 
     def active_window(self, u):
         active = np.nonzero(u > self.floor)[0]
@@ -262,25 +252,43 @@ class _Stepper:
         b = min(int(active[-1]) + 1 + WINDOW_PAD, self.hi_max)
         return a, b
 
-    def advance(self, u, t, t_target):
-        """Step in place until t_target (hit exactly); returns the new time."""
-        while t < t_target - 1e-15 * max(1.0, t_target):
-            win = self.active_window(u)
-            if win is None:
-                return t_target       # constant floor is a steady state
-            a, b = win
-            for _ in range(WINDOW_EVERY):
-                dt = self.step_window(u, a, b, t_budget=t_target - t)
-                t += dt
-                if t >= t_target - 1e-15 * max(1.0, t_target):
-                    return t_target
-        return t_target
+
+def _advance(pairs, t, t_target, after_step=None):
+    """Step every (stepper, field) pair in place from t to t_target, hit
+    exactly, with one shared dt, the least of their CFL bounds, on the union
+    of their active windows, refreshed every WINDOW_EVERY steps.  Calls
+    after_step(a, b), if given, after every step of window [a, b); returns
+    early once every field is at the floor, a steady state."""
+    t_stop = t_target - 1e-15 * max(1.0, t_target)
+    while t < t_stop:
+        wins = [w for w in (st.active_window(u) for st, u in pairs) if w]
+        if not wins:
+            return
+        a, b = min(w[0] for w in wins), max(w[1] for w in wins)
+        for _ in range(WINDOW_EVERY):
+            # each field keeps its gradients, on its own stepper, until its step
+            dt, steps = t_target - t, []
+            for st, u in pairs:
+                g = st.gradients(u, a, b)
+                dt = min(st.stable_dt_from(g[1], g[2]), dt)
+                steps.append((st, u, g))
+            for st, u, g in steps:
+                st.step_window(u, a, b, dt, g)
+            t += dt
+            if after_step is not None:
+                after_step(a, b)
+            if t >= t_stop:
+                return
+
+
+def _check_safety(safety):
+    if not 0.0 < safety <= 1.0:
+        raise InvalidParams(f"safety must lie in (0, 1], got {safety}")
 
 
 def stable_dt(state, safety=1.0, absorption=True):
     """CFL-stable time step of a full-grid step of state."""
-    if not 0.0 < safety <= 1.0:
-        raise InvalidParams("safety must lie in (0, 1]")
+    _check_safety(safety)
     st = _Stepper(state.params, state.grid, absorption=absorption, safety=safety)
     _, s, sc = st.gradients(state.values, st.lo_min, st.hi_max)
     return st.stable_dt_from(s, sc)
@@ -292,7 +300,8 @@ def step(state, dt, absorption=True):
     st = _Stepper(state.params, state.grid, absorption=absorption)
     st.absorbed, st.boundary_out = state.absorbed_mass, state.boundary_out
     values = state.values.copy()
-    st.step_window(values, st.lo_min, st.hi_max, dt=dt)
+    a, b = st.lo_min, st.hi_max
+    st.step_window(values, a, b, dt, st.gradients(values, a, b))
     return State(state.time + dt, values, state.params, state.grid,
                  st.absorbed, st.boundary_out)
 
@@ -324,6 +333,16 @@ class RunConfig:
     absorption: bool = True
     record_start: float = 0.0625
 
+    def __post_init__(self):
+        """A config that no run can start from is rejected when it is built."""
+        self.params()
+        _check_safety(self.safety)
+        for ok, rule in ((self.record_start > 0.0, "record_start > 0"),
+                         (self.t_end > self.profile_obj().t0, "t_end > the profile's t0"),
+                         (self.L is None or self.L > 0.0, "L > 0")):
+            if not ok:
+                raise InvalidParams(f"need {rule}")
+
     def params(self):
         return ProblemParams(self.p, self.q, self.N, self.eps, self.gamma)
 
@@ -346,39 +365,32 @@ class RunConfig:
 
 def parse_config(text) -> RunConfig:
     """Parse a plain-text key=value run configuration."""
-    raw = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if not sep or not val:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = val
     kwargs = {}
-    for key, val in raw.items():
-        if key in ("p", "q", "eps", "gamma", "h", "L", "t_end", "safety", "record_start"):
-            kwargs[key] = float(val)
-        elif key == "N":
-            kwargs[key] = int(val)
-        elif key == "absorption":
-            if val not in ("on", "off"):
-                raise ConfigError(f"absorption must be on or off, got {val!r}")
-            kwargs[key] = val == "on"
-        else:
-            kwargs[key] = val
     try:
-        cfg = RunConfig(**kwargs)
-        cfg.params()
-        cfg.profile_obj()
-    except InvalidParams as exc:
+        for lineno, line in enumerate(text.splitlines(), 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, val = line.partition("=")
+            key, val = key.strip(), val.strip()
+            if not sep or not val:
+                raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            if key in kwargs:
+                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            if key == "N":
+                val = int(val)
+            elif key == "absorption":
+                if val not in ("on", "off"):
+                    raise ConfigError(f"absorption must be on or off, got {val!r}")
+                val = val == "on"
+            elif key not in ("geometry", "profile"):
+                val = float(val)
+            kwargs[key] = val
+        return RunConfig(**kwargs)
+    except ValueError as exc:         # InvalidParams, or a value that is not a number
         raise ConfigError(str(exc)) from None
-    return cfg
 
 
 def record_times(t_start, t_end, record_start):
@@ -402,8 +414,7 @@ def run(config: RunConfig, on_record=None):
     times.  Returns (final state, time series)."""
     params = config.params()
     grid = config.grid()
-    profile = config.profile_obj()
-    state = initial_state(params, grid, profile)
+    state = initial_state(params, grid, config.profile_obj())
     thetas = observe.default_thetas(params)
 
     series = observe.TimeSeries()
@@ -415,14 +426,12 @@ def run(config: RunConfig, on_record=None):
 
     stepper = _Stepper(params, grid, absorption=config.absorption,
                        safety=config.safety)
-    u = state.values
-    t = state.time
-    for t_rec in record_times(state.time, config.t_end, config.record_start):
-        t = stepper.advance(u, t, t_rec)
+    for t in record_times(state.time, config.t_end, config.record_start):
+        _advance(((stepper, state.values),), state.time, t)
         state.time = t
         state.absorbed_mass = stepper.absorbed
         state.boundary_out = stepper.boundary_out
-        if not np.all(np.isfinite(u)):
+        if not np.all(np.isfinite(state.values)):
             raise NumericalError(f"non-finite field at t={t:g}")
         obs = observe.observe(state, thetas, rel_tol=SUPPORT_REL_TOL, ref_sup=ref_sup)
         if obs.rho > 0.9 * grid.L:
@@ -441,41 +450,30 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
     """Evolve two ordered initial profiles with an identical dt sequence and
     report the worst ordering violation max_t max_i (uA - uB)_+.
 
-    Both fields advance on the union of their active windows, refreshed
-    every WINDOW_EVERY steps as in `_Stepper.advance`, and the gap is taken
-    on that window only.  Outside it both fields sit exactly at the floor:
-    their fluxes and absorption vanish there identically, so a full-grid
-    step would leave those cells unchanged and their gap exactly 0."""
+    Both fields advance through `_advance` on the union of their active
+    windows, and the gap is taken on that window only.  Outside it both
+    fields sit exactly at the floor: their fluxes and absorption vanish there
+    identically, so a full-grid step would leave those cells unchanged and
+    their gap exactly 0."""
     params = config.params()
     grid = config.grid()
-    sa = initial_state(params, grid, profile_a)
-    sb = initial_state(params, grid, profile_b)
-    if np.any(sa.values > sb.values + 1e-15):
+    ua = initial_state(params, grid, profile_a).values
+    ub = initial_state(params, grid, profile_b).values
+    if np.any(ua > ub + 1e-15):
         raise InvalidParams("profile_a must lie below profile_b pointwise")
     aa = config.absorption if absorption_a is None else absorption_a
     ab = config.absorption if absorption_b is None else absorption_b
     st_a = _Stepper(params, grid, absorption=aa, safety=config.safety)
     st_b = _Stepper(params, grid, absorption=ab, safety=config.safety)
-    ua, ub = sa.values, sb.values
-    t = worst = 0.0
-    gap = np.empty_like(ua)
-    while t < config.t_end:
-        wins = [w for w in (st_a.active_window(ua), st_b.active_window(ub)) if w]
-        if not wins:
-            break                     # both at the floor: a steady state
-        lo, hi = min(w[0] for w in wins), max(w[1] for w in wins)
-        va, vb, vgap = ua[lo:hi], ub[lo:hi], gap[:hi - lo]
-        for _ in range(WINDOW_EVERY):
-            # one stepper per field, so that each keeps its gradients until its step
-            ga, gb = st_a.gradients(ua, lo, hi), st_b.gradients(ub, lo, hi)
-            dt = min(st_a.stable_dt_from(*ga[1:]), st_b.stable_dt_from(*gb[1:]),
-                     config.t_end - t)
-            st_a.step_window(ua, lo, hi, dt=dt, grads=ga)
-            st_b.step_window(ub, lo, hi, dt=dt, grads=gb)
-            t += dt
-            worst = max(worst, float(np.maximum.reduce(np.subtract(va, vb, out=vgap))))
-            if t >= config.t_end:
-                break
+    worst, win, views = 0.0, None, None
+
+    def take_gap(a, b):
+        nonlocal worst, win, views
+        if win != (a, b):             # the views are formed once per window
+            win, views = (a, b), (ua[a:b], ub[a:b], np.empty(b - a))
+        worst = max(worst, float(np.maximum.reduce(np.subtract(*views))))
+
+    _advance(((st_a, ua), (st_b, ub)), 0.0, config.t_end, take_gap)
     return {
         "max_violation": max(worst, 0.0),
         "t_end": config.t_end,

@@ -73,6 +73,10 @@ def test_run_command_bad_config(tmp_path, capsys):
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 2
     assert run_cli("run", "--config", str(tmp_path / "missing.cfg"),
                    "--out", str(tmp_path)) == 2
+    # a zero safety factor would give dt = 0 and a run that never ends
+    cfg.write_text(GOOD_CONFIG + "safety = 0\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert "safety" in capsys.readouterr().err
 
 
 def test_run_command_support_overflow(tmp_path, capsys):

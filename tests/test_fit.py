@@ -93,6 +93,17 @@ def test_verdict_on_constant_composite_abscissa():
     assert sum(v.passed for v in out) == 3 and len(out) == 4
 
 
+@pytest.mark.filterwarnings("always::numpy.exceptions.RankWarning")
+def test_near_singular_fit_raises_fit_error():
+    # numpy's own filter only prints RankWarning; the fit must raise, so that
+    # a run's report carries the failure as its verdict_error
+    t = 2.0 * (1.0 + 1e-15 * np.arange(8))    # ln t constant to roundoff
+    y = 1.0 + np.arange(8.0)
+    for fitter in (fit_power, fit_log_growth):
+        with pytest.raises(FitError, match="near-singular"):
+            fitter(t, y)
+
+
 def synthetic_series(t, sup, l1, rho, grad, absorbed):
     s = observe.TimeSeries()
     cols = {"t": t, "sup_excess": sup, "l1_excess": l1, "grad_sup": grad,

@@ -239,6 +239,14 @@ def test_parse_config():
         parse_config("p 3\n")
     with pytest.raises(ConfigError):
         parse_config("p = 1.5\nq = 2\n")   # invalid exponent range
+    # values a run cannot start from are rejected when the config is built
+    for bad in ("safety = 0", "safety = -0.1", "safety = 1.5", "record_start = 0",
+                "t_end = 0", "profile = barenblatt:t0=1\nt_end = 1", "L = -2",
+                "L = four", "profile = bump:R0=x"):
+        with pytest.raises(ConfigError):
+            parse_config("p = 3\nq = 2\nh = 0.02\n" + bad)
+    with pytest.raises(InvalidParams):
+        dataclasses.replace(cfg, safety=0.0)
 
 
 def test_default_domain_extent():
@@ -249,10 +257,17 @@ def test_default_domain_extent():
     assert dataclasses.replace(cfg, L=5.0).domain_extent() == 5.0
 
 
-def test_comparison_identical_profiles():
+def test_comparison_identical_profiles(monkeypatch):
     cfg = RunConfig(3.0, 2.0, 1, geometry="radial", h=0.02, L=4.0, t_end=0.5)
-    rep = comparison_run(model.Bump(), model.Bump(), cfg)
-    assert rep["max_violation"] == 0.0
+    states, init = [], solver.initial_state
+    monkeypatch.setattr(solver, "initial_state",
+                        lambda *args: states.append(init(*args)) or states[-1])
+    # H = 0: both fields start at the floor, a steady state the run leaves as it is
+    for H in (1.0, 0.0):
+        states.clear()
+        rep = comparison_run(model.Bump(H=H), model.Bump(H=H), cfg)
+        assert rep["max_violation"] == 0.0
+    assert len(states) == 2 and all(np.all(s.values == s.floor) for s in states)
 
 
 def test_comparison_ordered_profiles():
@@ -347,7 +362,7 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window):
     else:
         dt = st.stable_dt_from(*st.gradients(u0, a, b)[1:])
         got = u0.copy()
-        st.step_window(got, a, b, dt=dt_ref)
+        st.step_window(got, a, b, dt_ref, st.gradients(got, a, b))
         got_absorbed, got_out = st.absorbed, st.boundary_out
     assert np.any(got != u0) and out != 0.0
     # the diffusive flux and its ledger term are formed as before
@@ -371,7 +386,7 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window):
     for k, w in ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0)):
         u, other = fields[k], fields[1 - k].copy()
         ref, _, _ = reference_step(u, params, grid, *windows[w], dt_ref, absorption)
-        reused.step_window(u, *windows[w], dt=dt_ref)
+        reused.step_window(u, *windows[w], dt_ref, reused.gradients(u, *windows[w]))
         assert np.array_equal(fields[1 - k], other)
         if absorption:
             np.testing.assert_allclose(u, ref, rtol=1e-14, atol=0.0)
