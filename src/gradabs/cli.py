@@ -83,7 +83,7 @@ def _execute_run(config, out_dir, label):
                       dataclasses.asdict(compute_exponents(params)).items()
                       if v is not None},
         "mass_balance_residual": observe.mass_balance_residual(series),
-        "verdicts": [json.loads(v.to_json()) for v in verdicts],
+        "verdicts": [v.as_dict() for v in verdicts],
         "verdict_error": verdict_error,
         "series": str(series_path),
         "wall_seconds": round(wall, 3),
@@ -95,8 +95,7 @@ def cmd_run(args):
     config = _load_config(args.config)
     try:
         report, verdicts = _execute_run(config, Path(args.out), "series")
-    except (solver.SupportOverflowError, solver.FloorViolationError,
-            solver.NumericalError) as exc:
+    except solver.NumericalError as exc:
         raise _Failure(EXIT_NUMERICAL, f"numerical failure: {exc}") from None
     print(json.dumps(report, indent=2))
     if any(not v.passed for v in verdicts):
@@ -104,7 +103,9 @@ def cmd_run(args):
     return EXIT_OK
 
 
-def _parse_cells(args):
+def _cell_configs(args):
+    """One run config per (p, q) cell, in sorted order.  A bad axis, a
+    duplicate cell or a cell whose config no run can start from exits 2."""
     try:
         ps = [float(x) for x in args.p.split(",")]
         qs = [float(x) for x in args.q.split(",")]
@@ -113,12 +114,16 @@ def _parse_cells(args):
     cells = [(p, q) for p in ps for q in qs]
     if len(set(cells)) != len(cells):
         raise _Failure(EXIT_CONFIG, "duplicate sweep cells")
-    for p, q in cells:
+    base = _load_config(args.config) if args.config else None
+    configs = []
+    for p, q in sorted(cells):
         try:
-            ProblemParams(p, q, args.N)
-        except InvalidParams as exc:
+            configs.append(
+                dataclasses.replace(base, p=p, q=q, N=args.N) if base else
+                solver.RunConfig(p, q, args.N, h=0.01, L=8.0, t_end=16.0))
+        except ValueError as exc:
             raise _Failure(EXIT_CONFIG, f"cell ({p}, {q}): {exc}") from None
-    return sorted(cells)
+    return configs
 
 
 def _sweep_cell(job):
@@ -138,15 +143,10 @@ def _sweep_cell(job):
 
 
 def cmd_sweep(args):
-    cells = _parse_cells(args)
-    base = _load_config(args.config) if args.config else solver.RunConfig(
-        3.0, 2.0, args.N, h=0.01, L=8.0, t_end=16.0)
+    configs = _cell_configs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    for p, q in cells:
-        config = dataclasses.replace(base, p=p, q=q, N=args.N)
-        jobs.append((config, str(out), f"p{p:g}_q{q:g}"))
+    jobs = [(c, str(out), f"p{c.p:g}_q{c.q:g}") for c in configs]
     if args.workers > 1:
         with multiprocessing.Pool(args.workers) as pool:
             rows = pool.map(_sweep_cell, jobs)
@@ -179,7 +179,8 @@ def cmd_fit(args):
         verdicts = fit.verdict(params, series)
     except fit.FitError as exc:
         raise _Failure(EXIT_CONFIG, str(exc)) from None
-    sys.stdout.write(fit.verdicts_to_json(verdicts))
+    for v in verdicts:
+        print(json.dumps(v.as_dict()))
     return EXIT_VERDICT if any(not v.passed for v in verdicts) else EXIT_OK
 
 

@@ -158,15 +158,14 @@ class Law:
 
 @dataclass(frozen=True)
 class PredictedLaws:
-    """Predicted decay/growth laws; at q = q_star both decay branches are
-    reported and critical_mass is set."""
+    """Predicted decay/growth laws; at q = q_star (regime CRITICAL_MASS)
+    both decay branches are reported."""
 
     regime: Regime
     sup_exponents: tuple          # one entry, or two at q = q_star
     grad_exponents: tuple
     support: Law
     l1: Law
-    critical_mass: bool = False
 
 
 def predicted_laws(params: ProblemParams) -> PredictedLaws:
@@ -208,5 +207,4 @@ def predicted_laws(params: ProblemParams) -> PredictedLaws:
         grad_exponents=grad,
         support=support,
         l1=l1,
-        critical_mass=regime is Regime.CRITICAL_MASS,
     )

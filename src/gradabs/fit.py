@@ -3,7 +3,6 @@ plus the table that turns regime predictions into pass/fail verdicts."""
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -14,9 +13,10 @@ from numpy.exceptions import RankWarning
 from .exponents import (ProblemParams, Regime, classify_regime,
                         compute_exponents, predicted_laws)
 
-DEFAULT_EXPONENT_TOL = 0.1
+EXPONENT_TOL = 0.1
 DEFAULT_WINDOW_OCTAVES = 3.0
 COMPOSITE_SLOPE_TOL = 0.2
+PLATEAU_REL_TOL = 0.05
 
 
 class FitError(ValueError):
@@ -43,8 +43,6 @@ class FitResult:
 
 def _window_mask(t, window):
     t = np.asarray(t, dtype=float)
-    if window is None:
-        return np.ones(t.shape, dtype=bool)
     lo, hi = window
     return (t >= lo * (1.0 - 1e-12)) & (t <= hi * (1.0 + 1e-12))
 
@@ -81,7 +79,7 @@ def _line(x, y):
     return float(slope), float(intercept), _r2(y, slope * x + intercept)
 
 
-def fit_power(t, y, window=None) -> FitResult:
+def fit_power(t, y, window) -> FitResult:
     """Least-squares line on (ln t, ln y); the exponent is the slope."""
     t, y = _windowed(t, window, y)
     if np.any(y <= 0.0):
@@ -90,24 +88,25 @@ def fit_power(t, y, window=None) -> FitResult:
     return FitResult("power", slope, math.exp(intercept), r2, (float(t[0]), float(t[-1])))
 
 
-def fit_log_growth(t, y, window=None) -> FitResult:
+def fit_log_growth(t, y, window) -> FitResult:
     """Least-squares line on (ln t, y); the slope is the log-growth rate."""
     t, y = _windowed(t, window, y)
     slope, intercept, r2 = _line(np.log(t), y)
     return FitResult("log_growth", slope, intercept, r2, (float(t[0]), float(t[-1])))
 
 
-def plateau_test(t, y, window=None, rel_tol=0.05) -> FitResult:
-    """Pass when the total relative variation over the window is small."""
+def plateau_test(t, y, window) -> FitResult:
+    """Pass when the total relative variation over the window is at most
+    PLATEAU_REL_TOL."""
     t, y = _windowed(t, window, y, min_size=4)
     top = float(y.max())
     variation = 0.0 if top == 0.0 else (top - float(y.min())) / top
     win = (float(t[0]), float(t[-1]))
     return FitResult("plateau", None, float(y[-1]), 1.0, win,
-                     passed=variation <= rel_tol)
+                     passed=variation <= PLATEAU_REL_TOL)
 
 
-def fit_composite(t, y, abscissa, window=None) -> FitResult:
+def fit_composite(t, y, abscissa, window) -> FitResult:
     """Regress ln y on the log of a predicted composite law; slope near 1
     confirms the composite shape."""
     t, y, a = _windowed(t, window, y, abscissa)
@@ -130,19 +129,16 @@ class Verdict:
     window: tuple
     passed: bool
 
-    def to_json(self):
-        return json.dumps({
+    def as_dict(self):
+        """The record a report or `gradabs fit` writes as JSON."""
+        return {
             "quantity": self.quantity,
             "predicted": self.predicted,
             "fitted": self.fitted,
             "r2": round(self.r2, 6),
             "window": list(self.window),
             "pass": self.passed,
-        })
-
-
-def verdicts_to_json(verdicts):
-    return "\n".join(v.to_json() for v in verdicts) + "\n"
+        }
 
 
 def default_window(t):
@@ -174,7 +170,7 @@ def _composite_verdict(kind, t, l1, model, window):
                    fitted.r2, fitted.window, bool(fitted.passed))
 
 
-def verdict(params: ProblemParams, series, h=None, tol=DEFAULT_EXPONENT_TOL):
+def verdict(params: ProblemParams, series, h=None):
     """One pass/fail verdict per law applicable to the regime of params.
 
     Law selection is table-driven from the regime alone.  Upper-bound laws
@@ -199,13 +195,13 @@ def verdict(params: ProblemParams, series, h=None, tol=DEFAULT_EXPONENT_TOL):
     sup = series.column("sup_excess")
     fit_sup = fit_power(t, sup, window)
     out.append(_exponent_verdict("sup_excess", fit_sup, laws.sup_exponents[0],
-                                 tol, one_sided=False))
+                                 EXPONENT_TOL, one_sided=False))
 
     grad = series.column("grad_beta")
     if np.all(grad[_window_mask(t, window)] > 0.0):
         fit_grad = fit_power(t, grad, window)
-        out.append(_exponent_verdict("grad_beta", fit_grad,
-                                     laws.grad_exponents[0], tol, one_sided=True))
+        out.append(_exponent_verdict("grad_beta", fit_grad, laws.grad_exponents[0],
+                                     EXPONENT_TOL, one_sided=True))
 
     rho = series.column("rho")
     if laws.support.kind == "bounded":
@@ -223,13 +219,13 @@ def verdict(params: ProblemParams, series, h=None, tol=DEFAULT_EXPONENT_TOL):
         fit_rho = fit_power(t, rho, window)
         sharp = pure_diffusion and regime is Regime.DIFFUSION_DOMINATED
         out.append(_exponent_verdict("rho", fit_rho, laws.support.exponent,
-                                     tol / 2.0, one_sided=not sharp))
+                                     EXPONENT_TOL / 2.0, one_sided=not sharp))
 
     l1 = series.column("l1_excess")
     if laws.l1.kind == "power":
         fit_l1 = fit_power(t, l1, window)
         out.append(_exponent_verdict("l1_excess", fit_l1, laws.l1.exponent,
-                                     tol, one_sided=True))
+                                     EXPONENT_TOL, one_sided=True))
     elif laws.l1.kind == "power_log":
         q, xi = params.q, ex.xi
         # the model is evaluated on the full series (including a possible
@@ -243,7 +239,7 @@ def verdict(params: ProblemParams, series, h=None, tol=DEFAULT_EXPONENT_TOL):
         model = np.log(np.maximum(t, 1.0 + 1e-9)) ** (-1.0 / (params.q - 1.0))
         out.append(_composite_verdict("inverse_log_power", t, l1, model, window))
     else:  # positive_limit
-        res = plateau_test(t, l1, window, rel_tol=0.05)
+        res = plateau_test(t, l1, window)
         ok = bool(res.passed) and res.amplitude > 0.0
         out.append(Verdict("l1_excess", "positive_limit",
                            f"plateau({res.amplitude:.6g})", res.r2,

@@ -62,10 +62,10 @@ def gamma_p_constant(p, N):
     eta = eta_exponent(p, N)
     gp = ((p - 2.0) / p) * eta ** (1.0 / (p - 1.0))
     t = np.linspace(1.0, 2.0, 20)
-    edge = barenblatt_support_radius(1.0, p, N, gamma=gp)
+    edge = gp ** (-(p - 1.0) / p)             # the support radius at t = 1
     r = np.linspace(0.05, 0.9, 20) * edge
-    res = barenblatt_residual(t, r, p, N, gamma=gp)
-    scale = max(1.0, float(np.max(np.abs(barenblatt_time_derivative(t, r, p, N, gamma=gp)))))
+    res = barenblatt_residual(t, r, p, N, gp)
+    scale = max(1.0, float(np.max(np.abs(barenblatt_time_derivative(t, r, p, N, gp)))))
     if np.max(np.abs(res)) > 1e-6 * scale:
         raise RuntimeError(
             f"gamma_p closed form fails residual check for p={p}, N={N}"
@@ -85,30 +85,27 @@ def _profile_pieces(t, r, p, N, gamma):
     return eta, s, m, k, core
 
 
-def barenblatt_value(t, r, p, N, gamma=None):
-    """t^{-N eta} (1 - gamma (r/t^eta)^{p/(p-1)})_+^{(p-1)/(p-2)} for t > 0."""
+def barenblatt_value(t, r, p, N):
+    """t^{-N eta} (1 - gamma_p (r/t^eta)^{p/(p-1)})_+^{(p-1)/(p-2)} for t > 0."""
     if np.any(np.asarray(t) <= 0.0):
         raise InvalidParams("Barenblatt solution requires t > 0")
-    if gamma is None:
-        gamma = gamma_p_constant(p, N)
-    eta, s, m, k, core = _profile_pieces(t, r, p, N, gamma)
+    eta, s, m, k, core = _profile_pieces(t, r, p, N, gamma_p_constant(p, N))
     return np.asarray(t, dtype=float) ** (-N * eta) * core ** k
 
 
-def barenblatt_support_radius(t, p, N, gamma=None):
+def barenblatt_support_radius(t, p, N):
     """Edge of the support: gamma_p^{-(p-1)/p} t^eta."""
     if np.any(np.asarray(t) <= 0.0):
         raise InvalidParams("Barenblatt solution requires t > 0")
-    if gamma is None:
-        gamma = gamma_p_constant(p, N)
-    eta = eta_exponent(p, N)
-    return gamma ** (-(p - 1.0) / p) * np.asarray(t, dtype=float) ** eta
+    gamma = gamma_p_constant(p, N)
+    return gamma ** (-(p - 1.0) / p) * np.asarray(t, dtype=float) ** eta_exponent(p, N)
 
 
-def barenblatt_time_derivative(t, r, p, N, gamma=None):
+# The residual oracle: the profile with a trial constant gamma, which is
+# an exact solution only at gamma = gamma_p.
+
+def barenblatt_time_derivative(t, r, p, N, gamma):
     """Analytic d/dt of the self-similar profile (zero outside the support)."""
-    if gamma is None:
-        gamma = gamma_p_constant(p, N)
     eta, s, m, k, core = _profile_pieces(t, r, p, N, gamma)
     t = np.asarray(t, dtype=float)
     # F(s) = core^k, F'(s) = -k gamma m s^(m-1) core^(k-1)
@@ -117,12 +114,10 @@ def barenblatt_time_derivative(t, r, p, N, gamma=None):
     return t ** (-N * eta - 1.0) * (-N * eta * F - eta * s * Fp)
 
 
-def barenblatt_p_laplacian(t, r, p, N, gamma=None):
-    """Analytic div(|grad .|^{p-2} grad .) of the profile, for any profile
-    constant gamma.  With the flux G(s) = |F'|^{p-2} F' = -(k gamma m)^{p-1} s F,
-    the radial divergence collapses to -(k gamma m)^{p-1} (N F + s F')."""
-    if gamma is None:
-        gamma = gamma_p_constant(p, N)
+def barenblatt_p_laplacian(t, r, p, N, gamma):
+    """Analytic div(|grad .|^{p-2} grad .) of the profile.  With the flux
+    G(s) = |F'|^{p-2} F' = -(k gamma m)^{p-1} s F, the radial divergence
+    collapses to -(k gamma m)^{p-1} (N F + s F')."""
     eta, s, m, k, core = _profile_pieces(t, r, p, N, gamma)
     t = np.asarray(t, dtype=float)
     F = core ** k
@@ -131,37 +126,11 @@ def barenblatt_p_laplacian(t, r, p, N, gamma=None):
     return -coef * t ** (-N * eta - 1.0) * (N * F + s * Fp)
 
 
-def barenblatt_residual(t, r, p, N, gamma=None):
+def barenblatt_residual(t, r, p, N, gamma):
     """d_t B - Delta_p B with profile constant gamma.  Vanishes identically
-    iff gamma equals the exact constant; the residual-nulling oracle."""
-    return barenblatt_time_derivative(t, r, p, N, gamma=gamma) - barenblatt_p_laplacian(
-        t, r, p, N, gamma=gamma
-    )
-
-
-@dataclass(frozen=True)
-class BarenblattSolution:
-    """Self-similar source solution for given (p, N), with gamma_p computed
-    from the closed form and residual-validated on construction."""
-
-    p: float
-    N: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma_p", gamma_p_constant(self.p, self.N))
-        object.__setattr__(self, "eta", eta_exponent(self.p, self.N))
-
-    def value(self, t, r):
-        return barenblatt_value(t, r, self.p, self.N, gamma=self.gamma_p)
-
-    def support_radius(self, t):
-        return barenblatt_support_radius(t, self.p, self.N, gamma=self.gamma_p)
-
-    def time_derivative(self, t, r):
-        return barenblatt_time_derivative(t, r, self.p, self.N, gamma=self.gamma_p)
-
-    def sup_norm(self, t):
-        return np.asarray(t, dtype=float) ** (-self.N * self.eta)
+    iff gamma equals the exact constant."""
+    return (barenblatt_time_derivative(t, r, p, N, gamma)
+            - barenblatt_p_laplacian(t, r, p, N, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +149,7 @@ class Bump:
     m: float = 2.0
     t0 = 0.0
 
-    def value(self, r, params=None):
+    def value(self, r, params):
         r = np.asarray(r, dtype=float)
         return self.H * np.maximum(1.0 - (r / self.R0) ** 2, 0.0) ** self.m
 
@@ -204,7 +173,7 @@ class DeadCoreAnnulus:
         if not 0.0 < self.R0 < self.R1:
             raise InvalidParams("annulus needs 0 < R0 < R1")
 
-    def value(self, r, params=None):
+    def value(self, r, params):
         r = np.asarray(r, dtype=float)
         w = self.R1 - self.R0
         hump = 4.0 * (r - self.R0) * (self.R1 - r) / (w * w)

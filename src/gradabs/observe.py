@@ -1,6 +1,10 @@
-"""Observables of a discrete solution state: excess norms, composite
-gradient sup norms, support radius, and the mass-balance residual of a
-recorded time series."""
+"""Observables of a discrete solution state and their time series.
+
+`observe` turns a state into one CSV row: the sup and L1 excess over the
+floor, the gradient sup norm, the composite gradients |grad(u^theta)| at
+theta = alpha_p and beta_pq, the support radius and the two ledger terms.
+`TimeSeries` stores the rows of a run, and `mass_balance_residual` checks
+their mass ledger."""
 
 from __future__ import annotations
 
@@ -14,22 +18,9 @@ from .exponents import InvalidParams, alpha_p, beta_pq
 CSV_COLUMNS = ("t", "sup_excess", "l1_excess", "grad_sup", "grad_alpha",
                "grad_beta", "rho", "absorbed", "boundary_out")
 
-
-def default_thetas(params):
-    """Composite exponents recorded by default: (alpha_p, beta_pq)."""
-    return (alpha_p(params.p, params.N), beta_pq(params.p, params.q, params.N))
-
-
-@dataclass
-class Observables:
-    t: float
-    sup_excess: float
-    l1_excess: float
-    grad_sup: float
-    grad_power_sup: dict
-    rho: float
-    absorbed: float
-    boundary_out: float
+# a cell is in the support while its excess exceeds this fraction of the
+# reference peak
+SUPPORT_REL_TOL = 1e-6
 
 
 def grad_power_sup(values, h, theta):
@@ -44,38 +35,31 @@ def grad_power_sup(values, h, theta):
     return float(np.max(np.abs(np.diff(powered)))) / h
 
 
-def observe(state, theta_list, rel_tol=1e-6, ref_sup=None) -> Observables:
-    u = state.values
-    floor = state.floor
-    excess = u - floor
-    sup_excess = float(excess.max())
-    l1 = float(excess @ state.grid.cell_measures())
-    powers = {theta: grad_power_sup(u, state.grid.h, theta) for theta in theta_list}
-    rho = support_radius(state, rel_tol, ref_sup=ref_sup)
-    return Observables(
-        t=state.time,
-        sup_excess=sup_excess,
-        l1_excess=l1,
-        grad_sup=grad_power_sup(u, state.grid.h, 1.0),
-        grad_power_sup=powers,
-        rho=rho,
-        absorbed=state.absorbed_mass,
-        boundary_out=state.boundary_out,
-    )
+def observe(state, ref_sup):
+    """The CSV row of state, keyed by CSV_COLUMNS; the support radius is
+    taken against the reference peak ref_sup."""
+    u, h, params = state.values, state.grid.h, state.params
+    excess = u - state.floor
+    return {
+        "t": state.time,
+        "sup_excess": float(excess.max()),
+        "l1_excess": float(excess @ state.grid.cell_measures()),
+        "grad_sup": grad_power_sup(u, h, 1.0),
+        "grad_alpha": grad_power_sup(u, h, alpha_p(params.p, params.N)),
+        "grad_beta": grad_power_sup(u, h, beta_pq(params.p, params.q, params.N)),
+        "rho": support_radius(state, ref_sup),
+        "absorbed": state.absorbed_mass,
+        "boundary_out": state.boundary_out,
+    }
 
 
-def support_radius(state, rel_tol=1e-6, ref_sup=None):
-    """Largest |cell center| whose excess exceeds rel_tol times the
-    reference peak, plus h/2; zero if the excess is below threshold
+def support_radius(state, ref_sup):
+    """Largest |cell center| whose excess exceeds SUPPORT_REL_TOL times the
+    reference peak ref_sup, plus h/2; zero if the excess is below threshold
     everywhere."""
-    if not 0.0 < rel_tol < 1.0:
-        raise InvalidParams(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    excess = state.values - state.floor
-    if ref_sup is None:
-        ref_sup = float(excess.max())
     if ref_sup <= 0.0:
         return 0.0
-    above = excess > rel_tol * ref_sup
+    above = state.values - state.floor > SUPPORT_REL_TOL * ref_sup
     if not above.any():
         return 0.0
     centers = np.abs(state.grid.centers())
@@ -91,29 +75,18 @@ class TimeSeries:
     def __len__(self):
         return len(self.columns["t"])
 
-    def append(self, obs: Observables, thetas):
+    def append(self, row):
+        """Store one row of `observe`."""
         t = self.columns["t"]
-        if t and obs.t <= t[-1]:
-            raise InvalidParams(f"recording times must increase: {obs.t} after {t[-1]}")
+        if t and row["t"] <= t[-1]:
+            raise InvalidParams(f"recording times must increase: {row['t']} after {t[-1]}")
         sup = self.columns["sup_excess"]
-        if sup and obs.sup_excess > sup[-1] + 1e-12 * max(1.0, sup[-1]):
+        if sup and row["sup_excess"] > sup[-1] + 1e-12 * max(1.0, sup[-1]):
             raise InvalidParams(
-                f"sup_excess increased from {sup[-1]} to {obs.sup_excess} at t={obs.t}"
+                f"sup_excess increased from {sup[-1]} to {row['sup_excess']} at t={row['t']}"
             )
-        alpha, beta = thetas
-        row = {
-            "t": obs.t,
-            "sup_excess": obs.sup_excess,
-            "l1_excess": obs.l1_excess,
-            "grad_sup": obs.grad_sup,
-            "grad_alpha": obs.grad_power_sup[alpha],
-            "grad_beta": obs.grad_power_sup[beta],
-            "rho": obs.rho,
-            "absorbed": obs.absorbed,
-            "boundary_out": obs.boundary_out,
-        }
-        for key, val in row.items():
-            self.columns[key].append(float(val))
+        for key in CSV_COLUMNS:
+            self.columns[key].append(float(row[key]))
 
     def column(self, name):
         return np.asarray(self.columns[name], dtype=float)

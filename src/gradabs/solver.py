@@ -8,10 +8,12 @@ is a zero-flux face at r = 0.  The absorption term sees the centered cell
 gradient, the mean of the cell's two face gradients; at r = 0 that equals
 the mirror-ghost difference.
 
-`_Stepper.gradients` is the one place the face and centered gradients are
-formed, and `_Stepper.stable_dt_from` the one CFL rule.  `_advance` is the
-one time loop: `run` drives it with one field and `comparison_run` with two
-in lockstep, each field's gradients formed once per step.  A step writes
+The entry points are `run` and `comparison_run`, both driven by a
+`RunConfig`, which rejects when it is built any config that no run can start
+from.  `_Stepper.gradients` is the one place the face and centered gradients
+are formed, and `_Stepper.stable_dt_from` the one CFL rule.  `_advance` is
+the one time loop: `run` drives it with one field and `comparison_run` with
+two in lockstep, each field's gradients formed once per step.  A step writes
 into the stepper's own scratch arrays, model.a_eps and model.b_eps included,
 through views that are formed once per field and window, so it allocates
 nothing.  The loop steps only the active window: the cells above the floor
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, observe
-from .exponents import InvalidParams, ProblemParams, eta_exponent
+from .exponents import InvalidParams, ProblemParams
 
 FLOOR_SLACK = 1e-14
 
@@ -79,9 +81,10 @@ class Grid:
             raise ConfigError("need at least 16 cells")
 
     @classmethod
-    def from_extent(cls, geometry, h, L, N=1):
+    def from_extent(cls, geometry, h, L, N):
         width = 2.0 * L if geometry == "line" else L
-        n = max(16, int(round(width / h)))
+        # a non-positive h is left for __post_init__ to reject
+        n = max(16, int(round(width / h))) if h > 0.0 else 0
         return cls(geometry, h, n, N)
 
     @property
@@ -133,7 +136,7 @@ class _Stepper:
     scratch are formed once per field and window, so a step allocates
     nothing."""
 
-    def __init__(self, params, grid, absorption=True, safety=0.4):
+    def __init__(self, params, grid, absorption, safety):
         self.absorption = absorption
         self.safety = safety
         self.p, self.q, self.eps, self.floor = params.p, params.q, params.eps, params.floor
@@ -281,31 +284,6 @@ def _advance(pairs, t, t_target, after_step=None):
                 return
 
 
-def _check_safety(safety):
-    if not 0.0 < safety <= 1.0:
-        raise InvalidParams(f"safety must lie in (0, 1], got {safety}")
-
-
-def stable_dt(state, safety=1.0, absorption=True):
-    """CFL-stable time step of a full-grid step of state."""
-    _check_safety(safety)
-    st = _Stepper(state.params, state.grid, absorption=absorption, safety=safety)
-    _, s, sc = st.gradients(state.values, st.lo_min, st.hi_max)
-    return st.stable_dt_from(s, sc)
-
-
-def step(state, dt, absorption=True):
-    """One explicit step with a caller-supplied dt <= stable_dt(state, 1).
-    Returns the new state."""
-    st = _Stepper(state.params, state.grid, absorption=absorption)
-    st.absorbed, st.boundary_out = state.absorbed_mass, state.boundary_out
-    values = state.values.copy()
-    a, b = st.lo_min, st.hi_max
-    st.step_window(values, a, b, dt, st.gradients(values, a, b))
-    return State(state.time + dt, values, state.params, state.grid,
-                 st.absorbed, st.boundary_out)
-
-
 # ---------------------------------------------------------------------------
 # run configuration
 
@@ -314,7 +292,6 @@ CONFIG_KEYS = ("p", "q", "N", "eps", "gamma", "geometry", "h", "L", "t_end",
                "safety", "profile", "absorption", "record_start")
 
 DOMAIN_MARGIN = 1.25
-SUPPORT_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -334,14 +311,16 @@ class RunConfig:
     record_start: float = 0.0625
 
     def __post_init__(self):
-        """A config that no run can start from is rejected when it is built."""
-        self.params()
-        _check_safety(self.safety)
-        for ok, rule in ((self.record_start > 0.0, "record_start > 0"),
+        """A config that no run can start from is rejected when it is built,
+        by the checks of ProblemParams, Grid and model.sample_profile."""
+        params = self.params()
+        for ok, rule in ((0.0 < self.safety <= 1.0, "0 < safety <= 1"),
+                         (self.record_start > 0.0, "record_start > 0"),
                          (self.t_end > self.profile_obj().t0, "t_end > the profile's t0"),
                          (self.L is None or self.L > 0.0, "L > 0")):
             if not ok:
                 raise InvalidParams(f"need {rule}")
+        model.sample_profile(self.profile_obj(), self.grid(), params)
 
     def params(self):
         return ProblemParams(self.p, self.q, self.N, self.eps, self.gamma)
@@ -350,14 +329,13 @@ class RunConfig:
         return model.parse_profile(self.profile)
 
     def domain_extent(self):
-        """User-supplied L, or margin * (R0 + 2 t_end^eta * Barenblatt edge)."""
+        """User-supplied L, or margin * (R0 + 2 * the Barenblatt support
+        radius at t_end)."""
         if self.L is not None:
             return self.L
         r0 = self.profile_obj().support_radius(self.params())
-        eta = eta_exponent(self.p, self.N)
-        gp = model.gamma_p_constant(self.p, self.N)
-        edge = gp ** (-(self.p - 1.0) / self.p)
-        return DOMAIN_MARGIN * (r0 + 2.0 * self.t_end ** eta * edge)
+        edge = model.barenblatt_support_radius(self.t_end, self.p, self.N)
+        return DOMAIN_MARGIN * (r0 + 2.0 * edge)
 
     def grid(self):
         return Grid.from_extent(self.geometry, self.h, self.domain_extent(), self.N)
@@ -415,17 +393,14 @@ def run(config: RunConfig, on_record=None):
     params = config.params()
     grid = config.grid()
     state = initial_state(params, grid, config.profile_obj())
-    thetas = observe.default_thetas(params)
 
     series = observe.TimeSeries()
     ref_sup = float(state.values.max()) - params.floor
-    obs0 = observe.observe(state, thetas, rel_tol=SUPPORT_REL_TOL, ref_sup=ref_sup)
-    series.append(obs0, thetas)
+    series.append(observe.observe(state, ref_sup))
     if on_record is not None:
         on_record(state)
 
-    stepper = _Stepper(params, grid, absorption=config.absorption,
-                       safety=config.safety)
+    stepper = _Stepper(params, grid, config.absorption, config.safety)
     for t in record_times(state.time, config.t_end, config.record_start):
         _advance(((stepper, state.values),), state.time, t)
         state.time = t
@@ -433,13 +408,13 @@ def run(config: RunConfig, on_record=None):
         state.boundary_out = stepper.boundary_out
         if not np.all(np.isfinite(state.values)):
             raise NumericalError(f"non-finite field at t={t:g}")
-        obs = observe.observe(state, thetas, rel_tol=SUPPORT_REL_TOL, ref_sup=ref_sup)
-        if obs.rho > 0.9 * grid.L:
+        row = observe.observe(state, ref_sup)
+        if row["rho"] > 0.9 * grid.L:
             raise SupportOverflowError(
-                f"support overflow: radius {obs.rho:.3g} exceeds 0.9 L = "
+                f"support overflow: radius {row['rho']:.3g} exceeds 0.9 L = "
                 f"{0.9 * grid.L:.3g} at t={t:g}; enlarge L"
             )
-        series.append(obs, thetas)
+        series.append(row)
         if on_record is not None:
             on_record(state)
     return state, series
@@ -463,8 +438,8 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
         raise InvalidParams("profile_a must lie below profile_b pointwise")
     aa = config.absorption if absorption_a is None else absorption_a
     ab = config.absorption if absorption_b is None else absorption_b
-    st_a = _Stepper(params, grid, absorption=aa, safety=config.safety)
-    st_b = _Stepper(params, grid, absorption=ab, safety=config.safety)
+    st_a = _Stepper(params, grid, aa, config.safety)
+    st_b = _Stepper(params, grid, ab, config.safety)
     worst, win, views = 0.0, None, None
 
     def take_gap(a, b):

@@ -1,23 +1,43 @@
-"""The benchmark's per-layer tracer wraps program functions by name; a hook
-point that a refactor renames or drops is skipped by the tracer and its
-metrics silently vanish.  These tests fail instead."""
+"""The benchmark calls the program by name: its per-layer tracer wraps
+program functions, and its workloads call the program's API directly.  A
+hook point that a refactor renames or drops is skipped by the tracer and its
+metrics silently vanish; an API call that breaks fails only when the
+benchmark runs.  These tests fail instead."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module         # the module's dataclasses look it up
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_benchmark_hook_point_resolves():
-    spans = load_spans()
+    spans = load("spans")
     absent = [name for name, target in spans.HOOKS.items()
               if spans._resolve(target) == (None, None)]
     assert absent == []
     assert spans.Tracer.for_bernstein().hooks
+
+
+@pytest.mark.parametrize("name", ["decay-narrow", "barenblatt-wide", "sweep-pq", "lockstep"])
+def test_every_benchmark_workload_sets_up(name):
+    # parse_config, RunConfig.params/grid/profile_obj, initial_state and
+    # model.Bump: what a workload calls before its first step
+    workloads = load("workloads")
+    assert set(workloads.WORKLOADS) == {"decay-narrow", "barenblatt-wide", "sweep-pq",
+                                        "lockstep"}
+    states = workloads.setup(name)
+    assert len(states) == (2 if name == "lockstep" else 1)
+    for state in states:
+        assert state.values.shape == (state.grid.n,)
+        assert state.values.min() == state.floor < state.values.max()

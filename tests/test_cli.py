@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gradabs import cli
 
 GOOD_CONFIG = """
@@ -77,6 +79,37 @@ def test_run_command_bad_config(tmp_path, capsys):
     cfg.write_text(GOOD_CONFIG + "safety = 0\n")
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 2
     assert "safety" in capsys.readouterr().err
+
+
+# configs that used to fail only once the run had started, with exit 1 and a
+# traceback; each is now rejected when the config is built
+UNSTARTABLE = {
+    "cartesian": "geometry = cartesian\nh = 0.02\nL = 4",
+    "line_N2": "geometry = line\nN = 2\nh = 0.02\nL = 4",
+    "h_zero": "h = 0\nL = 4",
+    "profile_under_8_cells": "h = 0.5\nL = 12",
+}
+
+
+@pytest.mark.parametrize("case", UNSTARTABLE)
+def test_run_and_sweep_reject_unstartable_config(tmp_path, capsys, case):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("p = 3\nq = 2\nt_end = 1\n" + UNSTARTABLE[case] + "\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    assert run_cli("sweep", "--p", "3", "--q", "2", "--config", str(cfg),
+                   "--out", str(tmp_path / "sweep")) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: bad config: ") == 2
+    assert not (tmp_path / "out").exists() and not (tmp_path / "sweep").exists()
+
+
+def test_sweep_rejects_cell_its_base_config_cannot_start(tmp_path, capsys):
+    # the base config is a valid line run at N = 1, but not at --N 2
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text(GOOD_CONFIG.replace("radial", "line"))
+    assert run_cli("sweep", "--p", "3", "--q", "2", "--N", "2", "--config", str(cfg),
+                   "--out", str(tmp_path / "sweep")) == 2
+    assert "cell (3.0, 2.0): line geometry requires N = 1" in capsys.readouterr().err
 
 
 def test_run_command_support_overflow(tmp_path, capsys):

@@ -139,7 +139,7 @@ def test_predicted_laws_examples():
 
 def test_predicted_laws_critical_mass_reports_both_branches():
     laws = predicted_laws(ProblemParams(3.0, 2.5, 1))
-    assert laws.critical_mass
+    assert laws.regime is Regime.CRITICAL_MASS
     assert len(laws.sup_exponents) == 2
     # xi and eta coincide exactly at the critical exponent
     assert laws.sup_exponents[0] == pytest.approx(laws.sup_exponents[1])

@@ -1,9 +1,10 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from gradabs import fit, observe, solver
+from gradabs import observe, solver
 from gradabs.exponents import ProblemParams
 from gradabs.fit import (FitError, fit_composite, fit_log_growth, fit_power,
                          plateau_test, verdict)
@@ -14,9 +15,14 @@ def geom_times(t0=0.0625, t1=256.0):
     return t0 * 2.0 ** (0.25 * np.arange(n))
 
 
+def whole(t):
+    """The fit window that holds every sample."""
+    return (t[0], t[-1])
+
+
 def test_fit_power_exact():
     t = geom_times(1.0, 512.0)[:10]
-    res = fit_power(t, 5.0 * t ** -0.25)
+    res = fit_power(t, 5.0 * t ** -0.25, whole(t))
     assert res.exponent == pytest.approx(-0.25, abs=1e-12)
     assert res.amplitude == pytest.approx(5.0, rel=1e-12)
     assert res.r2 == pytest.approx(1.0)
@@ -25,7 +31,8 @@ def test_fit_power_exact():
 def test_fit_power_amplitude_invariance():
     t = geom_times(1.0, 64.0)
     y = t ** -0.7 * (1.0 + 0.05 * np.sin(np.log(t)))
-    assert fit_power(t, y).exponent == pytest.approx(fit_power(t, 3.0 * y).exponent)
+    assert fit_power(t, y, whole(t)).exponent == pytest.approx(
+        fit_power(t, 3.0 * y, whole(t)).exponent)
 
 
 def test_fit_power_slow_correction():
@@ -37,34 +44,40 @@ def test_fit_power_slow_correction():
 def test_fit_power_errors():
     t = geom_times(1.0, 2.0)
     with pytest.raises(FitError):
-        fit_power(t[:4], t[:4])
+        fit_power(t[:4], t[:4], whole(t))
     t = geom_times(1.0, 64.0)
     y = t - 4.0     # contains non-positive values
     with pytest.raises(FitError):
-        fit_power(t, y)
+        fit_power(t, y, whole(t))
+    with pytest.raises(FitError):
+        fit_power(t, t, (100.0, 200.0))     # no sample in the window
 
 
 def test_fit_log_growth_exact():
     t = geom_times(1.0, 256.0)
-    res = fit_log_growth(t, 3.0 + 2.0 * np.log(t))
+    res = fit_log_growth(t, 3.0 + 2.0 * np.log(t), whole(t))
     assert res.exponent == pytest.approx(2.0, abs=1e-12)
     assert res.amplitude == pytest.approx(3.0, abs=1e-12)
-    res = fit_log_growth(t, np.full_like(t, 7.0))
+    res = fit_log_growth(t, np.full_like(t, 7.0), whole(t))
     assert res.exponent == pytest.approx(0.0, abs=1e-12)
 
 
 def test_plateau():
     t = geom_times(1.0, 64.0)
-    assert plateau_test(t, np.full_like(t, 2.0), rel_tol=1e-12).passed
-    assert not plateau_test(t, 1.0 / t, (1.0, 2.0), rel_tol=0.05).passed
+    assert plateau_test(t, np.full_like(t, 2.0), whole(t)).passed
+    assert not plateau_test(t, 1.0 / t, (1.0, 2.0)).passed
+    # the relative variation may reach PLATEAU_REL_TOL = 0.05, no more
+    ramp = (t - t[0]) / (t[-1] - t[0])
+    assert plateau_test(t, 1.0 - 0.049 * ramp, whole(t)).passed
+    assert not plateau_test(t, 1.0 - 0.051 * ramp, whole(t)).passed
     with pytest.raises(FitError):
-        plateau_test(t[:3], t[:3])
+        plateau_test(t[:3], t[:3], whole(t))
 
 
 def test_fit_composite():
     t = geom_times(4.0, 256.0)
     model = t ** -1.0 * np.log(t) ** 3
-    res = fit_composite(t, 2.0 * model, model)
+    res = fit_composite(t, 2.0 * model, model, whole(t))
     assert res.exponent == pytest.approx(1.0, abs=1e-12)
     assert res.passed
 
@@ -74,7 +87,7 @@ def test_fit_composite_rejects_constant_abscissa():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FitError, match="constant"):
-            fit_composite(t, 1.0 / t, np.full_like(t, 2.0))
+            fit_composite(t, 1.0 / t, np.full_like(t, 2.0), whole(t))
 
 
 def test_verdict_on_constant_composite_abscissa():
@@ -101,7 +114,7 @@ def test_near_singular_fit_raises_fit_error():
     y = 1.0 + np.arange(8.0)
     for fitter in (fit_power, fit_log_growth):
         with pytest.raises(FitError, match="near-singular"):
-            fitter(t, y)
+            fitter(t, y, whole(t))
 
 
 def synthetic_series(t, sup, l1, rho, grad, absorbed):
@@ -174,8 +187,7 @@ def test_verdict_json_lines():
                          rho=2.0 * t ** 0.25, grad=t ** -0.5,
                          absorbed=np.zeros_like(t))
     out = verdict(ProblemParams(3.0, 3.0, 1), s)
-    text = fit.verdicts_to_json(out)
-    import json
-    for line in text.strip().splitlines():
-        rec = json.loads(line)
-        assert set(rec) == {"quantity", "predicted", "fitted", "r2", "window", "pass"}
+    for v in out:
+        rec = json.loads(json.dumps(v.as_dict()))
+        assert list(rec) == ["quantity", "predicted", "fitted", "r2", "window", "pass"]
+        assert rec["pass"] is v.passed and rec["window"] == list(v.window)

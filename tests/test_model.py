@@ -92,8 +92,9 @@ def test_barenblatt_residual_vanishes():
         t = rng.uniform(1.0, 2.0, 100)
         edge = model.barenblatt_support_radius(1.0, p, N)
         r = rng.uniform(0.0, 0.95 * edge, 100)
-        res = model.barenblatt_residual(t, r, p, N)
-        scale = np.max(np.abs(model.barenblatt_time_derivative(t, r, p, N)))
+        gp = model.gamma_p_constant(p, N)
+        res = model.barenblatt_residual(t, r, p, N, gp)
+        scale = np.max(np.abs(model.barenblatt_time_derivative(t, r, p, N, gp)))
         assert np.max(np.abs(res)) <= 1e-8 * max(scale, 1.0)
 
 
@@ -114,7 +115,7 @@ def test_time_derivative_matches_finite_difference():
     dt = 1e-6
     fd = (model.barenblatt_value(t + dt, r, p, N)
           - model.barenblatt_value(t - dt, r, p, N)) / (2.0 * dt)
-    exact = model.barenblatt_time_derivative(t, r, p, N)
+    exact = model.barenblatt_time_derivative(t, r, p, N, model.gamma_p_constant(p, N))
     assert np.max(np.abs(fd - exact)) <= 1e-6
 
 
@@ -131,10 +132,10 @@ def test_barenblatt_values():
 
 
 def test_barenblatt_sup_norm_is_exact_power():
-    sol = model.BarenblattSolution(3.0, 1)
     for t in (1.0, 2.0, 4.0, 8.0):
-        assert sol.value(t, 0.0) == pytest.approx(t ** (-0.25), rel=1e-14)
-        assert sol.sup_norm(t) == pytest.approx(t ** (-0.25), rel=1e-14)
+        r = np.linspace(0.0, model.barenblatt_support_radius(t, 3.0, 1), 101)
+        values = model.barenblatt_value(t, r, 3.0, 1)
+        assert values[0] == values.max() == pytest.approx(t ** (-0.25), rel=1e-14)
 
 
 def test_barenblatt_mass_conserved():
@@ -148,13 +149,16 @@ def test_barenblatt_mass_conserved():
     assert mass == pytest.approx(mass_ref, rel=1e-6)
 
 
+PARAMS = ProblemParams(3.0, 2.0, 1)
+
+
 def test_bump_profile():
     bump = model.Bump(R0=1.0, H=1.0, m=2.0)
-    assert bump.value(0.0) == pytest.approx(1.0)
-    assert bump.value(1.0) == 0.0
-    assert bump.value(2.0) == 0.0
+    assert bump.value(0.0, PARAMS) == pytest.approx(1.0)
+    assert bump.value(1.0, PARAMS) == 0.0
+    assert bump.value(2.0, PARAMS) == 0.0
     r = np.linspace(0.0, 1.5, 400)
-    vals = bump.value(r)
+    vals = bump.value(r, PARAMS)
     assert np.all(np.diff(vals) <= 1e-15)   # non-increasing in r
 
 
@@ -168,10 +172,10 @@ def test_bump_discrete_gradient_bounded_by_analytic():
 
 def test_annulus_profile():
     prof = model.DeadCoreAnnulus(R0=2.0, R1=4.0, H=1.0)
-    assert prof.value(1.0) == 0.0
-    assert prof.value(2.0) == 0.0
-    assert prof.value(3.0) == pytest.approx(1.0)
-    assert prof.value(4.5) == 0.0
+    assert prof.value(1.0, PARAMS) == 0.0
+    assert prof.value(2.0, PARAMS) == 0.0
+    assert prof.value(3.0, PARAMS) == pytest.approx(1.0)
+    assert prof.value(4.5, PARAMS) == 0.0
     with pytest.raises(InvalidParams):
         model.DeadCoreAnnulus(R0=4.0, R1=2.0)
 

@@ -7,8 +7,7 @@ from gradabs import model, observe, solver
 from gradabs.exponents import InvalidParams, ProblemParams
 from gradabs.solver import (ConfigError, FloorViolationError, Grid, RunConfig,
                             SupportOverflowError, comparison_run,
-                            initial_state, parse_config, record_times, run,
-                            stable_dt, step)
+                            initial_state, parse_config, record_times, run)
 
 PARAMS = ProblemParams(3.0, 2.0, 1)
 
@@ -16,6 +15,23 @@ PARAMS = ProblemParams(3.0, 2.0, 1)
 def barenblatt_state(h=0.01, L=6.0):
     grid = Grid.from_extent("radial", h, L, 1)
     return initial_state(PARAMS, grid, model.BarenblattAt(t0=1.0))
+
+
+# full-grid stepping through one _Stepper, which holds the ledgers of the
+# steps it takes
+
+def stepper(state, absorption=True, safety=0.5):
+    return solver._Stepper(state.params, state.grid, absorption, safety)
+
+
+def stable_dt(st, u):
+    return st.stable_dt_from(*st.gradients(u, st.lo_min, st.hi_max)[1:])
+
+
+def step(st, u, dt):
+    """Advance every unpinned cell of u by dt, in place; returns u."""
+    st.step_window(u, st.lo_min, st.hi_max, dt, st.gradients(u, st.lo_min, st.hi_max))
+    return u
 
 
 def test_grid_invariants():
@@ -44,13 +60,13 @@ def test_cell_measures():
 def test_stable_dt_constant_field():
     grid = Grid("radial", 0.01, 100, 1)
     state = solver.State(0.0, np.full(100, PARAMS.floor), PARAMS, grid)
-    dt = stable_dt(state, safety=0.5)
+    dt = stable_dt(stepper(state), state.values)
     assert dt == pytest.approx(0.5 * 0.01 ** 2 / (2.0 * PARAMS.eps ** (PARAMS.p - 2.0)))
 
 
 def test_stable_dt_against_independent_scan():
     state = barenblatt_state(h=0.01)
-    dt = stable_dt(state, safety=0.5, absorption=False)
+    dt = stable_dt(stepper(state, absorption=False), state.values)
     # independent max-scan over faces
     g2 = (np.diff(state.values) / 0.01) ** 2
     dmax = max(model.effective_diffusivity(float(s), PARAMS.eps, 3.0) for s in g2)
@@ -70,71 +86,67 @@ def test_stable_dt_sees_mirror_ghost_at_origin():
     state = solver.State(0.0, vals, params, grid)
     gc0 = (vals[1] - vals[0]) / (2.0 * h)
     cap = 0.5 * params.floor / model.b_eps(gc0 * gc0, params.eps, params.q)
-    assert stable_dt(state, safety=0.5) == pytest.approx(cap, rel=1e-12)
+    assert stable_dt(stepper(state), vals) == pytest.approx(cap, rel=1e-12)
 
 
 def test_stable_dt_quarters_when_h_halves():
-    c = stable_dt(barenblatt_state(h=0.01), safety=0.5, absorption=False)
-    f = stable_dt(barenblatt_state(h=0.005), safety=0.5, absorption=False)
+    c, f = (stable_dt(stepper(s, absorption=False), s.values)
+            for s in (barenblatt_state(h=0.01), barenblatt_state(h=0.005)))
     assert f == pytest.approx(c / 4.0, rel=0.02)
-
-
-def test_stable_dt_rejects_bad_safety():
-    with pytest.raises(InvalidParams):
-        stable_dt(barenblatt_state(), safety=1.5)
 
 
 def test_constant_field_is_steady():
     grid = Grid("radial", 0.01, 100, 1)
     state = solver.State(0.0, np.full(100, 0.3 + PARAMS.floor), PARAMS, grid)
-    new = step(state, 1e-5)
+    st = stepper(state)
+    new = step(st, state.values.copy(), 1e-5)
     # fluxes vanish and b_eps(0) = 0 away from the pinned boundary cell
-    assert np.allclose(new.values[:-1], state.values[:-1], atol=1e-16)
-    assert new.time == pytest.approx(1e-5)
+    assert np.allclose(new[:-1], state.values[:-1], atol=1e-16)
+    assert st.absorbed == st.boundary_out == 0.0
 
 
 def test_single_step_matches_analytic_time_derivative():
     h = 0.002
     state = barenblatt_state(h=h, L=5.0)
     dt = 1e-7
-    new = step(state, dt, absorption=False)
+    new = step(stepper(state, absorption=False), state.values.copy(), dt)
     r = state.grid.centers()
     edge = model.barenblatt_support_radius(1.0, 3.0, 1)
+    gp = model.gamma_p_constant(3.0, 1)
     inside = r < 0.8 * edge
-    expected = model.barenblatt_time_derivative(1.0, r[inside], 3.0, 1) * dt
-    got = (new.values - state.values)[inside]
+    expected = model.barenblatt_time_derivative(1.0, r[inside], 3.0, 1, gp) * dt
+    got = (new - state.values)[inside]
     # the profile's second derivative blows up like r^(-1/2) at the origin,
     # so the truncation error there is O(h^(3/2)); 3 percent of the update
     # covers it at this resolution
     assert np.max(np.abs(got - expected)) <= 0.03 * np.max(np.abs(expected))
     # away from the origin the scheme is second order
     mid = (r > 0.2 * edge) & (r < 0.8 * edge)
-    expected_mid = model.barenblatt_time_derivative(1.0, r[mid], 3.0, 1) * dt
-    got_mid = (new.values - state.values)[mid]
+    expected_mid = model.barenblatt_time_derivative(1.0, r[mid], 3.0, 1, gp) * dt
+    got_mid = (new - state.values)[mid]
     assert np.max(np.abs(got_mid - expected_mid)) <= 1e-4 * (h ** 2 + dt)
 
 
 def test_monotone_data_stay_monotone():
     # radial non-increasing fields remain non-increasing after one step
     rng = np.random.default_rng(9)
-    grid = Grid("radial", 0.05, 32, 1)
+    st = solver._Stepper(PARAMS, Grid("radial", 0.05, 32, 1), True, 0.5)
     for _ in range(50):
         vals = np.sort(rng.uniform(0.0, 1.0, 32))[::-1] + PARAMS.floor
         vals[-1] = PARAMS.floor
-        state = solver.State(0.0, vals.copy(), PARAMS, grid)
-        dt = stable_dt(state, safety=0.5)
-        new = step(state, dt)
-        assert np.all(np.diff(new.values[:-1]) <= 1e-13)
+        new = step(st, vals, stable_dt(st, vals))
+        assert np.all(np.diff(new[:-1]) <= 1e-13)
 
 
 def test_max_principle_and_floor():
     state = barenblatt_state(h=0.01)
-    dt = stable_dt(state, safety=0.5)
-    cur = state
+    st = stepper(state)
+    dt = stable_dt(st, state.values)
+    cur = state.values.copy()
     for _ in range(50):
-        cur = step(cur, dt)
-        assert cur.values.max() <= state.values.max() + 1e-14
-        assert cur.values.min() >= PARAMS.floor - 1e-14
+        step(st, cur, dt)
+        assert cur.max() <= state.values.max() + 1e-14
+        assert cur.min() >= PARAMS.floor - 1e-14
 
 
 def test_floor_violation_detected_on_cfl_breach():
@@ -143,7 +155,7 @@ def test_floor_violation_detected_on_cfl_breach():
     vals[:20] += np.linspace(1.0, 0.0, 20)    # steep ramp
     state = solver.State(0.0, vals, PARAMS, grid)
     with pytest.raises(FloorViolationError):
-        step(state, 1.0)                      # far beyond the stable dt
+        step(stepper(state), vals, 1.0)       # far beyond the stable dt
 
 
 def test_run_zero_profile():
@@ -242,7 +254,9 @@ def test_parse_config():
     # values a run cannot start from are rejected when the config is built
     for bad in ("safety = 0", "safety = -0.1", "safety = 1.5", "record_start = 0",
                 "t_end = 0", "profile = barenblatt:t0=1\nt_end = 1", "L = -2",
-                "L = four", "profile = bump:R0=x"):
+                "L = four", "profile = bump:R0=x", "geometry = cartesian",
+                "geometry = line\nN = 2", "profile = bump:R0=0.1",
+                "profile = bump:H=-1"):
         with pytest.raises(ConfigError):
             parse_config("p = 3\nq = 2\nh = 0.02\n" + bad)
     with pytest.raises(InvalidParams):
@@ -254,6 +268,7 @@ def test_default_domain_extent():
     # margin * (R0 + 2 t^eta edge) with eta = 1/4 and edge = 6^(2/3)
     expected = 1.25 * (1.0 + 2.0 * 16.0 ** 0.25 * 6.0 ** (2.0 / 3.0))
     assert cfg.domain_extent() == pytest.approx(expected)
+    assert cfg.grid().n == round(expected / cfg.h)
     assert dataclasses.replace(cfg, L=5.0).domain_extent() == 5.0
 
 
@@ -351,19 +366,14 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window):
     grid = Grid.from_extent(geometry, 0.05, 1.5, N)
     state = initial_state(params, grid, model.Bump(R0=2.0, H=1.0, m=2.0))
     u0 = state.values
-    st = solver._Stepper(params, grid, absorption=absorption, safety=0.5)
+    st = stepper(state, absorption)
     a, b = (st.lo_min, st.hi_max) if window == "full" else (3, grid.n - 4)
     dt_ref = reference_stable_dt(u0, params, grid, a, b, 0.5, absorption)
     ref, absorbed, out = reference_step(u0, params, grid, a, b, dt_ref, absorption)
-    if window == "full":
-        dt = stable_dt(state, safety=0.5, absorption=absorption)
-        new = step(state, dt_ref, absorption=absorption)
-        got, got_absorbed, got_out = new.values, new.absorbed_mass, new.boundary_out
-    else:
-        dt = st.stable_dt_from(*st.gradients(u0, a, b)[1:])
-        got = u0.copy()
-        st.step_window(got, a, b, dt_ref, st.gradients(got, a, b))
-        got_absorbed, got_out = st.absorbed, st.boundary_out
+    dt = st.stable_dt_from(*st.gradients(u0, a, b)[1:])
+    got = u0.copy()
+    st.step_window(got, a, b, dt_ref, st.gradients(got, a, b))
+    got_absorbed, got_out = st.absorbed, st.boundary_out
     assert np.any(got != u0) and out != 0.0
     # the diffusive flux and its ledger term are formed as before
     assert got_out == out
@@ -382,7 +392,7 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window):
     # writes through views bound to another array or window
     fields = [u0.copy(), initial_state(params, grid, model.Bump(R0=1.0, H=0.5)).values]
     windows = [(a, b), (st.lo_min + 2, st.hi_max - 5)]
-    reused = solver._Stepper(params, grid, absorption=absorption, safety=0.5)
+    reused = stepper(state, absorption)
     for k, w in ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0)):
         u, other = fields[k], fields[1 - k].copy()
         ref, _, _ = reference_step(u, params, grid, *windows[w], dt_ref, absorption)
@@ -421,8 +431,8 @@ def reference_comparison_run(profile_a, profile_b, config, absorption_a, absorpt
     params, grid = config.params(), config.grid()
     ua = initial_state(params, grid, profile_a).values
     ub = initial_state(params, grid, profile_b).values
-    st_a = solver._Stepper(params, grid, absorption=absorption_a, safety=config.safety)
-    st_b = solver._Stepper(params, grid, absorption=absorption_b, safety=config.safety)
+    st_a = solver._Stepper(params, grid, absorption_a, config.safety)
+    st_b = solver._Stepper(params, grid, absorption_b, config.safety)
     lo, hi = st_a.lo_min, st_a.hi_max
     t = worst = 0.0
     while t < config.t_end:
