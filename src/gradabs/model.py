@@ -4,6 +4,7 @@ equation."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +51,13 @@ def effective_diffusivity(s, eps, p):
 # Barenblatt solution of d_t w = div(|grad w|^{p-2} grad w)
 
 
+@functools.cache
 def gamma_p_constant(p, N):
     """Profile constant making the self-similar source solution exact:
     gamma_p = ((p-2)/p) * eta^(1/(p-1)).
 
-    Validated against the PDE residual at 20 sample points; a mismatch
-    beyond 1e-6 aborts.
+    Validated against the PDE residual at 20 sample points, once per
+    (p, N); a mismatch beyond 1e-6 aborts.
     """
     if not (p > 2.0 and N >= 1):
         raise InvalidParams(f"need p > 2 and N >= 1, got p={p}, N={N}")

@@ -40,13 +40,16 @@ def observe(state, ref_sup):
     taken against the reference peak ref_sup."""
     u, h, params = state.values, state.grid.h, state.params
     excess = u - state.floor
+    alpha, beta = alpha_p(params.p, params.N), beta_pq(params.p, params.q, params.N)
+    grad_alpha = grad_power_sup(u, h, alpha)
     return {
         "t": state.time,
         "sup_excess": float(excess.max()),
         "l1_excess": float(excess @ state.grid.cell_measures()),
         "grad_sup": grad_power_sup(u, h, 1.0),
-        "grad_alpha": grad_power_sup(u, h, alpha_p(params.p, params.N)),
-        "grad_beta": grad_power_sup(u, h, beta_pq(params.p, params.q, params.N)),
+        "grad_alpha": grad_alpha,
+        # beta_pq is alpha_p itself whenever (q-1)/q <= alpha_p
+        "grad_beta": grad_alpha if beta == alpha else grad_power_sup(u, h, beta),
         "rho": support_radius(state, ref_sup),
         "absorbed": state.absorbed_mass,
         "boundary_out": state.boundary_out,

@@ -12,12 +12,14 @@ The entry points are `run` and `comparison_run`, both driven by a
 `RunConfig`, which rejects when it is built any config that no run can start
 from.  `_Stepper.gradients` is the one place the face and centered gradients
 are formed, and `_Stepper.stable_dt_from` the one CFL rule.  `_advance` is
-the one time loop: `run` drives it with one field and `comparison_run` with
-two in lockstep, each field's gradients formed once per step.  A step writes
-into the stepper's own scratch arrays, model.a_eps and model.b_eps included,
-through views that are formed once per field and window, so it allocates
-nothing.  The loop steps only the active window: the cells above the floor
-plus a padding the front cannot cross before the window is refreshed.
+the one time loop, over one array: `run` drives it with the field, and
+`comparison_run` with its two fields laid out in one mirrored buffer
+[u_B reversed | u_A], so that one gradients, CFL and step call per step
+advances both in lockstep with a shared dt.  A step writes into the
+stepper's own scratch arrays, model.a_eps and model.b_eps included, through
+views that are formed once per array and window, so it allocates nothing.
+The loop steps only the active window: the cells above the floor plus a
+padding the front cannot cross before the window is refreshed.
 """
 
 from __future__ import annotations
@@ -132,9 +134,10 @@ def initial_state(params, grid, profile):
 
 class _Stepper:
     """Precomputed geometry data, per-step scratch and the in-place update
-    kernel.  The views a step of cells [a, b) takes of its field and of the
-    scratch are formed once per field and window, so a step allocates
-    nothing."""
+    kernel for one field of a grid, or, built by `mirrored`, for the two
+    fields of a comparison laid out in one buffer.  The views a step of
+    cells [a, b) takes of its field and of the scratch are formed once per
+    field and window, so a step allocates nothing."""
 
     def __init__(self, params, grid, absorption, safety):
         self.absorption = absorption
@@ -142,23 +145,49 @@ class _Stepper:
         self.p, self.q, self.eps, self.floor = params.p, params.q, params.eps, params.floor
         self.cfl = safety * grid.h ** 2           # dt = cfl / (2 N_eff D_max)
         self.inv_h = 1.0 / grid.h
-        n, self.neff = grid.n, grid.N
-        self.cellw = grid.cell_measures()
-        # face weights r^(N-1) and cell factors 1/(r^(N-1) h); a line has
-        # N = 1, so its weights are 1 and its factors 1/h
-        self.rw = (np.arange(n + 1) * grid.h) ** (grid.N - 1.0)
-        self.inv_rch = 1.0 / (grid.centers() ** (grid.N - 1.0) * grid.h)
+        self.neff = grid.N
         radial = grid.geometry == "radial"
         self.omega = sphere_area(grid.N) if radial else 1.0
-        self.lo_min = 0 if radial else 1      # a line's cell 0 is pinned at the floor
-        self.hi_max = n - 1                   # cell n-1 is pinned at the floor
-        # scratch: face i lies between cells i-1 and i; face 0 is never
-        # written, so its gradient stays 0 (the zero-flux face at r = 0)
-        self.g, self.s, self.flux = np.zeros(n + 1), np.empty(n + 1), np.empty(n + 1)
-        self.sc, self.div, self.babs = np.empty(n), np.empty(n), np.empty(n)
+        # face weights r^(N-1) and cell factors 1/(r^(N-1) h); a line has
+        # N = 1, so its weights are 1 and its factors 1/h.  Face 0 is the
+        # zero-flux face at r = 0; a line's cell 0 is pinned at the floor.
+        self._lay_out((np.arange(grid.n + 1) * grid.h) ** (grid.N - 1.0),
+                      1.0 / (grid.centers() ** (grid.N - 1.0) * grid.h),
+                      grid.cell_measures(), 0 if radial else 1, 0, (0, 0))
         self.absorbed = 0.0
         self.boundary_out = 0.0
+
+    def _lay_out(self, rw, inv_rch, cellw, lo_min, junction, no_absorption):
+        """Set the geometry of a field of cellw.size cells and allocate the
+        scratch.  Face i lies between cells i-1 and i; the junction face's
+        gradient is 0 at every step, and the cells in the range
+        no_absorption = (first, stop) see no absorption."""
+        n = cellw.size
+        self.rw, self.inv_rch, self.cellw = rw, inv_rch, cellw
+        self.lo_min, self.hi_max = lo_min, n - 1      # the last cell is pinned
+        self.junction, self.no_absorption = junction, no_absorption
+        self.g, self.s, self.flux = np.zeros(n + 1), np.empty(n + 1), np.empty(n + 1)
+        self.sc, self.div, self.babs = np.empty(n), np.empty(n), np.empty(n)
         self._u, self._a, self._b = None, -1, -1
+
+    @classmethod
+    def mirrored(cls, params, grid, absorption_a, absorption_b, safety):
+        """One stepper for fields A and B of grid laid out as [B reversed | A],
+        their r = 0 faces meeting at face n.  Reversal negates B's face
+        gradients and fluxes exactly, so a step of the buffer is bit for bit
+        a step of each field, with dt the least of their CFL bounds.  A line's
+        two pinned cells at the junction get no divergence and no absorption;
+        a field without absorption sees sc = 0.  The ledgers mix the fields."""
+        st = cls(params, grid, absorption_a or absorption_b, safety)
+        n = grid.n
+        inv_rch = np.concatenate((st.inv_rch[::-1], st.inv_rch))
+        pinned = int(grid.geometry == "line")
+        lo, hi = n - pinned, n + pinned
+        inv_rch[lo:hi] = 0.0
+        st._lay_out(np.concatenate((st.rw[:0:-1], st.rw)), inv_rch,
+                    np.concatenate((st.cellw[::-1], st.cellw)), 1, n,
+                    (lo if absorption_b else 0, hi if absorption_a else 2 * n))
+        return st
 
     def _bind(self, u, a, b):
         """Form the views of u and of the scratch that a step of cells
@@ -169,8 +198,10 @@ class _Stepper:
             return
         lo, m = max(a, 1), b - a
         g, flux = self.g[a:b + 1], self.flux[:m + 1]
+        z0, z1 = max(self.no_absorption[0], a), min(self.no_absorption[1], b)
         self._grad_views = (u[lo:b + 1], u[lo - 1:b], self.g[lo:b + 1], g,
-                            self.s[:m + 1], g[:-1], g[1:], self.sc[:m])
+                            self.s[:m + 1], g[:-1], g[1:], self.sc[:m],
+                            self.sc[z0 - a:z1 - a] if z0 < z1 else None)
         self._step_views = (flux, flux[1:], flux[:-1], self.rw[a:b + 1],
                             self.div[:m], self.inv_rch[a:b], u[a:b],
                             self.babs[:m], self.cellw[a:b])
@@ -180,24 +211,28 @@ class _Stepper:
 
     def gradients(self, u, a, b):
         """Gradients seen by a step of cells [a, b): the face gradients g on
-        the b - a + 1 bounding faces (zero-flux face at r = 0), their squares
-        s, and the squared centered cell gradients sc, or sc = None when
-        absorption is off.  A centered gradient is the mean of its cell's two
-        face gradients, which at r = 0 equals the mirror-ghost difference.
+        the b - a + 1 bounding faces (0 on the junction face), their squares
+        s, and the squared centered cell gradients sc (0 on the cells without
+        absorption), or sc = None when absorption is off.  A centered
+        gradient is the mean of its cell's two face gradients, which at
+        r = 0 equals the mirror-ghost difference.
 
         The arrays are views on this stepper's scratch and are overwritten
         by its next call, so a caller that holds the gradients of several
         fields at once needs one stepper per field."""
         self._bind(u, a, b)
-        u_right, u_left, inner, g, s, g_left, g_right, sc = self._grad_views
+        u_right, u_left, inner, g, s, g_left, g_right, sc, no_absorption = self._grad_views
         np.subtract(u_right, u_left, out=inner)
         inner *= self.inv_h
+        self.g[self.junction] = 0.0
         np.multiply(g, g, out=s)
         if not self.absorption:
             return g, s, None
         np.add(g_left, g_right, out=sc)
         sc *= 0.5
         np.multiply(sc, sc, out=sc)
+        if no_absorption is not None:
+            no_absorption.fill(0.0)
         return g, s, sc
 
     def stable_dt_from(self, s, sc):
@@ -256,27 +291,21 @@ class _Stepper:
         return a, b
 
 
-def _advance(pairs, t, t_target, after_step=None):
-    """Step every (stepper, field) pair in place from t to t_target, hit
-    exactly, with one shared dt, the least of their CFL bounds, on the union
-    of their active windows, refreshed every WINDOW_EVERY steps.  Calls
-    after_step(a, b), if given, after every step of window [a, b); returns
-    early once every field is at the floor, a steady state."""
+def _advance(stepper, u, t, t_target, after_step=None):
+    """Step u in place from t to t_target, hit exactly, on its active
+    window, refreshed every WINDOW_EVERY steps.  Calls after_step(a, b), if
+    given, after every step of window [a, b); returns early once u is at
+    the floor, a steady state."""
     t_stop = t_target - 1e-15 * max(1.0, t_target)
     while t < t_stop:
-        wins = [w for w in (st.active_window(u) for st, u in pairs) if w]
-        if not wins:
+        win = stepper.active_window(u)
+        if win is None:
             return
-        a, b = min(w[0] for w in wins), max(w[1] for w in wins)
+        a, b = win
         for _ in range(WINDOW_EVERY):
-            # each field keeps its gradients, on its own stepper, until its step
-            dt, steps = t_target - t, []
-            for st, u in pairs:
-                g = st.gradients(u, a, b)
-                dt = min(st.stable_dt_from(g[1], g[2]), dt)
-                steps.append((st, u, g))
-            for st, u, g in steps:
-                st.step_window(u, a, b, dt, g)
+            g = stepper.gradients(u, a, b)
+            dt = min(stepper.stable_dt_from(g[1], g[2]), t_target - t)
+            stepper.step_window(u, a, b, dt, g)
             t += dt
             if after_step is not None:
                 after_step(a, b)
@@ -402,7 +431,7 @@ def run(config: RunConfig, on_record=None):
 
     stepper = _Stepper(params, grid, config.absorption, config.safety)
     for t in record_times(state.time, config.t_end, config.record_start):
-        _advance(((stepper, state.values),), state.time, t)
+        _advance(stepper, state.values, state.time, t)
         state.time = t
         state.absorbed_mass = stepper.absorbed
         state.boundary_out = stepper.boundary_out
@@ -425,11 +454,12 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
     """Evolve two ordered initial profiles with an identical dt sequence and
     report the worst ordering violation max_t max_i (uA - uB)_+.
 
-    Both fields advance through `_advance` on the union of their active
-    windows, and the gap is taken on that window only.  Outside it both
-    fields sit exactly at the floor: their fluxes and absorption vanish there
-    identically, so a full-grid step would leave those cells unchanged and
-    their gap exactly 0."""
+    Both fields advance as one buffer [uB reversed | uA] through one
+    `_Stepper.mirrored` and `_advance`, so each step makes one gradients,
+    CFL and step call for the pair, on a window that holds each field's own
+    active window.  The gap is taken on the cells where either field may
+    lie above the floor; elsewhere both sit exactly at it.  The final fields
+    are copied back into the two initial states' arrays."""
     params = config.params()
     grid = config.grid()
     ua = initial_state(params, grid, profile_a).values
@@ -438,17 +468,21 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
         raise InvalidParams("profile_a must lie below profile_b pointwise")
     aa = config.absorption if absorption_a is None else absorption_a
     ab = config.absorption if absorption_b is None else absorption_b
-    st_a = _Stepper(params, grid, aa, config.safety)
-    st_b = _Stepper(params, grid, ab, config.safety)
+    n = grid.n
+    buf = np.concatenate((ub[::-1], ua))
+    buf_a, buf_b = buf[n:], buf[n - 1::-1]    # ua[i] and ub[i]
+    stepper = _Stepper.mirrored(params, grid, aa, ab, config.safety)
     worst, win, views = 0.0, None, None
 
     def take_gap(a, b):
         nonlocal worst, win, views
         if win != (a, b):             # the views are formed once per window
-            win, views = (a, b), (ua[a:b], ub[a:b], np.empty(b - a))
+            m = max(b - n, n - a)     # from cell m on both fields sit at the floor
+            win, views = (a, b), (buf_a[:m], buf_b[:m], np.empty(m))
         worst = max(worst, float(np.maximum.reduce(np.subtract(*views))))
 
-    _advance(((st_a, ua), (st_b, ub)), 0.0, config.t_end, take_gap)
+    _advance(stepper, buf, 0.0, config.t_end, take_gap)
+    ua[:], ub[:] = buf_a, buf_b
     return {
         "max_violation": max(worst, 0.0),
         "t_end": config.t_end,

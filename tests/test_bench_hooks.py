@@ -41,3 +41,21 @@ def test_every_benchmark_workload_sets_up(name):
     for state in states:
         assert state.values.shape == (state.grid.n,)
         assert state.values.min() == state.floor < state.values.max()
+
+
+@pytest.mark.parametrize("entry", ["run", "comparison_run"])
+def test_solver_entry_points_reach_every_solver_and_model_hook(entry):
+    # a hook point the program stops calling reads 0 calls, and every
+    # per-layer metric built on it would silently read 0 too
+    from gradabs import model, solver
+
+    spans = load("spans")
+    cfg = solver.RunConfig(3.0, 1.6, 1, geometry="radial", h=0.02, L=3.0, t_end=0.1)
+    with spans.Tracer() as tracer:
+        if entry == "run":
+            solver.run(cfg)
+        else:
+            solver.comparison_run(model.Bump(H=1.0), model.Bump(H=1.5), cfg)
+    assert tracer.absent == []
+    layers = [n for n in spans.HOOKS if n.startswith(("solver.", "model."))]
+    assert layers and all(tracer.spans[n].calls > 0 for n in layers)

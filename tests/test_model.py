@@ -86,6 +86,28 @@ def test_gamma_p_examples():
         model.gamma_p_constant(2.0, 1)
 
 
+def test_gamma_p_residual_check_runs_once_per_p_n(monkeypatch):
+    calls, residual = [], model.barenblatt_residual
+
+    def counting(*args):
+        calls.append(args[2:4])
+        return residual(*args)
+
+    monkeypatch.setattr(model, "barenblatt_residual", counting)
+    model.gamma_p_constant.cache_clear()
+    for _ in range(2):
+        model.barenblatt_value(1.5, np.linspace(0.0, 1.0, 5), 3.0, 1)
+        model.barenblatt_support_radius(1.5, 3.0, 1)
+    model.barenblatt_support_radius(1.5, 3.5, 2)
+    assert calls == [(3.0, 1), (3.5, 2)]
+    # a failing check is not cached: it raises on every call
+    monkeypatch.setattr(model, "barenblatt_residual", lambda *args: np.ones(20))
+    for _ in range(2):
+        with pytest.raises(RuntimeError):
+            model.gamma_p_constant(3.25, 1)
+    model.gamma_p_constant.cache_clear()
+
+
 def test_barenblatt_residual_vanishes():
     rng = np.random.default_rng(3)
     for p, N in ((3.0, 1), (3.5, 2), (4.0, 3)):

@@ -75,6 +75,26 @@ def test_critical_composite_matches_analytic_maximum():
     assert composite < 1.5 * gp * np.sqrt(edge)
 
 
+def test_observe_evaluates_each_distinct_composite_once(monkeypatch):
+    # p = 3, N = 1: alpha_p = 1/2; beta_pq = max(1/2, (q-1)/q) is alpha_p
+    # itself at q = 2 and 2/3 at q = 3
+    calls, grad_power_sup = [], observe.grad_power_sup
+
+    def counting(values, h, theta):
+        calls.append(theta)
+        return grad_power_sup(values, h, theta)
+
+    monkeypatch.setattr(observe, "grad_power_sup", counting)
+    grid = solver.Grid("radial", 0.01, 100, 1)
+    for q, thetas in ((2.0, [1.0, 0.5]), (3.0, [1.0, 0.5, 2.0 / 3.0])):
+        calls.clear()
+        params = ProblemParams(3.0, q, 1)
+        state = solver.State(0.0, 1.0 + grid.centers() ** 2, params, grid)
+        row = observe.observe(state, 1.0)
+        assert sorted(calls) == pytest.approx(sorted(thetas), rel=1e-15)
+        assert row["grad_beta"] == grad_power_sup(state.values, grid.h, thetas[-1])
+
+
 def test_grad_power_theta_validation():
     state = barenblatt_state(h=0.01)
     for theta in (0.0, 1.5):

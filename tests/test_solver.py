@@ -405,7 +405,10 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window):
 
 
 def test_comparison_run_forms_gradients_once_per_field_per_step(monkeypatch):
-    calls = {"gradients": 0, "step_window": 0}
+    # both fields share one buffer, so a lockstep step of the pair is one
+    # gradients, one CFL and one step_window call; the step count comes from
+    # the full-grid reference, which takes the same dt sequence
+    calls = {"gradients": 0, "stable_dt_from": 0, "step_window": 0}
 
     def counting(name):
         original = getattr(solver._Stepper, name)
@@ -418,10 +421,14 @@ def test_comparison_run_forms_gradients_once_per_field_per_step(monkeypatch):
     for name in calls:
         monkeypatch.setattr(solver._Stepper, name, counting(name))
     cfg = RunConfig(3.0, 2.0, 1, geometry="radial", h=0.02, L=4.0, t_end=0.05)
-    comparison_run(model.Bump(H=1.0), model.Bump(H=1.5), cfg)
+    profiles = (model.Bump(H=1.0), model.Bump(H=1.5))
+    comparison_run(*profiles, cfg)
+    paired = dict(calls)
+    calls.update(dict.fromkeys(calls, 0))
+    reference_comparison_run(*profiles, cfg, True, True)
     steps = calls["step_window"] // 2
     assert steps > 0 and calls["step_window"] == 2 * steps
-    assert calls["gradients"] == 2 * steps
+    assert paired == dict.fromkeys(calls, steps)
 
 
 def reference_comparison_run(profile_a, profile_b, config, absorption_a, absorption_b):
@@ -449,19 +456,38 @@ def reference_comparison_run(profile_a, profile_b, config, absorption_a, absorpt
 @pytest.mark.parametrize("geometry,N", [("line", 1), ("radial", 1),
                                         ("radial", 2), ("radial", 3)])
 @pytest.mark.parametrize("pair", ["ordered", "nested", "absorption_on_off",
-                                  "absorption_off_on"])
+                                  "absorption_off_on", "floor_below"])
 def test_windowed_comparison_run_matches_full_grid(monkeypatch, geometry, N, pair):
     cfg = RunConfig(3.0, 2.0, N, geometry=geometry, h=0.02, L=4.0, t_end=0.25)
     # "nested": the upper field's support is wider than the lower field's
-    # window, so only the union of the two windows holds both
+    # window; "floor_below": the lower field is the floor, a steady state
     profiles = {"ordered": (model.Bump(H=1.0), model.Bump(H=1.5)),
-                "nested": (model.Bump(R0=0.25), model.Bump(R0=2.0))}.get(
+                "nested": (model.Bump(R0=0.25), model.Bump(R0=2.0)),
+                "floor_below": (model.Bump(H=0.0), model.Bump(H=1.0))}.get(
                     pair, (model.Bump(), model.Bump()))
     absorption = {"absorption_on_off": (True, False),
                   "absorption_off_on": (False, True)}.get(pair, (True, True))
+    ua, ub, violation, halves = windowed_and_reference(monkeypatch, profiles, cfg,
+                                                       absorption)
+    # each half of the packed window is narrower than the grid, yet the
+    # result is bit for bit that of the full-grid loop
+    n = cfg.grid().n
+    assert max(max(h) for h in halves) < n - 2
+    if pair == "absorption_off_on":
+        assert violation > 0.0
+    if pair == "floor_below":
+        assert np.all(ua == cfg.params().floor) and violation == 0.0
+
+
+def windowed_and_reference(monkeypatch, profiles, cfg, absorption):
+    """Run comparison_run and the full-grid reference on the same pair and
+    assert that their final fields and violations are bit for bit equal.
+    Returns the final fields, the violation and, per step, the widths of
+    the B and A halves of the packed window [uB reversed | uA]."""
     ref_a, ref_b, ref_violation = reference_comparison_run(*profiles, cfg, *absorption)
 
-    states, widths = [], []
+    n = cfg.grid().n
+    states, halves = [], []
     init, step_window = solver.initial_state, solver._Stepper.step_window
 
     def recording_init(*args):
@@ -469,18 +495,30 @@ def test_windowed_comparison_run_matches_full_grid(monkeypatch, geometry, N, pai
         return states[-1]
 
     def recording_step(self, u, a, b, *args, **kwargs):
-        widths.append(b - a)
+        halves.append((max(n - a, 0), max(b - n, 0)))
         return step_window(self, u, a, b, *args, **kwargs)
 
     monkeypatch.setattr(solver, "initial_state", recording_init)
     monkeypatch.setattr(solver._Stepper, "step_window", recording_step)
     rep = comparison_run(*profiles, cfg, absorption_a=absorption[0],
                          absorption_b=absorption[1])
-    # the window is narrower than the grid, yet the result is bit for bit
-    # that of the full-grid loop
-    assert max(widths) < cfg.grid().n - 2
+    monkeypatch.undo()
+    assert halves and len(states) == 2
     assert np.array_equal(states[0].values, ref_a)
     assert np.array_equal(states[1].values, ref_b)
     assert rep["max_violation"] == ref_violation
-    if pair == "absorption_off_on":
-        assert ref_violation > 0.0
+    return states[0].values, states[1].values, ref_violation, halves
+
+
+@pytest.mark.parametrize("absorption", [(True, True), (True, False), (False, True)])
+def test_comparison_run_line_support_reaches_pinned_ends(monkeypatch, absorption):
+    # on a line the packed buffer joins the two fields' pinned end cells at
+    # its junction; the supports reach the cells next to them, which must
+    # not leak into the pinned cells or across the junction
+    cfg = RunConfig(3.0, 2.0, 1, geometry="line", h=0.02, L=1.2, t_end=0.25)
+    profiles = (model.Bump(R0=1.0, H=1.0), model.Bump(R0=1.1, H=1.5))
+    ua, ub, _, _ = windowed_and_reference(monkeypatch, profiles, cfg, absorption)
+    floor = cfg.params().floor
+    for u in (ua, ub):
+        assert u[0] == u[-1] == floor
+        assert u[1] > floor and u[-2] > floor
