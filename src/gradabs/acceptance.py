@@ -250,7 +250,7 @@ class AcceptanceLab:
                             (bernstein.Phi2(0.6), 0.05, 5.0)):
             v = rng.uniform(lo, hi, 50)
             dh = 1e-6 * (hi - lo)
-            d1, d2, d3 = phi.derivatives(v)
+            d2 = phi.derivatives(v)[1]
             p1 = lambda x: phi.derivatives(x)[0]
             fd1 = (p1(v + dh) - p1(v - dh)) / (2.0 * dh)
             worst_fd = max(worst_fd, float(np.max(np.abs(fd1 - d2) / np.abs(d2))))

@@ -1,8 +1,7 @@
-"""Closed-form evaluators and brute-force checkers for the gradient-bound
-machinery: the remainder terms R1, R2 and the radial variant R1^r produced
-by the Bernstein substitution w = |grad(phi^{-1}(u))|^2, the two working
-substitutions phi1/phi2 with their sign properties, the Young-inequality
-bound on the absorption bracket, and the power-law supersolution reduction.
+"""Brute-force checkers for the gradient-bound machinery of the Bernstein
+substitution w = |grad(phi^{-1}(u))|^2: the two working substitutions
+phi1/phi2 with the sign properties of phi1, the Young-inequality bound on
+the absorption bracket, and the power-law supersolution reduction.
 
 Unnamed constants of the underlying estimates are never hardcoded; the
 checkers report empirical worst margins instead.
@@ -18,6 +17,7 @@ import numpy as np
 from .exponents import InvalidParams, ProblemParams, alpha_p, beta_pq
 
 MARGIN_SLACK = 1e-12
+MU_MAX_POWER = 20
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +42,7 @@ class Phi1:
             raise InvalidParams(f"Phi1 argument outside (0, K={self.K}]")
 
     def derivatives(self, v):
-        """(phi', phi'', phi''') at v, via s = 2Kv - v^2."""
+        """(phi', phi'') at v, via s = 2Kv - v^2."""
         self.check_domain(v)
         v = np.asarray(v, dtype=float)
         ia = 1.0 / self.alpha
@@ -51,9 +51,7 @@ class Phi1:
         d1 = ia * s ** (ia - 1.0) * sp
         d2 = ia * ((ia - 1.0) * s ** (ia - 2.0) * sp * sp
                    - 2.0 * s ** (ia - 1.0))
-        d3 = ia * ((ia - 1.0) * (ia - 2.0) * s ** (ia - 3.0) * sp ** 3
-                   - 6.0 * (ia - 1.0) * s ** (ia - 2.0) * sp)
-        return d1, d2, d3
+        return d1, d2
 
     def ratio(self, v):
         """phi''/phi' = (1/alpha - 1) s'/s - 1/(K - v)."""
@@ -87,100 +85,11 @@ class Phi2:
             raise InvalidParams("Phi2 argument must be positive")
 
     def derivatives(self, v):
+        """(phi', phi'') at v."""
         self.check_domain(v)
         v = np.asarray(v, dtype=float)
         ib = 1.0 / self.beta
-        d1 = v ** (ib - 1.0)
-        d2 = (ib - 1.0) * v ** (ib - 2.0)
-        d3 = (ib - 1.0) * (ib - 2.0) * v ** (ib - 3.0)
-        return d1, d2, d3
-
-    def ratio(self, v):
-        self.check_domain(v)
-        return (1.0 / self.beta - 1.0) / np.asarray(v, dtype=float)
-
-    def ratio_prime(self, v):
-        self.check_domain(v)
-        v = np.asarray(v, dtype=float)
-        return -(1.0 / self.beta - 1.0) / (v * v)
-
-
-# ---------------------------------------------------------------------------
-# remainder-term evaluators
-
-
-@dataclass(frozen=True)
-class BernsteinInputs:
-    """Free-standing evaluation point: g = (|grad u|^2 + eps^2)^(1/2),
-    w = |grad v|^2, v = phi^{-1}(u).  Consistency g^2 = phi'(v)^2 w + eps^2
-    holds for field-derived points but is not enforced here."""
-
-    g: float
-    w: float
-    v: float
-    params: ProblemParams
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.g) < self.params.eps):
-            raise InvalidParams("g must satisfy g >= eps")
-        if np.any(np.asarray(self.w) < 0.0):
-            raise InvalidParams("w must be non-negative")
-
-
-def r2_value(inputs: BernsteinInputs, phi):
-    """(phi''/phi'^2)(v) [(q-1) g^q + eps^q - q eps^2 g^{q-2}]."""
-    q, eps = inputs.params.q, inputs.params.eps
-    g, v = inputs.g, inputs.v
-    d1, d2, _ = phi.derivatives(v)
-    bracket = (q - 1.0) * g ** q + eps ** q - q * eps * eps * g ** (q - 2.0)
-    return d2 / (d1 * d1) * bracket
-
-
-def r11_value(inputs: BernsteinInputs, phi):
-    """The eps^2-weighted remainder of the diffusive term."""
-    p, N = inputs.params.p, inputs.params.N
-    eps = inputs.params.eps
-    g, v = inputs.g, inputs.v
-    rat = phi.ratio(v)
-    ratp = phi.ratio_prime(v)
-    c1 = (p - 2.0) * (p * (N + 3.0) - 2.0 * (N + 1.0)) / 4.0
-    c2 = (p - 2.0) * (p * (N + 3.0) - 2.0 * (N + 7.0)) / 4.0
-    return ((p - 2.0) * ratp * g ** (p - 4.0)
-            + c1 * rat * rat * g ** (p - 4.0)
-            + c2 * rat * rat * (g * g - eps * eps) * g ** (p - 6.0))
-
-
-def r1_value(inputs: BernsteinInputs, phi):
-    """Diffusive remainder in composite form:
-    -(p-1) g^{p-2} [(phi''/phi')' + alpha/(1-alpha) (phi''/phi')^2]
-    + eps^2 R11."""
-    p, N = inputs.params.p, inputs.params.N
-    eps = inputs.params.eps
-    g, v = inputs.g, inputs.v
-    a = alpha_p(p, N)
-    rat = phi.ratio(v)
-    ratp = phi.ratio_prime(v)
-    lead = -(p - 1.0) * g ** (p - 2.0) * (ratp + a / (1.0 - a) * rat * rat)
-    return lead + eps * eps * r11_value(inputs, phi)
-
-
-def r1_radial_value(inputs: BernsteinInputs, phi):
-    """Radial variant for non-increasing radially symmetric fields:
-    -a (phi''/phi')' - 4 a'' (phi' phi'')^2 w^2 - 2 a' w (2 phi''^2 +
-    phi' phi'''), with a = a_eps at |grad u|^2 = g^2 - eps^2.  Coincides
-    with r1_value when N = 1."""
-    p = inputs.params.p
-    eps = inputs.params.eps
-    g, w, v = inputs.g, inputs.w, inputs.v
-    d1, d2, d3 = phi.derivatives(v)
-    ratp = phi.ratio_prime(v)
-    # a(xi) = (eps^2 + xi)^((p-2)/2) at xi = g^2 - eps^2, so eps^2+xi = g^2
-    a = g ** (p - 2.0)
-    ap = 0.5 * (p - 2.0) * g ** (p - 4.0)
-    app = 0.25 * (p - 2.0) * (p - 4.0) * g ** (p - 6.0)
-    return (-a * ratp
-            - 4.0 * app * (d1 * d2) ** 2 * w * w
-            - 2.0 * ap * w * (2.0 * d2 * d2 + d1 * d3))
+        return v ** (ib - 1.0), (ib - 1.0) * v ** (ib - 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,22 +120,17 @@ def c14_constant(q):
     return q - 1.0
 
 
-def check_b22(q, eps_grid=None, g_grid=None) -> ProofCheckReport:
+def check_b22(q) -> ProofCheckReport:
     """Scan of (q-1) g^q + eps^q - q eps^2 g^{q-2}
-    >= (q-1-eps) g^q - C14 (eps^{(q+2)/2} + eps^q) over g >= eps."""
+    >= (q-1-eps) g^q - C14 (eps^{(q+2)/2} + eps^q) at 40 eps values in
+    (0, min(q-1, 1/2)), each over 100 g values in [eps, 1e3]."""
     if not q > 1.0:
         raise InvalidParams("need q > 1")
-    if eps_grid is None:
-        eps_grid = np.geomspace(1e-6, min(0.98 * (q - 1.0), 0.49), 40)
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if np.any(eps_grid <= 0.0) or np.any(eps_grid >= min(q - 1.0, 0.5)):
-        raise InvalidParams("eps grid must lie in (0, min(q-1, 1/2))")
+    eps_grid = np.geomspace(1e-6, min(0.98 * (q - 1.0), 0.49), 40)
     c14 = c14_constant(q)
     margins, points = [], []
     for eps in eps_grid:
-        g = np.geomspace(eps, 1e3, 100) if g_grid is None else np.asarray(g_grid, float)
-        if np.any(g < eps):
-            raise InvalidParams("g grid must satisfy g >= eps")
+        g = np.geomspace(eps, 1e3, 100)
         lhs = (q - 1.0) * g ** q + eps ** q - q * eps * eps * g ** (q - 2.0)
         rhs = (q - 1.0 - eps) * g ** q - c14 * (eps ** (0.5 * (q + 2.0)) + eps ** q)
         m = lhs - rhs
@@ -238,28 +142,18 @@ def check_b22(q, eps_grid=None, g_grid=None) -> ProofCheckReport:
                                       np.asarray(margins), points)
 
 
-def phi1_v_range(mu, M, eps, gamma, alpha):
-    """Admissible v interval for the Phi1 substitution:
-    [eps^(gamma alpha) / (2K), M^(alpha/2)] with K = sqrt(1+mu) M^alpha."""
-    K = math.sqrt(1.0 + mu) * M ** alpha
-    lo = eps ** (gamma * alpha) / (2.0 * K)
-    hi = M ** (0.5 * alpha)
-    return K, lo, hi
-
-
-def check_phi1_properties(mu, M, eps, gamma, alpha, v_samples=None) -> ProofCheckReport:
+def check_phi1_properties(mu, M, eps, gamma, alpha) -> ProofCheckReport:
     """Sign conditions on phi1: (phi''/phi')' <= 0, phi''/phi' >= 0, and
     the quantitative bound
     (phi''/phi')' + alpha/(1-alpha) (phi''/phi')^2 <= -((1+alpha)/(2 alpha))/(K v)
-    on the admissible v interval."""
-    K, lo, hi = phi1_v_range(mu, M, eps, gamma, alpha)
+    at 200 points of the admissible v interval
+    [eps^(gamma alpha) / (2K), M^(alpha/2)], K = sqrt(1+mu) M^alpha."""
+    K = math.sqrt(1.0 + mu) * M ** alpha
+    lo = eps ** (gamma * alpha) / (2.0 * K)
+    hi = M ** (0.5 * alpha)
     if not lo < hi <= K:
         raise InvalidParams(f"empty or out-of-domain v range [{lo}, {hi}] for K={K}")
-    if v_samples is None:
-        v_samples = np.geomspace(lo, hi, 200)
-    v = np.asarray(v_samples, dtype=float)
-    if np.any(v < lo * (1.0 - 1e-12)) or np.any(v > hi * (1.0 + 1e-12)):
-        raise InvalidParams("v samples outside the admissible interval")
+    v = np.geomspace(lo, hi, 200)
     phi = Phi1(K, alpha)
     rat = phi.ratio(v)
     ratp = phi.ratio_prime(v)
@@ -273,16 +167,15 @@ def check_phi1_properties(mu, M, eps, gamma, alpha, v_samples=None) -> ProofChec
     return ProofCheckReport.from_scan("phi1-properties", desc, margins, points)
 
 
-def search_mu(M, eps, gamma, alpha, v_samples=None, max_power=20):
-    """Smallest mu in {1, 2, 4, ..., 2^max_power} making all three phi1
+def search_mu(M, eps, gamma, alpha):
+    """Smallest mu in {1, 2, 4, ..., 2^MU_MAX_POWER} making all three phi1
     properties hold on the admissible interval."""
-    for k in range(max_power + 1):
+    for k in range(MU_MAX_POWER + 1):
         mu = float(2 ** k)
-        report = check_phi1_properties(mu, M, eps, gamma, alpha, v_samples)
-        if report.passed:
+        if check_phi1_properties(mu, M, eps, gamma, alpha).passed:
             return mu
     raise InvalidParams(
-        f"no mu <= 2^{max_power} satisfies the phi1 properties for "
+        f"no mu <= 2^{MU_MAX_POWER} satisfies the phi1 properties for "
         f"(M={M}, eps={eps}, gamma={gamma}, alpha={alpha})"
     )
 

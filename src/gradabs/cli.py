@@ -143,6 +143,8 @@ def _sweep_cell(job):
 
 
 def cmd_sweep(args):
+    if args.workers < 1:
+        raise _Failure(EXIT_CONFIG, f"--workers must be at least 1, got {args.workers}")
     configs = _cell_configs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

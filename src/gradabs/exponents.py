@@ -150,11 +150,6 @@ class Law:
     kind: str                     # power | bounded | log | power_log | inverse_log_power | positive_limit
     exponent: float | None = None
 
-    def __str__(self):
-        if self.exponent is None:
-            return self.kind
-        return f"{self.kind}({self.exponent:.6g})"
-
 
 @dataclass(frozen=True)
 class PredictedLaws:

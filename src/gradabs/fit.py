@@ -37,9 +37,6 @@ class FitResult:
     window: tuple
     passed: bool | None = None
 
-    def __str__(self):
-        return f"{self.kind}(exp={self.exponent}, amp={self.amplitude}, r2={self.r2:.4f})"
-
 
 def _window_mask(t, window):
     t = np.asarray(t, dtype=float)

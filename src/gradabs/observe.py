@@ -108,16 +108,17 @@ class TimeSeries:
 
     @classmethod
     def from_csv(cls, text):
+        """Parse `to_csv` output; each row passes the checks of `append`."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
             raise InvalidParams("bad series header")
         series = cls()
         for line in lines[1:]:
-            vals = [float(x) for x in line.split(",")]
-            if len(vals) != len(CSV_COLUMNS):
-                raise InvalidParams(f"bad series row: {line!r}")
-            for col, val in zip(CSV_COLUMNS, vals):
-                series.columns[col].append(val)
+            try:
+                row = dict(zip(CSV_COLUMNS, map(float, line.split(",")), strict=True))
+            except ValueError:
+                raise InvalidParams(f"bad series row: {line!r}") from None
+            series.append(row)
         return series
 
 

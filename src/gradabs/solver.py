@@ -25,7 +25,7 @@ padding the front cannot cross before the window is refreshed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -317,9 +317,6 @@ def _advance(stepper, u, t, t_target, after_step=None):
 # run configuration
 
 
-CONFIG_KEYS = ("p", "q", "N", "eps", "gamma", "geometry", "h", "L", "t_end",
-               "safety", "profile", "absorption", "record_start")
-
 DOMAIN_MARGIN = 1.25
 
 
@@ -368,6 +365,9 @@ class RunConfig:
 
     def grid(self):
         return Grid.from_extent(self.geometry, self.h, self.domain_extent(), self.N)
+
+
+CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def parse_config(text) -> RunConfig:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gradabs import cli
+from gradabs import cli, observe
 
 GOOD_CONFIG = """
 p = 3
@@ -135,6 +135,24 @@ def test_fit_roundtrip(tmp_path, capsys):
         assert "quantity" in rec and "pass" in rec
 
 
+def write_series(path, *rows):
+    path.write_text(",".join(observe.CSV_COLUMNS) + "\n"
+                    + "".join(f"{t},{sup},1,1,1,1,1,0,0\n" for t, sup in rows))
+    return str(path)
+
+
+def test_fit_rejects_non_numeric_series_value(tmp_path, capsys):
+    series = write_series(tmp_path / "s.csv", (1, 1), (2, "abc"))
+    assert run_cli("fit", "--series", series, "--p", "3", "--q", "2") == 2
+    assert "bad series row: '2,abc," in capsys.readouterr().err
+
+
+def test_fit_rejects_series_whose_time_goes_backwards(tmp_path, capsys):
+    series = write_series(tmp_path / "s.csv", (1, 1), (2, 0.5), (1.5, 0.25))
+    assert run_cli("fit", "--series", series, "--p", "3", "--q", "2") == 2
+    assert "recording times must increase: 1.5 after 2.0" in capsys.readouterr().err
+
+
 def test_sweep_deterministic_across_workers(tmp_path, capsys):
     cfg = tmp_path / "base.cfg"
     cfg.write_text(GOOD_CONFIG)
@@ -158,6 +176,17 @@ def test_sweep_rejects_duplicates(capsys):
 
 def test_sweep_rejects_invalid_cells(capsys):
     assert run_cli("sweep", "--p", "1.5", "--q", "2", "--out", "unused") == 2
+
+
+def test_sweep_rejects_workers_below_one(tmp_path, capsys):
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(GOOD_CONFIG)
+    for workers in ("0", "-4"):
+        out = tmp_path / f"sweep{workers}"
+        assert run_cli("sweep", "--p", "3", "--q", "2", "--config", str(cfg),
+                       "--workers", workers, "--out", str(out)) == 2
+        assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_bernstein_check(capsys):

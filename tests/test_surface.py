@@ -1,0 +1,44 @@
+"""Every function, class and method of the program is reached from the
+program or its benchmark.  A name that only the tests reach is surface kept
+alive for the tests alone; this test names it instead."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "gradabs").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def definitions(tree):
+    """(qualified name, name) of each module-level function or class and of
+    each method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def references(tree):
+    """The names a module uses: plain and attribute names and imported
+    names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def test_no_name_is_reached_only_from_tests():
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    used = {name for tree in trees.values() for name in references(tree)}
+    unused = [f"{path.relative_to(ROOT)}:{qualname}"
+              for path, tree in trees.items()
+              for qualname, name in definitions(tree) if name not in used]
+    assert unused == []
