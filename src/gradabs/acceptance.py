@@ -1,7 +1,10 @@
-"""The acceptance battery: twelve scripted checks covering exponent
-arithmetic, solver fidelity against the self-similar benchmark, decay and
-support laws in every regime, dead-core persistence, the discrete
-comparison principle, mass balance, and the proof-machinery scans.
+"""The acceptance battery: twelve scripted checks.  Six of them, the decay,
+support, gradient and L1 laws, judge a cached run by `fit.verdict`, the law
+table that also judges `gradabs run`, `sweep` and `fit`: each passes iff the
+verdicts on the columns it gates pass.  The others cover exponent
+arithmetic, solver fidelity against the exact source solution, dead-core
+persistence, the discrete comparison principle, mass balance, and the
+proof-machinery scans.
 
 Simulation products are cached so criteria sharing a run pay for it once.
 """
@@ -15,7 +18,7 @@ import numpy as np
 
 from . import bernstein, fit, model, observe, solver
 from .exponents import (ProblemParams, alpha_p, compute_exponents,
-                        eta_exponent, q_star, xi_exponent)
+                        eta_exponent, q_star)
 
 
 @dataclass(frozen=True)
@@ -28,6 +31,13 @@ class CriterionResult:
     def line(self):
         tag = "PASS" if self.passed else "FAIL"
         return f"[{tag}] {self.name}: {self.details} ({self.seconds:.1f}s)"
+
+
+def _barenblatt_config(h, t_end, L):
+    """Pure diffusion at (p, N) = (3, 1) from the source solution at t = 1."""
+    return solver.RunConfig(3.0, 2.0, 1, geometry="radial", h=h, L=L,
+                            t_end=t_end, profile="barenblatt:t0=1",
+                            absorption=False, record_start=1.0)
 
 
 class AcceptanceLab:
@@ -54,26 +64,22 @@ class AcceptanceLab:
                                      h=0.01, L=9.0, t_end=256.0,
                                      profile="annulus:R0=4,R1=6,H=1"),
     }
+    BB_LONG = _barenblatt_config(0.005, 256.0, 17.0)
 
     def __init__(self):
         self._cache = {}
 
     # -- cached runs ---------------------------------------------------------
 
-    def _bb_config(self, h, t_end, L):
-        return solver.RunConfig(3.0, 2.0, 1, geometry="radial", h=h, L=L,
-                                t_end=t_end, profile="barenblatt:t0=1",
-                                absorption=False, record_start=1.0)
-
     def bb_short(self, h):
         key = ("bb_short", h)
         if key not in self._cache:
-            self._cache[key] = solver.run(self._bb_config(h, 2.0, 6.0))
+            self._cache[key] = solver.run(_barenblatt_config(h, 2.0, 6.0))
         return self._cache[key]
 
     def bb_long(self):
         if "bb_long" not in self._cache:
-            self._cache["bb_long"] = solver.run(self._bb_config(0.005, 256.0, 17.0))
+            self._cache["bb_long"] = solver.run(self.BB_LONG)
         return self._cache["bb_long"]
 
     def absorption_run(self, name):
@@ -135,65 +141,38 @@ class AcceptanceLab:
         return ok, (f"sup err {e1:.4f} (<=0.02), h-refinement ratio {ratio:.2f} "
                     f"(>=1.7), decay exponent {res.exponent:.4f} (within 0.02 of -0.25)")
 
+    def _law_gate(self, *gates):
+        """Pass iff fit.verdict passes each (run, column) of gates on the
+        cached run; the details quote each verdict."""
+        ok, parts = True, []
+        for name, column in gates:
+            if name == "bb_long":
+                config, (_, series) = self.BB_LONG, self.bb_long()
+            else:
+                config, (_, series, _) = self.RUNS[name], self.absorption_run(name)
+            verdicts = fit.verdict(config.params(), series, h=config.h)
+            v = {v.quantity: v for v in verdicts}[column]
+            ok &= v.passed
+            parts.append(f"{name} {column}: {v.fitted} vs {v.predicted}")
+        return ok, "; ".join(parts)
+
     def check_pure_diffusion_support(self):
-        _, series = self.bb_long()
-        res = fit.fit_power(series.t, series.column("rho"),
-                            fit.default_window(series.t))
-        dev = abs(res.exponent - 0.25)
-        return dev <= 0.05, f"support growth exponent {res.exponent:.4f} (within 0.05 of 0.25)"
+        return self._law_gate(("bb_long", "rho"))
 
     def check_subcritical_decay(self):
-        _, series, _ = self.absorption_run("q16")
-        res = fit.fit_power(series.t, series.column("sup_excess"),
-                            fit.default_window(series.t))
-        bound = -xi_exponent(1.6, 1) + 0.08
-        return res.exponent <= bound, (
-            f"sup decay exponent {res.exponent:.4f} <= {bound:.4f}")
+        return self._law_gate(("q16", "sup_excess"))
 
     def check_radial_gradient_constant(self):
-        _, series, _ = self.absorption_run("q25")
-        q = 2.5
-        t = series.t
-        mask = (t >= 0.5) & (t <= 50.0)
-        scaled = series.column("grad_beta")[mask] * t[mask] ** (1.0 / q)
-        worst = float(scaled.max())
-        bound = 1.10 * (q - 1.0) ** ((q - 1.0) / q) / q
-        return worst <= bound, (
-            f"max grad_beta * t^(1/q) = {worst:.4f} <= {bound:.4f}")
+        return self._law_gate(("q25", "grad_beta"))
 
     def check_l1_dichotomy(self):
-        _, s30, _ = self.absorption_run("q30")
-        plat = fit.plateau_test(s30.t, s30.column("l1_excess"), (64.0, 256.0))
-        l1 = s30.column("l1_excess")
-        level_ok = l1[-1] >= 0.2 * l1[0]
-        _, s15, _ = self.absorption_run("q15")
-        res = fit.fit_power(s15.t, s15.column("l1_excess"),
-                            fit.default_window(s15.t))
-        decay_ok = res.exponent <= -2.0 + 0.3
-        ok = bool(plat.passed) and level_ok and decay_ok
-        return ok, (f"q=3 plateau {'ok' if plat.passed else 'FAIL'}, level "
-                    f"{l1[-1] / l1[0]:.3f} of initial (>=0.2); q=1.5 L1 exponent "
-                    f"{res.exponent:.3f} (<= -1.7)")
+        return self._law_gate(("q30", "l1_excess"), ("q15", "l1_excess"))
 
     def check_localization(self):
-        _, series, _ = self.absorption_run("q15")
-        t = series.t
-        rho = series.column("rho")
-        r8 = float(rho[np.argmin(np.abs(t - 8.0))])
-        growth = float(rho[-1]) - r8
-        cap = 3.0 * self.RUNS["q15"].h
-        return growth <= cap, f"rho(256) - rho(8) = {growth:.4f} <= {cap:.4f}"
+        return self._law_gate(("q15", "rho"))
 
     def check_intermediate_support(self):
-        _, series, _ = self.absorption_run("q225")
-        window = (16.0, 256.0)
-        res_rho = fit.fit_power(series.t, series.column("rho"), window)
-        res_l1 = fit.fit_power(series.t, series.column("l1_excess"), window)
-        rho_ok = res_rho.exponent <= 1.0 / 6.0 + 0.05
-        l1_ok = res_l1.exponent <= -1.0 / 3.0 + 0.1
-        return rho_ok and l1_ok, (
-            f"rho exponent {res_rho.exponent:.4f} (<= {1/6 + 0.05:.4f}), "
-            f"L1 exponent {res_l1.exponent:.4f} (<= {-1/3 + 0.1:.4f})")
+        return self._law_gate(("q225", "rho"), ("q225", "l1_excess"))
 
     def check_deadcore(self):
         _, _, core = self.absorption_run("deadcore")

@@ -145,61 +145,82 @@ def classify_regime(params: ProblemParams) -> Regime:
 
 @dataclass(frozen=True)
 class Law:
-    """A predicted large-time law for an observable."""
+    """A predicted large-time law for one observable y(t).
 
-    kind: str                     # power | bounded | log | power_log | inverse_log_power | positive_limit
+    kind is one of
+      power              y ~ t^exponent (sharp)
+      power_bound        y grows no faster, or decays no slower, than t^exponent
+      amplitude_bound    y(t) t^(-exponent) <= amplitude at every t > 0
+      bounded            y stops growing
+      log                y grows like log t
+      power_log          y ~ t^exponent (log t)^(-exponent/xi)
+      inverse_log_power  y ~ (log t)^exponent
+      positive_limit     y tends to a positive limit
+    """
+
+    kind: str
     exponent: float | None = None
+    amplitude: float | None = None
 
 
 @dataclass(frozen=True)
 class PredictedLaws:
-    """Predicted decay/growth laws; at q = q_star (regime CRITICAL_MASS)
-    both decay branches are reported."""
+    """The row of the law table that applies: the regime and the law of
+    each series column it judges; grad_beta is None where no law holds."""
 
     regime: Regime
-    sup_exponents: tuple          # one entry, or two at q = q_star
-    grad_exponents: tuple
-    support: Law
-    l1: Law
+    sup_excess: Law
+    grad_sup: Law
+    grad_beta: Law | None
+    rho: Law
+    l1_excess: Law
+
+    def items(self):
+        """(column, law) for each judged column, in report order."""
+        for column in ("sup_excess", "grad_sup", "grad_beta", "rho", "l1_excess"):
+            law = getattr(self, column)
+            if law is not None:
+                yield column, law
 
 
-def predicted_laws(params: ProblemParams) -> PredictedLaws:
-    p, q, N = params.p, params.q, params.N
+def predicted_laws(params: ProblemParams, absorbing) -> PredictedLaws:
+    """The law table's row for params.  A series without absorption
+    (absorbing false) is pure diffusion and takes the diffusion-dominated
+    row whatever q is, with sharp support growth and no grad_beta law.
+
+    The sup and gradient decays are bounds, except the diffusion-dominated
+    sup decay, which follows the self-similar source solution and is sharp.
+    grad_beta = |grad u^beta_pq| obeys t^(-1/q) with the explicit constant
+    (q-1)^((q-1)/q)/q wherever beta_pq = (q-1)/q, that is
+    (q-1)/q >= alpha_p.  At q = q_star the exponents xi and eta coincide.
+    """
+    q, N = params.q, params.N
     ex = compute_exponents(params)
-    regime = classify_regime(params)
-    xi, eta = ex.xi, ex.eta
-
-    if regime in (Regime.ABSORPTION_DOMINATED, Regime.CRITICAL_ABSORPTION,
-                  Regime.INTERMEDIATE):
-        sup = (-N * xi,)
-        grad = (-(N + 1) * xi,)
-    elif regime is Regime.DIFFUSION_DOMINATED:
-        sup = (-N * eta,)
-        grad = (-(N + 1) * eta,)
-    else:  # critical mass: both neighbouring laws, flagged
-        sup = (-N * xi, -N * eta)
-        grad = (-(N + 1) * xi, -(N + 1) * eta)
+    regime = classify_regime(params) if absorbing else Regime.DIFFUSION_DOMINATED
+    if regime is Regime.DIFFUSION_DOMINATED:
+        sup = Law("power", -N * ex.eta)
+        grad_sup = Law("power_bound", -(N + 1) * ex.eta)
+    else:
+        sup = Law("power_bound", -N * ex.xi)
+        grad_sup = Law("power_bound", -(N + 1) * ex.xi)
+    grad_beta = None
+    if absorbing and (q - 1.0) / q >= ex.alpha_p:
+        grad_beta = Law("amplitude_bound", -1.0 / q,
+                        (q - 1.0) ** ((q - 1.0) / q) / q)
 
     if regime is Regime.ABSORPTION_DOMINATED:
-        support = Law("bounded")
-        l1 = Law("power", -1.0 / (q - 1.0))
+        rho = Law("bounded")
+        l1 = Law("power_bound", -1.0 / (q - 1.0))
     elif regime is Regime.CRITICAL_ABSORPTION:
-        support = Law("log")
+        rho = Law("log")
         l1 = Law("power_log", -1.0 / (q - 1.0))
     elif regime is Regime.INTERMEDIATE:
-        support = Law("power", ex.A_support)
-        l1 = Law("power", -ex.B_l1)
+        rho = Law("power_bound", ex.A_support)
+        l1 = Law("power_bound", -ex.B_l1)
     elif regime is Regime.CRITICAL_MASS:
-        support = Law("power", eta)
+        rho = Law("power_bound", ex.eta)
         l1 = Law("inverse_log_power", -1.0 / (q - 1.0))
     else:
-        support = Law("power", eta)
+        rho = Law("power_bound" if absorbing else "power", ex.eta)
         l1 = Law("positive_limit")
-
-    return PredictedLaws(
-        regime=regime,
-        sup_exponents=sup,
-        grad_exponents=grad,
-        support=support,
-        l1=l1,
-    )
+    return PredictedLaws(regime, sup, grad_sup, grad_beta, rho, l1)

@@ -1,5 +1,6 @@
 """Power, logarithmic, and plateau law fitting on recorded time series,
-plus the table that turns regime predictions into pass/fail verdicts."""
+plus `verdict`, which judges a series by its row of the law table
+(`exponents.predicted_laws`)."""
 
 from __future__ import annotations
 
@@ -10,11 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.exceptions import RankWarning
 
-from .exponents import (ProblemParams, Regime, classify_regime,
-                        compute_exponents, predicted_laws)
+from .exponents import ProblemParams, predicted_laws, xi_exponent
 
-EXPONENT_TOL = 0.1
+EXPONENT_TOL = 0.08
 DEFAULT_WINDOW_OCTAVES = 3.0
+BOUNDED_SPAN_OCTAVES = 5.0
+AMPLITUDE_SLACK = 1.10
+LIMIT_LEVEL = 0.2
 COMPOSITE_SLOPE_TOL = 0.2
 PLATEAU_REL_TOL = 0.05
 
@@ -138,20 +141,13 @@ class Verdict:
         }
 
 
-def default_window(t):
-    """Last DEFAULT_WINDOW_OCTAVES recorded octaves."""
-    t = np.asarray(t, dtype=float)
-    hi = float(t[-1])
-    return (hi / 2.0 ** DEFAULT_WINDOW_OCTAVES, hi)
-
-
 def _exponent_verdict(name, fitted: FitResult, predicted, tol, one_sided):
     if one_sided:
         ok = fitted.exponent <= predicted + tol
-        pred = f"power(<= {predicted:.6g})"
+        pred = f"power(<= {predicted:.6g} + {tol:g})"
     else:
         ok = abs(fitted.exponent - predicted) <= tol
-        pred = f"power({predicted:.6g})"
+        pred = f"power({predicted:.6g} +- {tol:g})"
     return Verdict(name, pred, f"power({fitted.exponent:.6g})", fitted.r2,
                    fitted.window, bool(ok))
 
@@ -168,13 +164,21 @@ def _composite_verdict(kind, t, l1, model, window):
 
 
 def verdict(params: ProblemParams, series, h=None):
-    """One pass/fail verdict per law applicable to the regime of params.
+    """One pass/fail verdict per law in the row of the law table
+    (`predicted_laws`) that applies to params and series; the row is the
+    pure-diffusion one when nothing was absorbed.
 
-    Law selection is table-driven from the regime alone.  Upper-bound laws
-    pass one-sided (fitted exponent may be steeper); the sup-norm decay and
-    the pure-diffusion support growth are treated as sharp (two-sided).
+    Power laws are fitted on the last DEFAULT_WINDOW_OCTAVES recorded
+    octaves: a sharp law passes within EXPONENT_TOL of its exponent on
+    either side, a bound passes any steeper decay or slower growth up to
+    EXPONENT_TOL past it; the support radius gets EXPONENT_TOL/2.  A
+    bounded support grows by at most 3h (2 % of its final radius without
+    h) over the last BOUNDED_SPAN_OCTAVES octaves.  An amplitude bound must
+    hold, with AMPLITUDE_SLACK, at every record t > 0.  A positive limit is
+    a plateau on the window at no less than LIMIT_LEVEL times the first
+    record.
     """
-    t = np.asarray(series.t, dtype=float)
+    t = series.t
     tpos = t[t > 0.0]
     if tpos.size < 10 or tpos[-1] < 8.0 * tpos[0]:
         first = float(tpos[0]) if tpos.size else 0.0
@@ -182,63 +186,49 @@ def verdict(params: ProblemParams, series, h=None):
             f"series too short for verdicts: need t_end >= {8.0 * first:.6g} "
             f"(3 octaves past the first positive record) and >= 10 samples"
         )
-    window = default_window(t)
-    regime = classify_regime(params)
-    ex = compute_exponents(params)
-    laws = predicted_laws(params)
-    pure_diffusion = float(series.column("absorbed")[-1]) == 0.0
+    window = (float(t[-1]) / 2.0 ** DEFAULT_WINDOW_OCTAVES, float(t[-1]))
+    laws = predicted_laws(params, absorbing=bool(np.any(series.column("absorbed"))))
     out = []
-
-    sup = series.column("sup_excess")
-    fit_sup = fit_power(t, sup, window)
-    out.append(_exponent_verdict("sup_excess", fit_sup, laws.sup_exponents[0],
-                                 EXPONENT_TOL, one_sided=False))
-
-    grad = series.column("grad_beta")
-    if np.all(grad[_window_mask(t, window)] > 0.0):
-        fit_grad = fit_power(t, grad, window)
-        out.append(_exponent_verdict("grad_beta", fit_grad, laws.grad_exponents[0],
-                                     EXPONENT_TOL, one_sided=True))
-
-    rho = series.column("rho")
-    if laws.support.kind == "bounded":
-        lo_mask = _window_mask(t, window)
-        growth = float(rho[-1]) - float(rho[lo_mask][0])
-        cap = 3.0 * h if h is not None else 0.02 * max(float(rho[-1]), 1e-300)
-        out.append(Verdict("rho", "bounded", f"growth({growth:.6g})", 1.0,
-                           window, bool(growth <= cap)))
-    elif laws.support.kind == "log":
-        fit_rho = fit_log_growth(t, rho, window)
-        ok = fit_rho.exponent > 0.0 and fit_rho.r2 >= 0.9
-        out.append(Verdict("rho", "log", f"log_growth({fit_rho.exponent:.6g})",
-                           fit_rho.r2, fit_rho.window, bool(ok)))
-    else:
-        fit_rho = fit_power(t, rho, window)
-        sharp = pure_diffusion and regime is Regime.DIFFUSION_DOMINATED
-        out.append(_exponent_verdict("rho", fit_rho, laws.support.exponent,
-                                     EXPONENT_TOL / 2.0, one_sided=not sharp))
-
-    l1 = series.column("l1_excess")
-    if laws.l1.kind == "power":
-        fit_l1 = fit_power(t, l1, window)
-        out.append(_exponent_verdict("l1_excess", fit_l1, laws.l1.exponent,
-                                     EXPONENT_TOL, one_sided=True))
-    elif laws.l1.kind == "power_log":
-        q, xi = params.q, ex.xi
-        # the model is evaluated on the full series (including a possible
-        # t = 0 initial record) and only windowed inside fit_composite
-        tp = np.maximum(np.asarray(t, dtype=float), 1e-300)
-        model = tp ** (-1.0 / (q - 1.0)) * np.log(np.maximum(tp, 1.0 + 1e-9)) ** (
-            1.0 / (xi * (q - 1.0)))
-        out.append(_composite_verdict("power_log", t, l1, model, window))
-    elif laws.l1.kind == "inverse_log_power":
-        # constant, hence undefined, while the whole window lies in t <= 1
-        model = np.log(np.maximum(t, 1.0 + 1e-9)) ** (-1.0 / (params.q - 1.0))
-        out.append(_composite_verdict("inverse_log_power", t, l1, model, window))
-    else:  # positive_limit
-        res = plateau_test(t, l1, window)
-        ok = bool(res.passed) and res.amplitude > 0.0
-        out.append(Verdict("l1_excess", "positive_limit",
-                           f"plateau({res.amplitude:.6g})", res.r2,
-                           res.window, ok))
+    for name, law in laws.items():
+        y = series.column(name)
+        if law.kind in ("power", "power_bound"):
+            tol = EXPONENT_TOL / 2.0 if name == "rho" else EXPONENT_TOL
+            out.append(_exponent_verdict(name, fit_power(t, y, window), law.exponent,
+                                         tol, one_sided=law.kind == "power_bound"))
+        elif law.kind == "amplitude_bound":
+            worst = float(np.max(y[t > 0.0] * tpos ** -law.exponent))
+            bound = AMPLITUDE_SLACK * law.amplitude
+            out.append(Verdict(name, f"amplitude(<= {bound:.6g})",
+                               f"amplitude({worst:.6g})", 1.0,
+                               (float(tpos[0]), float(t[-1])), worst <= bound))
+        elif law.kind == "bounded":
+            span = _window_mask(t, (t[-1] / 2.0 ** BOUNDED_SPAN_OCTAVES, t[-1]))
+            growth = float(y[-1] - y[span][0])
+            cap = 3.0 * h if h is not None else 0.02 * max(float(y[-1]), 1e-300)
+            out.append(Verdict(name, f"bounded(growth <= {cap:.6g})",
+                               f"growth({growth:.6g})", 1.0,
+                               (float(t[span][0]), float(t[-1])), growth <= cap))
+        elif law.kind == "log":
+            fitted = fit_log_growth(t, y, window)
+            ok = fitted.exponent > 0.0 and fitted.r2 >= 0.9
+            out.append(Verdict(name, "log", f"log_growth({fitted.exponent:.6g})",
+                               fitted.r2, fitted.window, bool(ok)))
+        elif law.kind == "power_log":
+            # the model is evaluated on the full series (including a possible
+            # t = 0 initial record) and only windowed inside fit_composite
+            tp = np.maximum(t, 1e-300)
+            model = tp ** law.exponent * np.log(np.maximum(tp, 1.0 + 1e-9)) ** (
+                -law.exponent / xi_exponent(params.q, params.N))
+            out.append(_composite_verdict("power_log", t, y, model, window))
+        elif law.kind == "inverse_log_power":
+            # constant, hence undefined, while the whole window lies in t <= 1
+            model = np.log(np.maximum(t, 1.0 + 1e-9)) ** law.exponent
+            out.append(_composite_verdict("inverse_log_power", t, y, model, window))
+        else:  # positive_limit
+            res = plateau_test(t, y, window)
+            level = LIMIT_LEVEL * float(y[0])
+            ok = bool(res.passed) and res.amplitude > 0.0 and res.amplitude >= level
+            out.append(Verdict(name, f"positive_limit(>= {level:.6g})",
+                               f"plateau({res.amplitude:.6g})", res.r2,
+                               res.window, ok))
     return out

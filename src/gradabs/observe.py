@@ -9,6 +9,7 @@ their mass ledger."""
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +80,10 @@ class TimeSeries:
         return len(self.columns["t"])
 
     def append(self, row):
-        """Store one row of `observe`."""
+        """Store one row of `observe`; a non-finite value is rejected."""
+        row = {key: float(row[key]) for key in CSV_COLUMNS}
+        if not all(map(math.isfinite, row.values())):
+            raise InvalidParams(f"non-finite value in series row {row}")
         t = self.columns["t"]
         if t and row["t"] <= t[-1]:
             raise InvalidParams(f"recording times must increase: {row['t']} after {t[-1]}")
@@ -89,7 +93,7 @@ class TimeSeries:
                 f"sup_excess increased from {sup[-1]} to {row['sup_excess']} at t={row['t']}"
             )
         for key in CSV_COLUMNS:
-            self.columns[key].append(float(row[key]))
+            self.columns[key].append(row[key])
 
     def column(self, name):
         return np.asarray(self.columns[name], dtype=float)

@@ -153,6 +153,14 @@ def test_fit_rejects_series_whose_time_goes_backwards(tmp_path, capsys):
     assert "recording times must increase: 1.5 after 2.0" in capsys.readouterr().err
 
 
+def test_fit_rejects_series_with_a_nan_value(tmp_path, capsys):
+    rows = [(2.0 ** k, 2.0 ** -k) for k in range(12)]
+    rows[10] = (rows[10][0], "nan")     # inside the last three octaves
+    series = write_series(tmp_path / "s.csv", *rows)
+    assert run_cli("fit", "--series", series, "--p", "3", "--q", "2") == 2
+    assert "non-finite value" in capsys.readouterr().err
+
+
 def test_sweep_deterministic_across_workers(tmp_path, capsys):
     cfg = tmp_path / "base.cfg"
     cfg.write_text(GOOD_CONFIG)

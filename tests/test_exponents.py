@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gradabs.exponents import (EQUALITY_TOL, InvalidParams, ProblemParams,
+from gradabs.exponents import (EQUALITY_TOL, InvalidParams, Law, ProblemParams,
                                Regime, alpha_p, beta_pq, classify_regime,
-                               compute_exponents, gamma_cap, predicted_laws,
-                               q_star)
+                               compute_exponents, eta_exponent, gamma_cap,
+                               predicted_laws, q_star, xi_exponent)
 
 
 def test_worked_examples_exact():
@@ -119,47 +119,58 @@ def test_gamma_default_is_cap():
 
 
 def test_predicted_laws_examples():
-    laws = predicted_laws(ProblemParams(3.0, 1.6, 1))
-    assert laws.sup_exponents[0] == pytest.approx(-1.0 / 2.2)
-    assert laws.grad_exponents[0] == pytest.approx(-2.0 / 2.2)
-    assert laws.support.kind == "bounded"
-    assert laws.l1.kind == "power"
-    assert laws.l1.exponent == pytest.approx(-1.0 / 0.6)
+    laws = predicted_laws(ProblemParams(3.0, 1.6, 1), absorbing=True)
+    assert laws.sup_excess == Law("power_bound", pytest.approx(-1.0 / 2.2))
+    assert laws.grad_sup == Law("power_bound", pytest.approx(-2.0 / 2.2))
+    assert laws.grad_beta is None
+    assert laws.rho.kind == "bounded"
+    assert laws.l1_excess == Law("power_bound", pytest.approx(-1.0 / 0.6))
 
-    laws = predicted_laws(ProblemParams(3.0, 3.0, 1))
-    assert laws.sup_exponents[0] == pytest.approx(-0.25)
-    assert laws.support.kind == "power"
-    assert laws.support.exponent == pytest.approx(0.25)
-    assert laws.l1.kind == "positive_limit"
+    laws = predicted_laws(ProblemParams(3.0, 3.0, 1), absorbing=True)
+    assert laws.sup_excess == Law("power", pytest.approx(-0.25))
+    assert laws.grad_beta == Law("amplitude_bound", pytest.approx(-1.0 / 3.0),
+                                 pytest.approx(2.0 ** (2.0 / 3.0) / 3.0))
+    assert laws.rho == Law("power_bound", pytest.approx(0.25))
+    assert laws.l1_excess.kind == "positive_limit"
 
-    laws = predicted_laws(ProblemParams(3.0, 2.0, 1))
-    assert laws.support.kind == "log"
-    assert laws.l1.kind == "power_log"
+    laws = predicted_laws(ProblemParams(3.0, 2.0, 1), absorbing=True)
+    assert laws.rho.kind == "log"
+    assert laws.l1_excess.kind == "power_log"
+    assert [column for column, _ in laws.items()] == [
+        "sup_excess", "grad_sup", "grad_beta", "rho", "l1_excess"]
 
 
-def test_predicted_laws_critical_mass_reports_both_branches():
-    laws = predicted_laws(ProblemParams(3.0, 2.5, 1))
-    assert laws.regime is Regime.CRITICAL_MASS
-    assert len(laws.sup_exponents) == 2
-    # xi and eta coincide exactly at the critical exponent
-    assert laws.sup_exponents[0] == pytest.approx(laws.sup_exponents[1])
-    assert laws.l1.kind == "inverse_log_power"
+def test_pure_diffusion_takes_the_diffusion_dominated_row():
+    for q in (1.5, 2.0, 2.25, 2.5, 3.0):
+        laws = predicted_laws(ProblemParams(3.0, q, 1), absorbing=False)
+        assert laws.regime is Regime.DIFFUSION_DOMINATED
+        assert laws.sup_excess == Law("power", pytest.approx(-0.25))
+        assert laws.rho == Law("power", pytest.approx(0.25))
+        assert laws.l1_excess.kind == "positive_limit"
+        assert laws.grad_beta is None
+
+
+def test_xi_and_eta_coincide_at_the_critical_mass_exponent():
+    for p in (2.5, 3.0, 4.0, 5.5):
+        for N in (1, 2, 3, 5):
+            assert xi_exponent(q_star(p, N), N) == pytest.approx(
+                eta_exponent(p, N), rel=1e-14)
 
 
 def test_law_selection_consistent_with_regime():
     table = {
-        Regime.ABSORPTION_DOMINATED: ("bounded", "power"),
+        Regime.ABSORPTION_DOMINATED: ("bounded", "power_bound"),
         Regime.CRITICAL_ABSORPTION: ("log", "power_log"),
-        Regime.INTERMEDIATE: ("power", "power"),
-        Regime.CRITICAL_MASS: ("power", "inverse_log_power"),
-        Regime.DIFFUSION_DOMINATED: ("power", "positive_limit"),
+        Regime.INTERMEDIATE: ("power_bound", "power_bound"),
+        Regime.CRITICAL_MASS: ("power_bound", "inverse_log_power"),
+        Regime.DIFFUSION_DOMINATED: ("power_bound", "positive_limit"),
     }
     rng = np.random.default_rng(5)
     for _ in range(100):
         p = rng.uniform(2.1, 5.0)
         q = rng.uniform(1.05, p + 1.0)
         params = ProblemParams(float(p), float(q), 1)
-        laws = predicted_laws(params)
+        laws = predicted_laws(params, absorbing=True)
         support_kind, l1_kind = table[laws.regime]
-        assert laws.support.kind == support_kind
-        assert laws.l1.kind == l1_kind
+        assert laws.rho.kind == support_kind
+        assert laws.l1_excess.kind == l1_kind

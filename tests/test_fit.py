@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gradabs import observe, solver
-from gradabs.exponents import ProblemParams
+from gradabs.exponents import ProblemParams, alpha_p
 from gradabs.fit import (FitError, fit_composite, fit_log_growth, fit_power,
                          plateau_test, verdict)
 
@@ -103,7 +103,7 @@ def test_verdict_on_constant_composite_abscissa():
     assert l1.predicted == "inverse_log_power"
     assert l1.fitted == "composite_undefined(constant abscissa on window)"
     assert l1.r2 == 0.0 and not l1.passed
-    assert sum(v.passed for v in out) == 3 and len(out) == 4
+    assert sum(v.passed for v in out) == 4 and len(out) == 5
 
 
 @pytest.mark.filterwarnings("always::numpy.exceptions.RankWarning")
@@ -134,7 +134,7 @@ def test_verdict_diffusion_dominated():
                          absorbed=np.zeros_like(t))
     out = verdict(ProblemParams(3.0, 3.0, 1), s)
     names = [v.quantity for v in out]
-    assert names == ["sup_excess", "grad_beta", "rho", "l1_excess"]
+    assert names == ["sup_excess", "grad_sup", "rho", "l1_excess"]
     assert all(v.passed for v in out)
 
 
@@ -146,7 +146,7 @@ def test_verdict_absorption_dominated():
     out = verdict(ProblemParams(3.0, 1.5, 1), s, h=0.01)
     assert all(v.passed for v in out)
     lookup = {v.quantity: v for v in out}
-    assert lookup["rho"].predicted == "bounded"
+    assert lookup["rho"].predicted == "bounded(growth <= 0.03)"
 
 
 def test_verdict_critical_absorption():
@@ -191,3 +191,56 @@ def test_verdict_json_lines():
         rec = json.loads(json.dumps(v.as_dict()))
         assert list(rec) == ["quantity", "predicted", "fitted", "r2", "window", "pass"]
         assert rec["pass"] is v.passed and rec["window"] == list(v.window)
+
+
+def absorbing_series(t, **columns):
+    """A series with absorption on; keyword arguments replace its default
+    columns."""
+    cols = dict(sup=t ** -0.5, l1=t ** -2.0, rho=np.full_like(t, 2.0),
+                grad=t ** -1.0, absorbed=np.linspace(0.1, 0.5, t.size))
+    cols.update(columns)
+    return synthetic_series(t, **cols)
+
+
+def test_pure_diffusion_series_gets_the_barenblatt_row():
+    # (p, q) = (3, 2) is critical absorption, but nothing was absorbed
+    t = geom_times()
+    s = synthetic_series(t, sup=t ** -0.25, l1=np.full_like(t, 0.8),
+                         rho=2.0 * t ** 0.25, grad=t ** -0.5,
+                         absorbed=np.zeros_like(t))
+    out = verdict(ProblemParams(3.0, 2.0, 1), s)
+    assert [(v.quantity, v.predicted) for v in out] == [
+        ("sup_excess", "power(-0.25 +- 0.08)"),
+        ("grad_sup", "power(<= -0.5 + 0.08)"),
+        ("rho", "power(0.25 +- 0.04)"),
+        ("l1_excess", "positive_limit(>= 0.16)")]
+    assert all(v.passed for v in out)
+
+
+def test_sup_law_is_a_bound_except_when_diffusion_dominates():
+    t = geom_times()
+    steep = verdict(ProblemParams(3.0, 1.5, 1),
+                    absorbing_series(t, sup=t ** -2.0), h=0.01)
+    assert steep[0].quantity == "sup_excess" and steep[0].passed
+    s = absorbing_series(t, sup=t ** -0.5, l1=np.full_like(t, 0.8),
+                         rho=2.0 * t ** 0.25)
+    sharp = verdict(ProblemParams(3.0, 3.0, 1), s)
+    assert sharp[0].predicted == "power(-0.25 +- 0.08)" and not sharp[0].passed
+
+
+def test_grad_beta_law_where_beta_is_the_absorption_exponent():
+    t = geom_times()
+    for p, q in ((3.0, 1.5), (3.0, 2.0), (3.0, 2.5), (4.0, 2.0), (4.0, 3.0)):
+        params = ProblemParams(p, q, 1)
+        amplitude = (q - 1.0) ** ((q - 1.0) / q) / q
+        grad = 0.9 * amplitude * t ** (-1.0 / q)
+        out = {v.quantity: v for v in
+               verdict(params, absorbing_series(t, grad=grad), h=0.01)}
+        if (q - 1.0) / q < alpha_p(p, 1):
+            assert "grad_beta" not in out
+            continue
+        assert out["grad_beta"].passed
+        grad[5] *= 1.25       # one record past the 1.10 slack
+        out = {v.quantity: v for v in
+               verdict(params, absorbing_series(t, grad=grad), h=0.01)}
+        assert not out["grad_beta"].passed

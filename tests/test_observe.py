@@ -165,6 +165,14 @@ def test_timeseries_csv_roundtrip():
         TimeSeries.from_csv("bogus,header\n1,2\n")
 
 
+def test_timeseries_rejects_non_finite_values():
+    # NaN defeats the order checks, so t = 1, NaN, 0.5 used to load
+    text = ",".join(observe.CSV_COLUMNS) + "\n" + "".join(
+        f"{t},1,1,1,1,1,1,0,0\n" for t in ("1", "nan", "0.5"))
+    with pytest.raises(InvalidParams, match="non-finite"):
+        TimeSeries.from_csv(text)
+
+
 def test_mass_balance_residual():
     # conservation split between the three ledgers gives zero residual
     rows = [(1.0, 1.0, 1.0, 0, 0, 0, 0, 0.0, 0.0),

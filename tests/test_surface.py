@@ -42,3 +42,23 @@ def test_no_name_is_reached_only_from_tests():
               for path, tree in trees.items()
               for qualname, name in definitions(tree) if name not in used]
     assert unused == []
+
+
+LAW_CRITERIA = ("check_pure_diffusion_support", "check_subcritical_decay",
+                "check_radial_gradient_constant", "check_l1_dichotomy",
+                "check_localization", "check_intermediate_support")
+
+
+def test_law_criteria_hold_no_bound_of_their_own():
+    # exponents, tolerances, windows and caps of the laws live in the law
+    # table (exponents.predicted_laws and fit.verdict) alone
+    tree = ast.parse((ROOT / "src" / "gradabs" / "acceptance.py").read_text())
+    lab = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "AcceptanceLab")
+    bodies = {item.name: item for item in lab.body
+              if isinstance(item, ast.FunctionDef) and item.name in LAW_CRITERIA}
+    assert sorted(bodies) == sorted(LAW_CRITERIA)
+    literals = [f"{name}: {node.value!r}" for name, body in bodies.items()
+                for node in ast.walk(body) if isinstance(node, ast.Constant)
+                and type(node.value) in (int, float, complex)]
+    assert literals == []
