@@ -149,8 +149,9 @@ def cmd_sweep(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(c, str(out), f"p{c.p:g}_q{c.q:g}") for c in configs]
-    if args.workers > 1:
-        with multiprocessing.Pool(args.workers) as pool:
+    workers = min(args.workers, len(jobs))    # no idle pool workers
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             rows = pool.map(_sweep_cell, jobs)
     else:
         rows = [_sweep_cell(job) for job in jobs]

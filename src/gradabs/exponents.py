@@ -7,6 +7,7 @@ package consumes these values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,6 +64,10 @@ class ProblemParams:
     gamma: float | None = None
 
     def __post_init__(self):
+        for name in ("p", "q", "eps", "gamma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParams(f"{name} must be a finite number, got {name}={value}")
         if not self.p > 2.0:
             raise InvalidParams(f"p must satisfy p > 2, got p={self.p}")
         if not self.q > 1.0:

@@ -5,6 +5,7 @@ equation."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,7 +216,10 @@ def parse_profile(spec):
             key, _, val = item.partition("=")
             if not val:
                 raise InvalidParams(f"bad profile option {item!r} in {spec!r}")
-            kwargs[key.strip()] = float(val)
+            value = float(val)
+            if not math.isfinite(value):
+                raise InvalidParams(f"profile option {item!r} in {spec!r} is not finite")
+            kwargs[key.strip()] = value
     try:
         if name == "bump":
             return Bump(**kwargs)
@@ -230,14 +234,18 @@ def parse_profile(spec):
 
 def sample_profile(profile, grid, params: ProblemParams):
     """Sample a profile at cell centers (radial distance), rejecting grids
-    that resolve the narrowest support feature with fewer than 8 cells."""
+    that resolve the narrowest support feature with fewer than 8 cells and
+    samples that are not finite or negative."""
     width = profile.feature_width(params)
     if width < 8.0 * grid.h:
         raise GridResolutionError(
             f"profile feature of width {width} needs >= 8 cells, have h={grid.h}"
         )
     r = np.abs(grid.centers())
-    vals = np.asarray(profile.value(r, params), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):     # rejected below
+        vals = np.asarray(profile.value(r, params), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise InvalidParams("profile produced non-finite samples")
     if np.any(vals < 0.0):
         raise InvalidParams("profile produced negative samples")
     return vals

@@ -18,8 +18,12 @@ the one time loop, over one array: `run` drives it with the field, and
 advances both in lockstep with a shared dt.  A step writes into the
 stepper's own scratch arrays, model.a_eps and model.b_eps included, through
 views that are formed once per array and window, so it allocates nothing.
-The loop steps only the active window: the cells above the floor plus a
-padding the front cannot cross before the window is refreshed.
+A step's extrema (the CFL maxima, the floor check's minimum and the
+comparison gap) are read by index, x.item(x.argmax()), which costs less
+than a reduction to a numpy scalar and returns the first NaN just as the
+reduction propagates it.  The loop steps only the active window: the cells
+above the floor plus a padding the front cannot cross before the window is
+refreshed.
 """
 
 from __future__ import annotations
@@ -153,17 +157,20 @@ class _Stepper:
         # zero-flux face at r = 0; a line's cell 0 is pinned at the floor.
         self._lay_out((np.arange(grid.n + 1) * grid.h) ** (grid.N - 1.0),
                       1.0 / (grid.centers() ** (grid.N - 1.0) * grid.h),
-                      grid.cell_measures(), 0 if radial else 1, 0, (0, 0))
+                      grid.cell_measures(), 0 if radial else 1, None, (0, 0))
         self.absorbed = 0.0
         self.boundary_out = 0.0
 
     def _lay_out(self, rw, inv_rch, cellw, lo_min, junction, no_absorption):
         """Set the geometry of a field of cellw.size cells and allocate the
         scratch.  Face i lies between cells i-1 and i; the junction face's
-        gradient is 0 at every step, and the cells in the range
-        no_absorption = (first, stop) see no absorption."""
+        gradient, if there is a junction, is 0 at every step, and the cells in
+        the range no_absorption = (first, stop) see no absorption.  Face 0's
+        gradient is never written, so it stays 0.  Face weights that are all
+        exactly 1 (N = 1) are not multiplied in."""
         n = cellw.size
         self.rw, self.inv_rch, self.cellw = rw, inv_rch, cellw
+        self.weighted = bool(np.any(rw != 1.0))
         self.lo_min, self.hi_max = lo_min, n - 1      # the last cell is pinned
         self.junction, self.no_absorption = junction, no_absorption
         self.g, self.s, self.flux = np.zeros(n + 1), np.empty(n + 1), np.empty(n + 1)
@@ -202,7 +209,8 @@ class _Stepper:
         self._grad_views = (u[lo:b + 1], u[lo - 1:b], self.g[lo:b + 1], g,
                             self.s[:m + 1], g[:-1], g[1:], self.sc[:m],
                             self.sc[z0 - a:z1 - a] if z0 < z1 else None)
-        self._step_views = (flux, flux[1:], flux[:-1], self.rw[a:b + 1],
+        self._step_views = (flux, flux[1:], flux[:-1],
+                            self.rw[a:b + 1] if self.weighted else None,
                             self.div[:m], self.inv_rch[a:b], u[a:b],
                             self.babs[:m], self.cellw[a:b])
         self._u, self._a, self._b = u, a, b
@@ -224,7 +232,8 @@ class _Stepper:
         u_right, u_left, inner, g, s, g_left, g_right, sc, no_absorption = self._grad_views
         np.subtract(u_right, u_left, out=inner)
         inner *= self.inv_h
-        self.g[self.junction] = 0.0
+        if self.junction is not None:
+            self.g[self.junction] = 0.0
         np.multiply(g, g, out=s)
         if not self.absorption:
             return g, s, None
@@ -238,11 +247,12 @@ class _Stepper:
     def stable_dt_from(self, s, sc):
         """Explicit CFL bound safety * h^2 / (2 N_eff D_max), capped so one
         absorption step cannot undershoot the floor; effective_diffusivity
-        and b_eps are increasing in s, so the face/cell maxima suffice."""
-        dmax = model.effective_diffusivity(float(np.maximum.reduce(s)), self.eps, self.p)
+        and b_eps are increasing in s, so the face/cell maxima suffice.  A
+        NaN gradient gives dt = NaN."""
+        dmax = model.effective_diffusivity(s.item(s.argmax()), self.eps, self.p)
         dt = self.cfl / (2.0 * self.neff * dmax)
         if sc is not None:
-            bmax = model.b_eps(float(np.maximum.reduce(sc)), self.eps, self.q)
+            bmax = model.b_eps(sc.item(sc.argmax()), self.eps, self.q)
             if bmax > 0.0:
                 dt = min(dt, self.safety * self.floor / bmax)
         return dt
@@ -260,10 +270,12 @@ class _Stepper:
         g, s, sc = grads
         flux, flux_right, flux_left, rw, div, inv_rch, uw, babs, cellw = self._step_views
 
-        # radially weighted flux r^(N-1) a_eps g on the faces (weight 1 on a line)
+        # radially weighted flux r^(N-1) a_eps g on the faces; rw is None at
+        # N = 1, where every weight is 1
         model.a_eps(s, self.eps, self.p, out=flux)
         flux *= g
-        flux *= rw
+        if rw is not None:
+            flux *= rw
         np.subtract(flux_right, flux_left, out=div)
         div *= inv_rch
         div *= dt
@@ -272,11 +284,11 @@ class _Stepper:
 
         if sc is not None:
             model.b_eps(sc, self.eps, self.q, out=babs)
-            self.absorbed += dt * float(babs @ cellw)
+            self.absorbed += dt * float(babs.dot(cellw))
             babs *= dt
             uw -= babs
 
-        umin = float(np.minimum.reduce(uw))
+        umin = uw.item(uw.argmin())
         if umin < self.floor - FLOOR_SLACK:
             raise FloorViolationError(
                 f"floor violated by {self.floor - umin:.3e} at t-step dt={dt:.3e}"
@@ -337,8 +349,13 @@ class RunConfig:
     record_start: float = 0.0625
 
     def __post_init__(self):
-        """A config that no run can start from is rejected when it is built,
-        by the checks of ProblemParams, Grid and model.sample_profile."""
+        """A config that no run can start from is rejected when it is built:
+        a number that is not finite, and the checks of ProblemParams, Grid
+        and model.sample_profile."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidParams(f"{f.name} must be a finite number, got {f.name}={value}")
         params = self.params()
         for ok, rule in ((0.0 < self.safety <= 1.0, "0 < safety <= 1"),
                          (self.record_start > 0.0, "record_start > 0"),
@@ -479,7 +496,8 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
         if win != (a, b):             # the views are formed once per window
             m = max(b - n, n - a)     # from cell m on both fields sit at the floor
             win, views = (a, b), (buf_a[:m], buf_b[:m], np.empty(m))
-        worst = max(worst, float(np.maximum.reduce(np.subtract(*views))))
+        gap = np.subtract(*views)
+        worst = max(worst, gap.item(gap.argmax()))
 
     _advance(stepper, buf, 0.0, config.t_end, take_gap)
     ua[:], ub[:] = buf_a, buf_b

@@ -103,6 +103,34 @@ def test_run_and_sweep_reject_unstartable_config(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists() and not (tmp_path / "sweep").exists()
 
 
+# numbers that are not finite: each used to end in a traceback (exit 1), a
+# "non-finite field" (exit 3) or a message about converting NaN (exit 2)
+NON_FINITE = {
+    "t_end_inf": ("t_end", "inf"),
+    "L_inf": ("L", "inf"),
+    "p_inf": ("p", "inf"),
+    "q_inf": ("q", "inf"),
+    "bump_H_nan": ("profile", "bump:R0=1,H=nan"),
+    "bump_H_inf": ("profile", "bump:H=inf"),
+    "bump_R0_inf": ("profile", "bump:R0=inf"),
+    "annulus_H_nan": ("profile", "annulus:R0=2,R1=4,H=nan"),
+    "samples_overflow": ("profile", "barenblatt:t0=0.5,M_scale=1.7e308"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_run_rejects_non_finite_config_values(tmp_path, capsys, case):
+    key, value = NON_FINITE[case]
+    lines = [line for line in GOOD_CONFIG.splitlines() if not line.startswith(key + " ")]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config: ") and "finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rejects_cell_its_base_config_cannot_start(tmp_path, capsys):
     # the base config is a valid line run at N = 1, but not at --N 2
     cfg = tmp_path / "line.cfg"
@@ -184,6 +212,35 @@ def test_sweep_rejects_duplicates(capsys):
 
 def test_sweep_rejects_invalid_cells(capsys):
     assert run_cli("sweep", "--p", "1.5", "--q", "2", "--out", "unused") == 2
+    assert run_cli("sweep", "--p", "inf", "--q", "2", "--out", "unused") == 2
+    assert "p must be a finite number, got p=inf" in capsys.readouterr().err
+
+
+def test_sweep_starts_no_more_pool_workers_than_cells(tmp_path, monkeypatch, capsys):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return [func(job) for job in jobs]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(GOOD_CONFIG.replace("t_end = 2", "t_end = 0.5"))
+    assert run_cli("sweep", "--p", "3", "--q", "2,3", "--config", str(cfg),
+                   "--workers", "8", "--out", str(tmp_path / "sweep")) == 0
+    assert sizes == [2]
+    assert len((tmp_path / "sweep" / "summary.csv").read_text().splitlines()) == 3
 
 
 def test_sweep_rejects_workers_below_one(tmp_path, capsys):

@@ -89,6 +89,16 @@ def test_stable_dt_sees_mirror_ghost_at_origin():
     assert stable_dt(stepper(state), vals) == pytest.approx(cap, rel=1e-12)
 
 
+def test_stable_dt_is_nan_for_a_nan_gradient():
+    # the CFL maxima are read by index; argmax finds the first NaN, as the
+    # reduction it replaced propagated it
+    state = barenblatt_state(h=0.02)
+    u = state.values.copy()
+    u[5] = np.nan
+    for absorption in (False, True):
+        assert np.isnan(stable_dt(stepper(state, absorption), u))
+
+
 def test_stable_dt_quarters_when_h_halves():
     c, f = (stable_dt(stepper(s, absorption=False), s.values)
             for s in (barenblatt_state(h=0.01), barenblatt_state(h=0.005)))
@@ -179,10 +189,26 @@ def test_run_pure_diffusion_conserves_mass():
 
 def test_run_absorption_l1_nonincreasing():
     cfg = RunConfig(3.0, 2.0, 1, geometry="radial", h=0.02, L=4.0, t_end=4.0)
-    _, series = run(cfg)
+    state, series = run(cfg)
+    assert type(state.absorbed_mass) is float
     l1 = series.column("l1_excess")
     assert np.all(np.diff(l1) <= 1e-12)
     assert observe.mass_balance_residual(series) <= 1e-10
+
+
+def test_run_reports_a_nan_in_the_field_as_non_finite():
+    # a NaN written into the field at the first record gives dt = NaN, which
+    # ends the advance; the floor check's minimum, read by index, is NaN too
+    # and raises nothing, so the next record reports the non-finite field
+    cfg = RunConfig(3.0, 2.0, 1, geometry="radial", h=0.02, L=4.0, t_end=1.0)
+
+    def poison(state):
+        if state.time == 0.0:
+            state.values[0] = np.nan
+
+    with pytest.raises(solver.NumericalError, match="non-finite field at t=0.0625") as info:
+        run(cfg, on_record=poison)
+    assert type(info.value) is solver.NumericalError
 
 
 def test_run_detects_support_overflow():
