@@ -21,23 +21,56 @@ class GridResolutionError(ValueError):
 # regularized coefficients
 
 
-def a_eps(s, eps, p, out=None):
+class Coefficient:
+    """The constants of (eps^2 + s)^k - eps^(2k) on an array, as 0-d float64
+    arrays.  A caller that evaluates a coefficient on every step builds them
+    once: a ufunc reads a 0-d array operand for less than a Python float,
+    which it converts on every call.  The power is chosen as numpy's
+    `x **= k` chooses it for a Python float k, so the bits are those of the
+    plain formula: np.sqrt at k = 1/2, no call at k = 1, np.square at k = 2,
+    and np.power with the 0-d k at any other k."""
+
+    __slots__ = ("e2", "offset", "power", "exponent")
+
+    def __init__(self, eps, k):
+        e2 = eps * eps
+        self.e2, self.offset = np.array(e2), np.array(e2 ** k)
+        # power(out, *exponent, out) is out **= k; at k = 1 there is no call
+        special = {0.5: np.sqrt, 1.0: None, 2.0: np.square}
+        if k in special:
+            self.power, self.exponent = special[k], ()
+        else:
+            self.power, self.exponent = np.power, (np.array(k),)
+
+
+def a_eps(s, eps, p, out=None, consts=None):
     """Regularized diffusivity (eps^2 + s)^((p-2)/2), s = |grad u|^2.
-    With an array `out`, the result is written into it."""
-    # on an array **= works in place; a float is simply rebound
-    out = eps * eps + s if out is None else np.add(eps * eps, s, out=out)
-    out **= 0.5 * (p - 2.0)
+    With an array `out`, the result is written into it; `consts`, if given,
+    is Coefficient(eps, (p - 2) / 2)."""
+    k = 0.5 * (p - 2.0)
+    if out is None:
+        return (eps * eps + s) ** k
+    c = Coefficient(eps, k) if consts is None else consts
+    np.add(c.e2, s, out)
+    if c.power is not None:
+        c.power(out, *c.exponent, out)
     return out
 
 
-def b_eps(s, eps, q, out=None):
+def b_eps(s, eps, q, out=None, consts=None):
     """Regularized absorption rate (eps^2 + s)^(q/2) - eps^q; vanishes at s=0.
-    With an array `out`, the result is written into it."""
-    e2 = eps * eps
-    # evaluate eps^q as (eps^2)^(q/2) so the difference is exactly 0 at s = 0
-    out = e2 + s if out is None else np.add(e2, s, out=out)
-    out **= 0.5 * q
-    out -= e2 ** (0.5 * q)
+    With an array `out`, the result is written into it; `consts`, if given,
+    is Coefficient(eps, q / 2)."""
+    # eps^q is evaluated as (eps^2)^(q/2), so the difference is exactly 0 at s = 0
+    k = 0.5 * q
+    if out is None:
+        e2 = eps * eps
+        return (e2 + s) ** k - e2 ** k
+    c = Coefficient(eps, k) if consts is None else consts
+    np.add(c.e2, s, out)
+    if c.power is not None:
+        c.power(out, *c.exponent, out)
+    np.subtract(out, c.offset, out)
     return out
 
 

@@ -1,12 +1,14 @@
 """Explicit conservative finite-difference evolution of the regularized
 equation on line and radial grids.
 
-The scheme is first order in time, monotone under the CFL restriction, and
-preserves the floor eps**gamma without clamping.  Boundary cells are pinned
-at the floor (the constant floor is an exact solution); the radial origin
-is a zero-flux face at r = 0.  The absorption term sees the centered cell
-gradient, the mean of the cell's two face gradients; at r = 0 that equals
-the mirror-ghost difference.
+The scheme is first order in time.  Its diffusion is monotone under the CFL
+restriction; its absorption, which sees the centered cell gradient (the mean
+of the cell's two face gradients, at r = 0 the mirror-ghost difference), is
+not monotone where q < p - 1: a floor cell next to the support can
+undershoot the floor eps**gamma, which the step checks for instead of
+clamping, and which the CFL cap dt <= safety * floor / b_max only limits.
+Boundary cells are pinned at the floor (the constant floor is an exact
+solution); the radial origin is a zero-flux face at r = 0.
 
 The entry points are `run` and `comparison_run`, both driven by a
 `RunConfig`, which rejects when it is built any config that no run can start
@@ -18,6 +20,12 @@ the one time loop, over one array: `run` drives it with the field, and
 advances both in lockstep with a shared dt.  A step writes into the
 stepper's own scratch arrays, model.a_eps and model.b_eps included, through
 views that are formed once per array and window, so it allocates nothing.
+Every ufunc of a step gets array operands and its output positionally: its
+constants (1/h, 1/2 and the coefficients' model.Coefficient) are 0-d arrays
+built once per stepper, and dt is written into a 0-d array once per step.
+A ufunc converts a Python float operand on every call and parses an out=
+keyword, and on a window of a few hundred cells that is a large share of
+the call.
 A step's extrema (the CFL maxima, the floor check's minimum and the
 comparison gap) are read by index, x.item(x.argmax()), which costs less
 than a reduction to a numpy scalar and returns the first NaN just as the
@@ -29,7 +37,7 @@ refreshed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -148,7 +156,11 @@ class _Stepper:
         self.safety = safety
         self.p, self.q, self.eps, self.floor = params.p, params.q, params.eps, params.floor
         self.cfl = safety * grid.h ** 2           # dt = cfl / (2 N_eff D_max)
-        self.inv_h = 1.0 / grid.h
+        # the step's ufunc operands as 0-d arrays: 1/h, 1/2, the coefficients'
+        # constants, and dt, written once per step
+        self.inv_h, self.half, self.dt = np.array(1.0 / grid.h), np.array(0.5), np.array(0.0)
+        self.a_consts = model.Coefficient(self.eps, 0.5 * (self.p - 2.0))
+        self.b_consts = model.Coefficient(self.eps, 0.5 * self.q)
         self.neff = grid.N
         radial = grid.geometry == "radial"
         self.omega = sphere_area(grid.N) if radial else 1.0
@@ -230,16 +242,16 @@ class _Stepper:
         fields at once needs one stepper per field."""
         self._bind(u, a, b)
         u_right, u_left, inner, g, s, g_left, g_right, sc, no_absorption = self._grad_views
-        np.subtract(u_right, u_left, out=inner)
-        inner *= self.inv_h
+        np.subtract(u_right, u_left, inner)
+        np.multiply(inner, self.inv_h, inner)
         if self.junction is not None:
             self.g[self.junction] = 0.0
-        np.multiply(g, g, out=s)
+        np.multiply(g, g, s)
         if not self.absorption:
             return g, s, None
-        np.add(g_left, g_right, out=sc)
-        sc *= 0.5
-        np.multiply(sc, sc, out=sc)
+        np.add(g_left, g_right, sc)
+        np.multiply(sc, self.half, sc)
+        np.multiply(sc, sc, sc)
         if no_absorption is not None:
             no_absorption.fill(0.0)
         return g, s, sc
@@ -272,21 +284,22 @@ class _Stepper:
 
         # radially weighted flux r^(N-1) a_eps g on the faces; rw is None at
         # N = 1, where every weight is 1
-        model.a_eps(s, self.eps, self.p, out=flux)
-        flux *= g
+        model.a_eps(s, self.eps, self.p, flux, self.a_consts)
+        np.multiply(flux, g, flux)
         if rw is not None:
-            flux *= rw
-        np.subtract(flux_right, flux_left, out=div)
-        div *= inv_rch
-        div *= dt
-        self.boundary_out += dt * self.omega * (flux[0] - flux[-1])
-        uw += div
+            np.multiply(flux, rw, flux)
+        np.subtract(flux_right, flux_left, div)
+        np.multiply(div, inv_rch, div)
+        self.dt[()] = dt
+        np.multiply(div, self.dt, div)
+        self.boundary_out += dt * self.omega * (flux.item(0) - flux.item(-1))
+        np.add(uw, div, uw)
 
         if sc is not None:
-            model.b_eps(sc, self.eps, self.q, out=babs)
+            model.b_eps(sc, self.eps, self.q, babs, self.b_consts)
             self.absorbed += dt * float(babs.dot(cellw))
-            babs *= dt
-            uw -= babs
+            np.multiply(babs, self.dt, babs)
+            np.subtract(uw, babs, uw)
 
         umin = uw.item(uw.argmin())
         if umin < self.floor - FLOOR_SLACK:
@@ -385,10 +398,11 @@ class RunConfig:
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+REQUIRED_KEYS = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
 
 def parse_config(text) -> RunConfig:
-    """Parse a plain-text key=value run configuration."""
+    """Parse a plain-text key=value run configuration; p and q are required."""
     kwargs = {}
     try:
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -412,6 +426,9 @@ def parse_config(text) -> RunConfig:
             elif key not in ("geometry", "profile"):
                 val = float(val)
             kwargs[key] = val
+        missing = [key for key in REQUIRED_KEYS if key not in kwargs]
+        if missing:
+            raise ConfigError(f"missing required key(s) {', '.join(missing)}")
         return RunConfig(**kwargs)
     except ValueError as exc:         # InvalidParams, or a value that is not a number
         raise ConfigError(str(exc)) from None

@@ -103,6 +103,20 @@ def test_run_and_sweep_reject_unstartable_config(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists() and not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_and_sweep_reject_config_without_p_or_q(tmp_path, capsys, command):
+    # a config without a required key used to end in a TypeError traceback
+    # and exit 1; the sweep sets p and q per cell, but its base config is
+    # parsed whole
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("N = 1\nh = 0.02\nL = 4\nt_end = 1\n")
+    argv = ["--p", "3", "--q", "2"] if command == "sweep" else []
+    assert run_cli(command, *argv, "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad config: missing required key(s) p, q\n"
+    assert not (tmp_path / "out").exists()
+
+
 # numbers that are not finite: each used to end in a traceback (exit 1), a
 # "non-finite field" (exit 3) or a message about converting NaN (exit 2)
 NON_FINITE = {

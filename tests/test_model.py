@@ -3,7 +3,7 @@ import pytest
 
 from gradabs import model
 from gradabs.exponents import InvalidParams, ProblemParams
-from gradabs.solver import Grid
+from gradabs.solver import Grid, _Stepper
 
 
 def test_a_eps_examples():
@@ -57,10 +57,13 @@ def test_coefficients_nondecreasing_in_s():
             assert np.all(np.diff(model.b_eps(s, eps, q)) >= 0.0)
 
 
-@pytest.mark.parametrize("p,q", [(3.0, 2.0), (3.0, 1.6), (4.0, 4.0), (6.0, 1.2)])
+@pytest.mark.parametrize("p,q", [(3.0, 2.0), (3.0, 1.6), (4.0, 4.0), (6.0, 1.2),
+                                 (3.5, 3.0)])
 def test_coefficients_write_into_out(p, q):
     # bit for bit the plain formulas, on arrays (where the exponents 0.5, 1
-    # and 2 take numpy's fast scalar-power paths) and on Python floats
+    # and 2 take numpy's fast scalar-power paths) and on Python floats; an
+    # array out is written through 0-d constants, built per call or, as a
+    # stepper does, once and reused
     def a_plain(s, eps):
         return (eps * eps + s) ** (0.5 * (p - 2.0))
 
@@ -70,10 +73,16 @@ def test_coefficients_write_into_out(p, q):
     s = np.random.default_rng(3).uniform(0.0, 40.0, 257)
     s[0] = 0.0
     for eps in (1e-3, 0.3):
-        for coef, k, plain in ((model.a_eps, p, a_plain), (model.b_eps, q, b_plain)):
+        st = _Stepper(ProblemParams(p, q, 1, eps), Grid("radial", 0.05, 32, 1), True, 0.4)
+        for coef, k, plain, consts in ((model.a_eps, p, a_plain, st.a_consts),
+                                       (model.b_eps, q, b_plain, st.b_consts)):
             out = np.full_like(s, np.nan)
             assert coef(s, eps, k, out=out) is out
             assert np.array_equal(out, plain(s, eps))
+            for _ in range(2):
+                out.fill(np.nan)
+                assert coef(s, eps, k, out, consts) is out
+                assert np.array_equal(out, plain(s, eps))
             assert all(coef(x, eps, k) == plain(x, eps) for x in s[:32].tolist())
     assert model.b_eps(s, 0.3, q, out=np.empty_like(s))[0] == 0.0
 

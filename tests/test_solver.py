@@ -191,6 +191,7 @@ def test_run_absorption_l1_nonincreasing():
     cfg = RunConfig(3.0, 2.0, 1, geometry="radial", h=0.02, L=4.0, t_end=4.0)
     state, series = run(cfg)
     assert type(state.absorbed_mass) is float
+    assert type(state.boundary_out) is float
     l1 = series.column("l1_excess")
     assert np.all(np.diff(l1) <= 1e-12)
     assert observe.mass_balance_residual(series) <= 1e-10
@@ -277,6 +278,10 @@ def test_parse_config():
         parse_config("p 3\n")
     with pytest.raises(ConfigError):
         parse_config("p = 1.5\nq = 2\n")   # invalid exponent range
+    # a missing required key is named, not a TypeError from RunConfig
+    for text, missing in (("q = 2\n", "p"), ("p = 3\n", "q"), ("h = 0.02\n", "p, q")):
+        with pytest.raises(ConfigError, match=f"missing required key\\(s\\) {missing}$"):
+            parse_config(text)
     # values a run cannot start from are rejected when the config is built
     for bad in ("safety = 0", "safety = -0.1", "safety = 1.5", "record_start = 0",
                 "t_end = 0", "profile = barenblatt:t0=1\nt_end = 1", "L = -2",
@@ -332,9 +337,6 @@ def test_comparison_principle_geometries(geometry, N, pair):
     assert rep["max_violation"] <= 1e-12
 
 
-KERNEL_PARAMS = ProblemParams(3.0, 1.6, 1)
-
-
 def reference_step(u, params, grid, a, b, dt, absorption):
     """One explicit step of cells [a, b) written out plainly: np.diff face
     gradients (zero-flux face at r = 0), a concatenated mirror ghost for the
@@ -383,12 +385,16 @@ def reference_stable_dt(u, params, grid, a, b, safety, absorption):
     return dt
 
 
-@pytest.mark.parametrize("geometry,N", [("line", 1), ("radial", 1),
-                                        ("radial", 2), ("radial", 3)])
+KERNEL_GRIDS = [("line", 1), ("radial", 1), ("radial", 2), ("radial", 3)]
+
+
+@pytest.mark.parametrize("geometry,N", KERNEL_GRIDS)
 @pytest.mark.parametrize("absorption", [False, True])
 @pytest.mark.parametrize("window", ["full", "interior"])
-def test_step_kernel_matches_plain_reference(geometry, N, absorption, window):
-    params = dataclasses.replace(KERNEL_PARAMS, N=N)
+def test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p=3.0, q=1.6):
+    # at (3, 1.6) a_eps takes np.sqrt and b_eps np.power; the test below
+    # runs these cases at the other powers
+    params = ProblemParams(p, q, N)
     grid = Grid.from_extent(geometry, 0.05, 1.5, N)
     state = initial_state(params, grid, model.Bump(R0=2.0, H=1.0, m=2.0))
     u0 = state.values
@@ -428,6 +434,17 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window):
             np.testing.assert_allclose(u, ref, rtol=1e-14, atol=0.0)
         else:
             assert np.array_equal(u, ref)
+
+
+# (p, q) -> the power each coefficient takes: (4, 2) no call for either,
+# (3, 4) np.sqrt and np.square, (3.5, 3) np.power for both
+@pytest.mark.parametrize("p,q", [(4.0, 2.0), (3.0, 4.0), (3.5, 3.0)])
+@pytest.mark.parametrize("geometry,N", KERNEL_GRIDS)
+@pytest.mark.parametrize("absorption", [False, True])
+@pytest.mark.parametrize("window", ["full", "interior"])
+def test_step_kernel_matches_plain_reference_at_each_power(geometry, N, absorption, window,
+                                                           p, q):
+    test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p, q)
 
 
 def test_comparison_run_forms_gradients_once_per_field_per_step(monkeypatch):
