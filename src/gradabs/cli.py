@@ -115,12 +115,15 @@ def _cell_configs(args):
     if len(set(cells)) != len(cells):
         raise _Failure(EXIT_CONFIG, "duplicate sweep cells")
     base = _load_config(args.config) if args.config else None
+    N = args.N                # --N overrides the base config's N
+    if N is None:
+        N = base.N if base else 1
     configs = []
     for p, q in sorted(cells):
         try:
             configs.append(
-                dataclasses.replace(base, p=p, q=q, N=args.N) if base else
-                solver.RunConfig(p, q, args.N, h=0.01, L=8.0, t_end=16.0))
+                dataclasses.replace(base, p=p, q=q, N=N) if base else
+                solver.RunConfig(p, q, N, h=0.01, L=8.0, t_end=16.0))
         except ValueError as exc:
             raise _Failure(EXIT_CONFIG, f"cell ({p}, {q}): {exc}") from None
     return configs
@@ -231,7 +234,8 @@ def build_parser():
     sp = sub.add_parser("sweep", help="parallel (p, q) sweep")
     sp.add_argument("--p", required=True, help="comma-separated p values")
     sp.add_argument("--q", required=True, help="comma-separated q values")
-    sp.add_argument("--N", type=int, default=1)
+    sp.add_argument("--N", type=int, default=None,
+                    help="dimension; default the base config's N, else 1")
     sp.add_argument("--config", default=None, help="base run config")
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--out", default="sweep")

@@ -1,33 +1,51 @@
 """Explicit conservative finite-difference evolution of the regularized
 equation on line and radial grids.
 
-The scheme is first order in time.  Its diffusion is monotone under the CFL
-restriction; its absorption, which sees the centered cell gradient (the mean
-of the cell's two face gradients, at r = 0 the mirror-ghost difference), is
-not monotone where q < p - 1: a floor cell next to the support can
-undershoot the floor eps**gamma, which the step checks for instead of
-clamping, and which the CFL cap dt <= safety * floor / b_max only limits.
+A time step is the low-storage SSPRK(S, 2) method of Ketcheson (SIAM J. Sci.
+Comput. 30, 2008), S = STAGES: S forward Euler stages of step tau = dt/(S-1)
+from u^n, then u <- u + (u^n - u)/S.  It is second order in time and its SSP
+coefficient is S - 1 (Gottlieb, Shu and Tadmor, SIAM Rev. 43, 2001): each
+stage is an Euler step at tau, so the step keeps the floor and the ordering
+that an Euler step at tau keeps, and the last line, a convex combination,
+leaves a cell with u = u^n, a floor cell in particular, exactly where it is.
+tau is at most the Euler CFL bound of u^n, which is taken once per step, at
+its first stage, and not again at the later stages.  It need not be: on the
+perfbench workloads, the 16 sweep-pq cells (up to their floor violation, if
+any), pure diffusion at p in {2.5, 3, 4, 5} x N in {1, 2, 3} and the
+acceptance runs cut to t = 16, no later stage's Euler step was measured
+above `safety` of its own monotone limit; at safety 0.9 the largest was
+0.899999, on barenblatt-wide (a test keeps the pure-diffusion part).  The
+ledgers book each stage's absorption and outflow at tau, and the
+combination scales the step's increments by (S-1)/S.
+
+The diffusion of an Euler stage is monotone under the CFL restriction; its
+absorption, which sees the centered cell gradient (the mean of the cell's
+two face gradients, at r = 0 the mirror-ghost difference), is not monotone
+where q < p - 1: a floor cell next to the support can undershoot the floor
+eps**gamma, which the stage checks for instead of clamping, and which the
+CFL cap dt <= safety * floor / b_max only limits.
 Boundary cells are pinned at the floor (the constant floor is an exact
 solution); the radial origin is a zero-flux face at r = 0.
 
 The entry points are `run` and `comparison_run`, both driven by a
 `RunConfig`, which rejects when it is built any config that no run can start
 from.  `_Stepper.gradients` is the one place the face and centered gradients
-are formed, and `_Stepper.stable_dt_from` the one CFL rule.  `_advance` is
-the one time loop, over one array: `run` drives it with the field, and
-`comparison_run` with its two fields laid out in one mirrored buffer
-[u_B reversed | u_A], so that one gradients, CFL and step call per step
-advances both in lockstep with a shared dt.  A step writes into the
+are formed, `_Stepper.stable_dt_from` the one CFL rule and
+`_Stepper.step_window` the one stage kernel.  `_advance` is the one time
+loop, over one array: `run` drives it with the field, and `comparison_run`
+with its two fields laid out in one mirrored buffer [u_B reversed | u_A], so
+that one gradients and step call per stage, and one CFL call per step,
+advance both in lockstep with a shared dt.  A stage writes into the
 stepper's own scratch arrays, model.a_eps and model.b_eps included, through
 views that are formed once per array and window, so it allocates nothing.
-Every ufunc of a step gets array operands and its output positionally: its
+Every ufunc of a stage gets array operands and its output positionally: its
 constants (1/h, 1/2 and the coefficients' model.Coefficient) are 0-d arrays
-built once per stepper, and dt is written into a 0-d array once per step.
+built once per stepper, and tau is written into a 0-d array once per stage.
 A ufunc converts a Python float operand on every call and parses an out=
 keyword, and on a window of a few hundred cells that is a large share of
 the call.
-A step's extrema (the CFL maxima, the floor check's minimum and the
-comparison gap) are read by index, x.item(x.argmax()), which costs less
+The extrema (a step's CFL maxima and comparison gap, a stage's floor-check
+minimum) are read by index, x.item(x.argmax()), which costs less
 than a reduction to a numpy scalar and returns the first NaN just as the
 reduction propagates it.  The loop steps only the active window: the cells
 above the floor plus a padding the front cannot cross before the window is
@@ -46,10 +64,13 @@ from .exponents import InvalidParams, ProblemParams
 
 FLOOR_SLACK = 1e-14
 
+# Euler stages per SSPRK(S, 2) step
+STAGES = 10
+
 # Active-window bookkeeping: the update front moves at most one cell per
-# step, so refreshing every WINDOW_EVERY steps with WINDOW_EVERY + 2 cells
-# of padding is exact.
-WINDOW_EVERY = 64
+# stage, so refreshing every WINDOW_EVERY stages (a whole number of steps)
+# with WINDOW_EVERY + 2 cells of padding is exact.
+WINDOW_EVERY = 6 * STAGES
 WINDOW_PAD = WINDOW_EVERY + 2
 
 
@@ -187,6 +208,7 @@ class _Stepper:
         self.junction, self.no_absorption = junction, no_absorption
         self.g, self.s, self.flux = np.zeros(n + 1), np.empty(n + 1), np.empty(n + 1)
         self.sc, self.div, self.babs = np.empty(n), np.empty(n), np.empty(n)
+        self.u_n = np.empty(n)                          # u^n of an SSPRK step
         self._u, self._a, self._b = None, -1, -1
 
     @classmethod
@@ -257,8 +279,8 @@ class _Stepper:
         return g, s, sc
 
     def stable_dt_from(self, s, sc):
-        """Explicit CFL bound safety * h^2 / (2 N_eff D_max), capped so one
-        absorption step cannot undershoot the floor; effective_diffusivity
+        """Euler stage bound safety * h^2 / (2 N_eff D_max), capped so one
+        absorption stage cannot undershoot the floor; effective_diffusivity
         and b_eps are increasing in s, so the face/cell maxima suffice.  A
         NaN gradient gives dt = NaN."""
         dmax = model.effective_diffusivity(s.item(s.argmax()), self.eps, self.p)
@@ -272,8 +294,9 @@ class _Stepper:
     # -- one step on a window, and the active window -------------------------
 
     def step_window(self, u, a, b, dt, grads):
-        """Advance cells [a, b) by one explicit step of size dt <= the
-        stable_dt_from(grads), where grads is this stepper's gradients(u, a, b).
+        """Advance cells [a, b) by one forward Euler stage of size dt, where
+        grads is this stepper's gradients(u, a, b); dt is bounded by the
+        stable_dt_from of the first stage of the step.
 
         Cells outside [a, b) must be at the floor beyond one padding cell so
         that the omitted fluxes vanish identically.
@@ -317,20 +340,33 @@ class _Stepper:
 
 
 def _advance(stepper, u, t, t_target, after_step=None):
-    """Step u in place from t to t_target, hit exactly, on its active
-    window, refreshed every WINDOW_EVERY steps.  Calls after_step(a, b), if
-    given, after every step of window [a, b); returns early once u is at
-    the floor, a steady state."""
+    """Step u in place from t to t_target, hit exactly, by SSPRK(STAGES, 2)
+    steps on its active window, refreshed every WINDOW_EVERY stages.  Calls
+    after_step(a, b), if given, after every step of window [a, b); returns
+    early once u is at the floor, a steady state."""
     t_stop = t_target - 1e-15 * max(1.0, t_target)
+    stages, keep = np.array(float(STAGES)), (STAGES - 1) / STAGES
     while t < t_stop:
         win = stepper.active_window(u)
         if win is None:
             return
         a, b = win
-        for _ in range(WINDOW_EVERY):
+        uw, un = u[a:b], stepper.u_n[:b - a]
+        for _ in range(WINDOW_EVERY // STAGES):
             g = stepper.gradients(u, a, b)
-            dt = min(stepper.stable_dt_from(g[1], g[2]), t_target - t)
-            stepper.step_window(u, a, b, dt, g)
+            dt = min((STAGES - 1) * stepper.stable_dt_from(g[1], g[2]), t_target - t)
+            tau = dt / (STAGES - 1)
+            np.copyto(un, uw)
+            absorbed, out = stepper.absorbed, stepper.boundary_out
+            stepper.step_window(u, a, b, tau, g)
+            for _ in range(STAGES - 1):
+                stepper.step_window(u, a, b, tau, stepper.gradients(u, a, b))
+            # u <- u + (u^n - u)/S, formed in u^n's scratch
+            np.subtract(un, uw, un)
+            np.divide(un, stages, un)
+            np.add(uw, un, uw)
+            stepper.absorbed = absorbed + (stepper.absorbed - absorbed) * keep
+            stepper.boundary_out = out + (stepper.boundary_out - out) * keep
             t += dt
             if after_step is not None:
                 after_step(a, b)
@@ -356,7 +392,7 @@ class RunConfig:
     h: float = 0.005
     L: float | None = None
     t_end: float = 16.0
-    safety: float = 0.4
+    safety: float = 0.9
     profile: str = "bump:R0=1,H=1,m=2"
     absorption: bool = True
     record_start: float = 0.0625
@@ -489,11 +525,12 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
     report the worst ordering violation max_t max_i (uA - uB)_+.
 
     Both fields advance as one buffer [uB reversed | uA] through one
-    `_Stepper.mirrored` and `_advance`, so each step makes one gradients,
-    CFL and step call for the pair, on a window that holds each field's own
-    active window.  The gap is taken on the cells where either field may
-    lie above the floor; elsewhere both sit exactly at it.  The final fields
-    are copied back into the two initial states' arrays."""
+    `_Stepper.mirrored` and `_advance`, so each stage makes one gradients
+    and one step call for the pair, and each step one CFL call, on a window
+    that holds each field's own active window.  The gap is taken once per
+    step, on the cells where either field may lie above the floor;
+    elsewhere both sit exactly at it.  The final fields are copied back into
+    the two initial states' arrays."""
     params = config.params()
     grid = config.grid()
     ua = initial_state(params, grid, profile_a).values

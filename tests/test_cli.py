@@ -154,6 +154,19 @@ def test_sweep_rejects_cell_its_base_config_cannot_start(tmp_path, capsys):
     assert "cell (3.0, 2.0): line geometry requires N = 1" in capsys.readouterr().err
 
 
+def test_sweep_takes_N_from_its_base_config_unless_given(tmp_path, capsys):
+    cfg = tmp_path / "n2.cfg"
+    cfg.write_text(GOOD_CONFIG.replace("N = 1", "N = 2").replace("t_end = 2", "t_end = 0.25"))
+    for extra, N in (((), 2), (("--N", "3"), 3)):
+        out = tmp_path / f"sweep{N}"
+        assert run_cli("sweep", "--p", "3", "--q", "2,3", "--config", str(cfg), *extra,
+                       "--out", str(out)) == 0
+        reports = sorted(out.glob("*.report.json"))
+        assert len(reports) == 2
+        assert all(json.loads(r.read_text())["params"]["N"] == N for r in reports)
+    capsys.readouterr()
+
+
 def test_run_command_support_overflow(tmp_path, capsys):
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(GOOD_CONFIG.replace("L = 4", "L = 1.2")

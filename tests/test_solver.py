@@ -448,9 +448,10 @@ def test_step_kernel_matches_plain_reference_at_each_power(geometry, N, absorpti
 
 
 def test_comparison_run_forms_gradients_once_per_field_per_step(monkeypatch):
-    # both fields share one buffer, so a lockstep step of the pair is one
-    # gradients, one CFL and one step_window call; the step count comes from
-    # the full-grid reference, which takes the same dt sequence
+    # both fields share one buffer, so a stage of the pair is one gradients
+    # and one step_window call, and a step of the pair one CFL call; the step
+    # count comes from the full-grid reference, which takes the same dt
+    # sequence with one CFL call per field and step
     calls = {"gradients": 0, "stable_dt_from": 0, "step_window": 0}
 
     def counting(name):
@@ -469,31 +470,66 @@ def test_comparison_run_forms_gradients_once_per_field_per_step(monkeypatch):
     paired = dict(calls)
     calls.update(dict.fromkeys(calls, 0))
     reference_comparison_run(*profiles, cfg, True, True)
-    steps = calls["step_window"] // 2
-    assert steps > 0 and calls["step_window"] == 2 * steps
-    assert paired == dict.fromkeys(calls, steps)
+    steps = calls["stable_dt_from"] // 2
+    S = solver.STAGES
+    assert steps > 0 and calls == {"gradients": 2 * S * steps, "stable_dt_from": 2 * steps,
+                                   "step_window": 2 * S * steps}
+    assert paired == {"gradients": S * steps, "stable_dt_from": steps,
+                      "step_window": S * steps}
+
+
+def ssprk_step(pairs, lo, hi, dt_max):
+    """One SSPRK(S, 2) step of every (stepper, field) pair on cells
+    [lo, hi), written out plainly: the shared dt from the CFL bounds of u^n,
+    S Euler stages of tau = dt/(S-1), then u += (u^n - u)/S, and each
+    stepper's ledger increments scaled by (S-1)/S.  Returns dt."""
+    S = solver.STAGES
+    grads = [st.gradients(u, lo, hi) for st, u in pairs]
+    dt = min((S - 1) * min(st.stable_dt_from(*g[1:]) for (st, _), g in zip(pairs, grads)),
+             dt_max)
+    tau = dt / (S - 1)
+    starts = [(u.copy(), st.absorbed, st.boundary_out) for st, u in pairs]
+    for stage in range(S):
+        if stage:
+            grads = [st.gradients(u, lo, hi) for st, u in pairs]
+        for (st, u), g in zip(pairs, grads):
+            st.step_window(u, lo, hi, tau, g)
+    for (st, u), (u_n, absorbed, out) in zip(pairs, starts):
+        u += (u_n - u) / S
+        st.absorbed = absorbed + (st.absorbed - absorbed) * ((S - 1) / S)
+        st.boundary_out = out + (st.boundary_out - out) * ((S - 1) / S)
+    return dt
 
 
 def reference_comparison_run(profile_a, profile_b, config, absorption_a, absorption_b):
-    """The full-grid lockstep loop: both fields advance on every cell with a
-    shared dt, and the gap is taken over the whole grid.  Returns the final
-    fields and max_violation."""
+    """The full-grid lockstep loop: both fields take SSPRK steps on every
+    cell with a shared dt, one stepper each, and the gap is taken over the
+    whole grid after every step.  Returns the final fields and max_violation."""
     params, grid = config.params(), config.grid()
     ua = initial_state(params, grid, profile_a).values
     ub = initial_state(params, grid, profile_b).values
     st_a = solver._Stepper(params, grid, absorption_a, config.safety)
     st_b = solver._Stepper(params, grid, absorption_b, config.safety)
-    lo, hi = st_a.lo_min, st_a.hi_max
     t = worst = 0.0
     while t < config.t_end:
-        ga, gb = st_a.gradients(ua, lo, hi), st_b.gradients(ub, lo, hi)
-        dt = min(st_a.stable_dt_from(*ga[1:]), st_b.stable_dt_from(*gb[1:]),
-                 config.t_end - t)
-        st_a.step_window(ua, lo, hi, dt=dt, grads=ga)
-        st_b.step_window(ub, lo, hi, dt=dt, grads=gb)
-        t += dt
+        t += ssprk_step([(st_a, ua), (st_b, ub)], st_a.lo_min, st_a.hi_max, config.t_end - t)
         worst = max(worst, float((ua - ub).max()))
     return ua, ub, max(worst, 0.0)
+
+
+def reference_run(config):
+    """run's time loop on the full grid, one SSPRK step after another from
+    record time to record time.  Returns the final field and the absorbed
+    and boundary_out ledgers."""
+    params, grid = config.params(), config.grid()
+    state = initial_state(params, grid, config.profile_obj())
+    st = solver._Stepper(params, grid, config.absorption, config.safety)
+    t = state.time
+    for t_record in record_times(t, config.t_end, config.record_start):
+        while t < t_record - 1e-15 * max(1.0, t_record):
+            t += ssprk_step([(st, state.values)], st.lo_min, st.hi_max, t_record - t)
+        t = t_record
+    return state.values, st.absorbed, st.boundary_out
 
 
 @pytest.mark.parametrize("geometry,N", [("line", 1), ("radial", 1),
@@ -565,3 +601,78 @@ def test_comparison_run_line_support_reaches_pinned_ends(monkeypatch, absorption
     for u in (ua, ub):
         assert u[0] == u[-1] == floor
         assert u[1] > floor and u[-2] > floor
+
+
+@pytest.mark.parametrize("geometry", ["radial", "line"])
+@pytest.mark.parametrize("absorption", [True, False])
+def test_run_books_outflow_through_the_pinned_cell(geometry, absorption):
+    # at eps = 0.2 and p = 2.5 the floor's diffusivity is large, so the
+    # field's tail reaches the pinned outer cell(s) while its support, at
+    # SUPPORT_REL_TOL of the peak, stays inside 0.9 L; outflow is about 1.5e-10
+    # of the mass, so a step whose boundary_out increment were booked at
+    # weight 1 instead of (S-1)/S would leave a residual near 1.5e-11
+    cfg = RunConfig(2.5, 2.0, 1, eps=0.2, geometry=geometry, h=0.02, L=3.0, t_end=0.14,
+                    absorption=absorption)
+    state, series = run(cfg)
+    l1 = series.column("l1_excess")
+    assert state.boundary_out > 1e-10 * l1[0]
+    assert (state.absorbed_mass > 0.0) == absorption
+    assert observe.mass_balance_residual(series) <= 5e-15
+    u, absorbed, out = reference_run(cfg)
+    assert np.array_equal(state.values, u)
+    assert state.absorbed_mass == absorbed and state.boundary_out == out
+
+
+@pytest.mark.parametrize("entry", ["run", "comparison_run"])
+@pytest.mark.parametrize("p,q,eps", [(3.0, 2.0, 1e-3), (5.0, 4.5, 1e-3), (2.5, 2.0, 0.2)])
+def test_no_stage_reads_or_writes_past_its_window(monkeypatch, entry, p, q, eps):
+    # the stage of window [a, b) omits the fluxes through faces a and b, so
+    # after every stage each cell outside [a, b), and each of its two edge
+    # cells that is not the grid's own boundary, must still sit at the
+    # floor; at eps = 0.2 the tail that the floor's diffusivity spreads
+    # would cross the padding if the window were refreshed every
+    # WINDOW_EVERY steps instead of stages
+    cfg = RunConfig(p, q, 1, eps=eps, geometry="radial", h=0.02, L=3.0, t_end=0.14)
+    step_window, windows = solver._Stepper.step_window, []
+
+    def checked_step(self, u, a, b, *args):
+        step_window(self, u, a, b, *args)
+        outside = np.concatenate((u[:a], u[b:]))
+        edges = [u[a]] * (a > self.lo_min) + [u[b - 1]] * (b < self.hi_max)
+        assert np.all(outside == self.floor) and np.all(np.array(edges) == self.floor)
+        windows.append(b < self.hi_max)
+
+    monkeypatch.setattr(solver._Stepper, "step_window", checked_step)
+    if entry == "run":
+        run(cfg)
+    else:
+        comparison_run(model.Bump(H=1.0), model.Bump(H=1.5), cfg)
+    # the run took several windows, and stepped some of them short of the
+    # grid's outer boundary
+    assert len(windows) > solver.WINDOW_EVERY and any(windows)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 5.0])
+def test_no_stage_exceeds_the_euler_limit(monkeypatch, p, N):
+    # the step takes its CFL bound at its first stage only; each later
+    # stage's Euler step must still lie within `safety` of its own monotone
+    # limit h^2 / (2 N D_max), and the pair must stay above the floor and
+    # ordered
+    cfg = RunConfig(p, 2.0, N, geometry="radial", h=0.02, L=3.0, t_end=0.25,
+                    absorption=False)
+    step_window, cfl = solver._Stepper.step_window, []
+
+    def measured_step(self, u, a, b, tau, grads):
+        dmax = model.effective_diffusivity(float(grads[1].max()), self.eps, self.p)
+        cfl.append(tau * 2.0 * N * dmax / cfg.h ** 2)
+        step_window(self, u, a, b, tau, grads)
+
+    states, init = [], solver.initial_state
+    monkeypatch.setattr(solver, "initial_state",
+                        lambda *args: states.append(init(*args)) or states[-1])
+    monkeypatch.setattr(solver._Stepper, "step_window", measured_step)
+    rep = comparison_run(model.Bump(H=1.0), model.Bump(H=1.5), cfg)
+    assert len(cfl) > solver.STAGES and max(cfl) <= cfg.safety * (1.0 + 1e-12)
+    assert rep["max_violation"] == 0.0
+    assert all(np.all(s.values >= s.floor) for s in states)
