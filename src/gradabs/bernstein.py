@@ -1,7 +1,7 @@
 """Brute-force checkers for the gradient-bound machinery of the Bernstein
-substitution w = |grad(phi^{-1}(u))|^2: the two working substitutions
-phi1/phi2 with the sign properties of phi1, the Young-inequality bound on
-the absorption bracket, and the power-law supersolution reduction.
+substitution w = |grad(phi^{-1}(u))|^2: the working substitution phi1 and
+its sign properties, the Young-inequality bound on the absorption bracket,
+and the power-law supersolution reduction.
 
 Unnamed constants of the underlying estimates are never hardcoded; the
 checkers report empirical worst margins instead.
@@ -67,29 +67,6 @@ class Phi1:
         sp = 2.0 * (self.K - v)
         return (1.0 / self.alpha - 1.0) * (-2.0 * s - sp * sp) / (s * s) \
             - 1.0 / (self.K - v) ** 2
-
-
-@dataclass(frozen=True)
-class Phi2:
-    """phi(r) = beta r^(1/beta); the substitution behind the t^{-1/q}
-    composite gradient bound."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise InvalidParams("Phi2 needs beta in (0, 1)")
-
-    def check_domain(self, v):
-        if np.any(np.asarray(v) <= 0.0):
-            raise InvalidParams("Phi2 argument must be positive")
-
-    def derivatives(self, v):
-        """(phi', phi'') at v."""
-        self.check_domain(v)
-        v = np.asarray(v, dtype=float)
-        ib = 1.0 / self.beta
-        return v ** (ib - 1.0), (ib - 1.0) * v ** (ib - 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,7 @@ def parse_profile(spec):
 
 
 def sample_profile(profile, grid, params: ProblemParams):
-    """Sample a profile at cell centers (radial distance), rejecting grids
+    """Sample a profile at the cell centers' radii, rejecting grids
     that resolve the narrowest support feature with fewer than 8 cells and
     samples that are not finite or negative."""
     width = profile.feature_width(params)
@@ -274,7 +274,7 @@ def sample_profile(profile, grid, params: ProblemParams):
         raise GridResolutionError(
             f"profile feature of width {width} needs >= 8 cells, have h={grid.h}"
         )
-    r = np.abs(grid.centers())
+    r = grid.centers()
     with np.errstate(over="ignore", invalid="ignore"):     # rejected below
         vals = np.asarray(profile.value(r, params), dtype=float)
     if not np.all(np.isfinite(vals)):

@@ -58,7 +58,7 @@ def observe(state, ref_sup):
 
 
 def support_radius(state, ref_sup):
-    """Largest |cell center| whose excess exceeds SUPPORT_REL_TOL times the
+    """Largest cell-center radius whose excess exceeds SUPPORT_REL_TOL times the
     reference peak ref_sup, plus h/2; zero if the excess is below threshold
     everywhere."""
     if ref_sup <= 0.0:
@@ -66,8 +66,7 @@ def support_radius(state, ref_sup):
     above = state.values - state.floor > SUPPORT_REL_TOL * ref_sup
     if not above.any():
         return 0.0
-    centers = np.abs(state.grid.centers())
-    return float(centers[above].max()) + 0.5 * state.grid.h
+    return float(state.grid.centers()[above].max()) + 0.5 * state.grid.h
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Explicit conservative finite-difference evolution of the regularized
-equation on line and radial grids.
+equation for radial data on a radial grid over [0, L].
 
 A time step is the low-storage SSPRK(S, 2) method of Ketcheson (SIAM J. Sci.
 Comput. 30, 2008), S = STAGES: S forward Euler stages of step tau = dt/(S-1)
@@ -13,8 +13,8 @@ its first stage, and not again at the later stages.  It need not be: on the
 perfbench workloads, the 16 sweep-pq cells (up to their floor violation, if
 any), pure diffusion at p in {2.5, 3, 4, 5} x N in {1, 2, 3} and the
 acceptance runs cut to t = 16, no later stage's Euler step was measured
-above `safety` of its own monotone limit; at safety 0.9 the largest was
-0.899999, on barenblatt-wide (a test keeps the pure-diffusion part).  The
+above SAFETY = 0.9 of its own monotone limit; the largest was 0.899999, on
+barenblatt-wide (a test keeps the pure-diffusion part).  The
 ledgers book each stage's absorption and outflow at tau, and the
 combination scales the step's increments by (S-1)/S.
 
@@ -23,9 +23,11 @@ absorption, which sees the centered cell gradient (the mean of the cell's
 two face gradients, at r = 0 the mirror-ghost difference), is not monotone
 where q < p - 1: a floor cell next to the support can undershoot the floor
 eps**gamma, which the stage checks for instead of clamping, and which the
-CFL cap dt <= safety * floor / b_max only limits.
-Boundary cells are pinned at the floor (the constant floor is an exact
-solution); the radial origin is a zero-flux face at r = 0.
+CFL cap dt <= SAFETY * floor / b_max only limits.
+The outer cell is pinned at the floor (the constant floor is an exact
+solution); the origin is a zero-flux face at r = 0.  Every profile is a
+function of the radius, so at N = 1 the grid holds one half of an even
+solution on [-L, L].
 
 The entry points are `run` and `comparison_run`, both driven by a
 `RunConfig`, which rejects when it is built any config that no run can start
@@ -64,6 +66,9 @@ from .exponents import InvalidParams, ProblemParams
 
 FLOOR_SLACK = 1e-14
 
+# share of the Euler monotone limit that a stage's tau takes
+SAFETY = 0.9
+
 # Euler stages per SSPRK(S, 2) step
 STAGES = 10
 
@@ -83,7 +88,9 @@ class NumericalError(RuntimeError):
 
 
 class FloorViolationError(NumericalError):
-    """Post-step floor undershoot beyond roundoff: the CFL bound was breached."""
+    """Post-stage floor undershoot beyond roundoff: where q < p - 1 the
+    centered absorption is not monotone, which the CFL cap only limits; a
+    breached CFL bound gives it too."""
 
 
 class SupportOverflowError(NumericalError):
@@ -97,45 +104,34 @@ def sphere_area(N):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell grid; 'line' covers [-L, L], 'radial' covers [0, L]
-    with cell centers offset by h/2 from the origin."""
+    """Uniform radial cell grid over [0, L] in R^N, cell centers offset by
+    h/2 from the origin."""
 
-    geometry: str
     h: float
     n: int
-    N: int = 1
+    N: int
 
     def __post_init__(self):
-        if self.geometry not in ("line", "radial"):
-            raise ConfigError(f"geometry must be line or radial, got {self.geometry!r}")
-        if self.geometry == "line" and self.N != 1:
-            raise ConfigError("line geometry requires N = 1")
         if not self.h > 0.0:
             raise ConfigError("h must be positive")
         if self.n < 16:
             raise ConfigError("need at least 16 cells")
 
     @classmethod
-    def from_extent(cls, geometry, h, L, N):
-        width = 2.0 * L if geometry == "line" else L
+    def from_extent(cls, h, L, N):
         # a non-positive h is left for __post_init__ to reject
-        n = max(16, int(round(width / h))) if h > 0.0 else 0
-        return cls(geometry, h, n, N)
+        n = max(16, int(round(L / h))) if h > 0.0 else 0
+        return cls(h, n, N)
 
     @property
     def L(self):
-        return 0.5 * self.n * self.h if self.geometry == "line" else self.n * self.h
+        return self.n * self.h
 
     def centers(self):
-        i = np.arange(self.n)
-        if self.geometry == "line":
-            return -self.L + (i + 0.5) * self.h
-        return (i + 0.5) * self.h
+        return (np.arange(self.n) + 0.5) * self.h
 
     def cell_measures(self):
-        """Quadrature weights: h on a line, omega_N r^{N-1} h radially."""
-        if self.geometry == "line":
-            return np.full(self.n, self.h)
+        """Quadrature weights omega_N r^{N-1} h."""
         r = self.centers()
         return sphere_area(self.N) * r ** (self.N - 1.0) * self.h
 
@@ -157,11 +153,9 @@ class State:
 
 
 def initial_state(params, grid, profile):
-    """Sampled profile lifted by the floor, with boundary cells pinned."""
+    """Sampled profile lifted by the floor, with the outer cell pinned."""
     vals = model.sample_profile(profile, grid, params) + params.floor
     vals[-1] = params.floor
-    if grid.geometry == "line":
-        vals[0] = params.floor
     return State(profile.t0, vals, params, grid)
 
 
@@ -172,25 +166,22 @@ class _Stepper:
     cells [a, b) takes of its field and of the scratch are formed once per
     field and window, so a step allocates nothing."""
 
-    def __init__(self, params, grid, absorption, safety):
+    def __init__(self, params, grid, absorption):
         self.absorption = absorption
-        self.safety = safety
         self.p, self.q, self.eps, self.floor = params.p, params.q, params.eps, params.floor
-        self.cfl = safety * grid.h ** 2           # dt = cfl / (2 N_eff D_max)
-        # the step's ufunc operands as 0-d arrays: 1/h, 1/2, the coefficients'
-        # constants, and dt, written once per step
+        self.cfl = SAFETY * grid.h ** 2           # dt = cfl / (2 N_eff D_max)
+        # the stage's ufunc operands as 0-d arrays: 1/h, 1/2, the coefficients'
+        # constants, and tau, written once per stage
         self.inv_h, self.half, self.dt = np.array(1.0 / grid.h), np.array(0.5), np.array(0.0)
         self.a_consts = model.Coefficient(self.eps, 0.5 * (self.p - 2.0))
         self.b_consts = model.Coefficient(self.eps, 0.5 * self.q)
         self.neff = grid.N
-        radial = grid.geometry == "radial"
-        self.omega = sphere_area(grid.N) if radial else 1.0
-        # face weights r^(N-1) and cell factors 1/(r^(N-1) h); a line has
-        # N = 1, so its weights are 1 and its factors 1/h.  Face 0 is the
-        # zero-flux face at r = 0; a line's cell 0 is pinned at the floor.
+        self.omega = sphere_area(grid.N)
+        # face weights r^(N-1) and cell factors 1/(r^(N-1) h); face 0 is the
+        # zero-flux face at r = 0
         self._lay_out((np.arange(grid.n + 1) * grid.h) ** (grid.N - 1.0),
                       1.0 / (grid.centers() ** (grid.N - 1.0) * grid.h),
-                      grid.cell_measures(), 0 if radial else 1, None, (0, 0))
+                      grid.cell_measures(), 0, None, (0, 0))
         self.absorbed = 0.0
         self.boundary_out = 0.0
 
@@ -212,22 +203,18 @@ class _Stepper:
         self._u, self._a, self._b = None, -1, -1
 
     @classmethod
-    def mirrored(cls, params, grid, absorption_a, absorption_b, safety):
+    def mirrored(cls, params, grid, absorption_a, absorption_b):
         """One stepper for fields A and B of grid laid out as [B reversed | A],
         their r = 0 faces meeting at face n.  Reversal negates B's face
         gradients and fluxes exactly, so a step of the buffer is bit for bit
-        a step of each field, with dt the least of their CFL bounds.  A line's
-        two pinned cells at the junction get no divergence and no absorption;
-        a field without absorption sees sc = 0.  The ledgers mix the fields."""
-        st = cls(params, grid, absorption_a or absorption_b, safety)
+        a step of each field, with dt the least of their CFL bounds.  A field
+        without absorption sees sc = 0.  The ledgers mix the fields."""
+        st = cls(params, grid, absorption_a or absorption_b)
         n = grid.n
-        inv_rch = np.concatenate((st.inv_rch[::-1], st.inv_rch))
-        pinned = int(grid.geometry == "line")
-        lo, hi = n - pinned, n + pinned
-        inv_rch[lo:hi] = 0.0
-        st._lay_out(np.concatenate((st.rw[:0:-1], st.rw)), inv_rch,
+        st._lay_out(np.concatenate((st.rw[:0:-1], st.rw)),
+                    np.concatenate((st.inv_rch[::-1], st.inv_rch)),
                     np.concatenate((st.cellw[::-1], st.cellw)), 1, n,
-                    (lo if absorption_b else 0, hi if absorption_a else 2 * n))
+                    (n if absorption_b else 0, n if absorption_a else 2 * n))
         return st
 
     def _bind(self, u, a, b):
@@ -279,7 +266,7 @@ class _Stepper:
         return g, s, sc
 
     def stable_dt_from(self, s, sc):
-        """Euler stage bound safety * h^2 / (2 N_eff D_max), capped so one
+        """Euler stage bound SAFETY * h^2 / (2 N_eff D_max), capped so one
         absorption stage cannot undershoot the floor; effective_diffusivity
         and b_eps are increasing in s, so the face/cell maxima suffice.  A
         NaN gradient gives dt = NaN."""
@@ -288,7 +275,7 @@ class _Stepper:
         if sc is not None:
             bmax = model.b_eps(sc.item(sc.argmax()), self.eps, self.q)
             if bmax > 0.0:
-                dt = min(dt, self.safety * self.floor / bmax)
+                dt = min(dt, SAFETY * self.floor / bmax)
         return dt
 
     # -- one step on a window, and the active window -------------------------
@@ -388,11 +375,9 @@ class RunConfig:
     N: int = 1
     eps: float = 1e-3
     gamma: float | None = None
-    geometry: str = "radial"
     h: float = 0.005
     L: float | None = None
     t_end: float = 16.0
-    safety: float = 0.9
     profile: str = "bump:R0=1,H=1,m=2"
     absorption: bool = True
     record_start: float = 0.0625
@@ -406,8 +391,7 @@ class RunConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidParams(f"{f.name} must be a finite number, got {f.name}={value}")
         params = self.params()
-        for ok, rule in ((0.0 < self.safety <= 1.0, "0 < safety <= 1"),
-                         (self.record_start > 0.0, "record_start > 0"),
+        for ok, rule in ((self.record_start > 0.0, "record_start > 0"),
                          (self.t_end > self.profile_obj().t0, "t_end > the profile's t0"),
                          (self.L is None or self.L > 0.0, "L > 0")):
             if not ok:
@@ -430,7 +414,7 @@ class RunConfig:
         return DOMAIN_MARGIN * (r0 + 2.0 * edge)
 
     def grid(self):
-        return Grid.from_extent(self.geometry, self.h, self.domain_extent(), self.N)
+        return Grid.from_extent(self.h, self.domain_extent(), self.N)
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
@@ -438,7 +422,9 @@ REQUIRED_KEYS = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
 
 def parse_config(text) -> RunConfig:
-    """Parse a plain-text key=value run configuration; p and q are required."""
+    """Parse a plain-text key=value run configuration; p and q are required.
+    The grid is radial, and `geometry = radial` is accepted for configs that
+    say so."""
     kwargs = {}
     try:
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -449,22 +435,26 @@ def parse_config(text) -> RunConfig:
             key, val = key.strip(), val.strip()
             if not sep or not val:
                 raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-            if key not in CONFIG_KEYS:
+            if key not in CONFIG_KEYS and key != "geometry":
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             if key in kwargs:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            if key == "N":
+            if key == "geometry":
+                if val != "radial":
+                    raise ConfigError(f"geometry must be radial, got {val!r}")
+            elif key == "N":
                 val = int(val)
             elif key == "absorption":
                 if val not in ("on", "off"):
                     raise ConfigError(f"absorption must be on or off, got {val!r}")
                 val = val == "on"
-            elif key not in ("geometry", "profile"):
+            elif key != "profile":
                 val = float(val)
             kwargs[key] = val
         missing = [key for key in REQUIRED_KEYS if key not in kwargs]
         if missing:
             raise ConfigError(f"missing required key(s) {', '.join(missing)}")
+        kwargs.pop("geometry", None)
         return RunConfig(**kwargs)
     except ValueError as exc:         # InvalidParams, or a value that is not a number
         raise ConfigError(str(exc)) from None
@@ -499,7 +489,7 @@ def run(config: RunConfig, on_record=None):
     if on_record is not None:
         on_record(state)
 
-    stepper = _Stepper(params, grid, config.absorption, config.safety)
+    stepper = _Stepper(params, grid, config.absorption)
     for t in record_times(state.time, config.t_end, config.record_start):
         _advance(stepper, state.values, state.time, t)
         state.time = t
@@ -542,7 +532,7 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
     n = grid.n
     buf = np.concatenate((ub[::-1], ua))
     buf_a, buf_b = buf[n:], buf[n - 1::-1]    # ua[i] and ub[i]
-    stepper = _Stepper.mirrored(params, grid, aa, ab, config.safety)
+    stepper = _Stepper.mirrored(params, grid, aa, ab)
     worst, win, views = 0.0, None, None
 
     def take_gap(a, b):

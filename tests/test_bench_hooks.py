@@ -50,7 +50,7 @@ def test_solver_entry_points_reach_every_solver_and_model_hook(entry):
     from gradabs import model, solver
 
     spans = load("spans")
-    cfg = solver.RunConfig(3.0, 1.6, 1, geometry="radial", h=0.02, L=3.0, t_end=0.1)
+    cfg = solver.RunConfig(3.0, 1.6, 1, h=0.02, L=3.0, t_end=0.1)
     with spans.Tracer() as tracer:
         if entry == "run":
             solver.run(cfg)

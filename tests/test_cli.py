@@ -75,16 +75,18 @@ def test_run_command_bad_config(tmp_path, capsys):
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 2
     assert run_cli("run", "--config", str(tmp_path / "missing.cfg"),
                    "--out", str(tmp_path)) == 2
-    # a zero safety factor would give dt = 0 and a run that never ends
-    cfg.write_text(GOOD_CONFIG + "safety = 0\n")
+    # the share of the monotone limit is a constant of the solver, not a key
+    cfg.write_text(GOOD_CONFIG + "safety = 0.9\n")
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 2
-    assert "safety" in capsys.readouterr().err
+    assert "unknown key 'safety'" in capsys.readouterr().err
 
 
 # configs that used to fail only once the run had started, with exit 1 and a
-# traceback; each is now rejected when the config is built
+# traceback; each is now rejected when the config is built.  The grid is
+# radial: a config may name that geometry, and no other
 UNSTARTABLE = {
     "cartesian": "geometry = cartesian\nh = 0.02\nL = 4",
+    "line": "geometry = line\nh = 0.02\nL = 4",
     "line_N2": "geometry = line\nN = 2\nh = 0.02\nL = 4",
     "h_zero": "h = 0\nL = 4",
     "profile_under_8_cells": "h = 0.5\nL = 12",
@@ -100,6 +102,8 @@ def test_run_and_sweep_reject_unstartable_config(tmp_path, capsys, case):
                    "--out", str(tmp_path / "sweep")) == 2
     err = capsys.readouterr().err
     assert err.count("error: bad config: ") == 2
+    if "geometry" in UNSTARTABLE[case]:
+        assert err.count("geometry must be radial, got '") == 2
     assert not (tmp_path / "out").exists() and not (tmp_path / "sweep").exists()
 
 
@@ -146,12 +150,14 @@ def test_run_rejects_non_finite_config_values(tmp_path, capsys, case):
 
 
 def test_sweep_rejects_cell_its_base_config_cannot_start(tmp_path, capsys):
-    # the base config is a valid line run at N = 1, but not at --N 2
-    cfg = tmp_path / "line.cfg"
-    cfg.write_text(GOOD_CONFIG.replace("radial", "line"))
-    assert run_cli("sweep", "--p", "3", "--q", "2", "--N", "2", "--config", str(cfg),
+    # the base config's gamma is admissible at (3, 2), but not at (2.1, 1.05)
+    cfg = tmp_path / "gamma.cfg"
+    cfg.write_text(GOOD_CONFIG + "gamma = 0.75\n")
+    assert run_cli("sweep", "--p", "2.1", "--q", "1.05", "--config", str(cfg),
                    "--out", str(tmp_path / "sweep")) == 2
-    assert "cell (3.0, 2.0): line geometry requires N = 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cell (2.1, 1.05): gamma=0.75 outside (0, 0.1818" in err
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_takes_N_from_its_base_config_unless_given(tmp_path, capsys):

@@ -93,7 +93,7 @@ def test_fit_composite_rejects_constant_abscissa():
 def test_verdict_on_constant_composite_abscissa():
     # the sweep cell p = 3.5, q = 3 to t = 1/2: the inverse-log law's
     # abscissa log(max(t, 1 + 1e-9)) is constant on the window [1/16, 1/2]
-    cfg = solver.RunConfig(3.5, 3.0, 1, geometry="radial", h=0.01, L=8.0, t_end=0.5)
+    cfg = solver.RunConfig(3.5, 3.0, 1, h=0.01, L=8.0, t_end=0.5)
     _, series = solver.run(cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

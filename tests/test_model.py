@@ -73,7 +73,7 @@ def test_coefficients_write_into_out(p, q):
     s = np.random.default_rng(3).uniform(0.0, 40.0, 257)
     s[0] = 0.0
     for eps in (1e-3, 0.3):
-        st = _Stepper(ProblemParams(p, q, 1, eps), Grid("radial", 0.05, 32, 1), True, 0.4)
+        st = _Stepper(ProblemParams(p, q, 1, eps), Grid(0.05, 32, 1), True)
         for coef, k, plain, consts in ((model.a_eps, p, a_plain, st.a_consts),
                                        (model.b_eps, q, b_plain, st.b_consts)):
             out = np.full_like(s, np.nan)
@@ -195,7 +195,7 @@ def test_bump_profile():
 
 def test_bump_discrete_gradient_bounded_by_analytic():
     # max |d/dr (1 - r^2)^2| = 8 / (3 sqrt(3)) at r = 1/sqrt(3)
-    grid = Grid("radial", 0.005, 400, 1)
+    grid = Grid(0.005, 400, 1)
     vals = model.sample_profile(model.Bump(), grid, ProblemParams(3.0, 2.0, 1))
     discrete = np.max(np.abs(np.diff(vals))) / grid.h
     assert discrete <= 8.0 / (3.0 * np.sqrt(3.0)) + 1e-12
@@ -212,7 +212,7 @@ def test_annulus_profile():
 
 
 def test_barenblatt_profile_matches_solution_on_grid():
-    grid = Grid("radial", 0.01, 500, 1)
+    grid = Grid(0.01, 500, 1)
     params = ProblemParams(3.0, 2.0, 1)
     vals = model.sample_profile(model.BarenblattAt(t0=1.0), grid, params)
     r = grid.centers()
@@ -240,6 +240,6 @@ def test_parse_profile():
 
 
 def test_sample_profile_rejects_underresolved_feature():
-    grid = Grid("radial", 0.2, 16, 1)   # 5 cells across the unit bump
+    grid = Grid(0.2, 16, 1)   # 5 cells across the unit bump
     with pytest.raises(model.GridResolutionError):
         model.sample_profile(model.Bump(), grid, ProblemParams(3.0, 2.0, 1))

@@ -17,12 +17,12 @@ def peak(state):
 
 
 def barenblatt_state(h=0.005):
-    grid = solver.Grid.from_extent("radial", h, 5.0, 1)
+    grid = solver.Grid.from_extent(h, 5.0, 1)
     return solver.initial_state(PARAMS, grid, model.BarenblattAt(t0=1.0))
 
 
 def test_constant_field_observables():
-    grid = solver.Grid("radial", 0.01, 100, 1)
+    grid = solver.Grid(0.01, 100, 1)
     state = make_state(np.full(100, 0.5), grid)
     row = observe.observe(state, peak(state))
     assert tuple(row) == observe.CSV_COLUMNS
@@ -33,7 +33,7 @@ def test_constant_field_observables():
 
 def test_linear_ramp_grad_sup():
     # u = x on [0, 1] has unit gradient for the theta = 1 composite
-    grid = solver.Grid("radial", 0.01, 100, 1)
+    grid = solver.Grid(0.01, 100, 1)
     state = make_state(grid.centers(), grid)
     row = observe.observe(state, peak(state))
     assert row["grad_sup"] == pytest.approx(1.0)
@@ -85,7 +85,7 @@ def test_observe_evaluates_each_distinct_composite_once(monkeypatch):
         return grad_power_sup(values, h, theta)
 
     monkeypatch.setattr(observe, "grad_power_sup", counting)
-    grid = solver.Grid("radial", 0.01, 100, 1)
+    grid = solver.Grid(0.01, 100, 1)
     for q, thetas in ((2.0, [1.0, 0.5]), (3.0, [1.0, 0.5, 2.0 / 3.0])):
         calls.clear()
         params = ProblemParams(3.0, q, 1)
@@ -103,7 +103,7 @@ def test_grad_power_theta_validation():
 
 
 def test_support_radius_floor_field():
-    grid = solver.Grid("radial", 0.01, 100, 1)
+    grid = solver.Grid(0.01, 100, 1)
     state = make_state(np.full(100, PARAMS.floor), grid)
     assert support_radius(state, peak(state)) == 0.0
     # a field that decayed below the threshold of its reference peak
@@ -111,7 +111,7 @@ def test_support_radius_floor_field():
 
 
 def test_support_radius_bump():
-    grid = solver.Grid.from_extent("radial", 0.01, 3.0, 1)
+    grid = solver.Grid.from_extent(0.01, 3.0, 1)
     state = solver.initial_state(PARAMS, grid, model.Bump(R0=1.0))
     assert support_radius(state, peak(state)) == pytest.approx(1.0, abs=0.01)
 
@@ -124,7 +124,7 @@ def test_support_radius_barenblatt():
 
 def test_l1_excess_quadrature():
     # radial N = 2 shell weights: 2 pi r h
-    grid = solver.Grid("radial", 0.01, 200, 2)
+    grid = solver.Grid(0.01, 200, 2)
     params = ProblemParams(3.0, 2.0, 2)
     vals = np.full(200, params.floor)
     vals += 1.0                                     # uniform unit excess

@@ -13,15 +13,15 @@ PARAMS = ProblemParams(3.0, 2.0, 1)
 
 
 def barenblatt_state(h=0.01, L=6.0):
-    grid = Grid.from_extent("radial", h, L, 1)
+    grid = Grid.from_extent(h, L, 1)
     return initial_state(PARAMS, grid, model.BarenblattAt(t0=1.0))
 
 
 # full-grid stepping through one _Stepper, which holds the ledgers of the
 # steps it takes
 
-def stepper(state, absorption=True, safety=0.5):
-    return solver._Stepper(state.params, state.grid, absorption, safety)
+def stepper(state, absorption=True):
+    return solver._Stepper(state.params, state.grid, absorption)
 
 
 def stable_dt(st, u):
@@ -35,33 +35,29 @@ def step(st, u, dt):
 
 
 def test_grid_invariants():
-    g = Grid("line", 0.1, 40, 1)
-    assert g.L == pytest.approx(2.0)
-    assert g.centers()[0] == pytest.approx(-2.0 + 0.05)
-    r = Grid("radial", 0.1, 40, 2)
+    r = Grid(0.1, 40, 2)
     assert r.L == pytest.approx(4.0)
     assert r.centers()[0] == pytest.approx(0.05)
+    assert Grid.from_extent(0.1, 4.0, 2) == r
     with pytest.raises(ConfigError):
-        Grid("cartesian", 0.1, 40, 1)
+        Grid(0.1, 8, 1)               # too few cells
     with pytest.raises(ConfigError):
-        Grid("line", 0.1, 8, 1)       # too few cells
-    with pytest.raises(ConfigError):
-        Grid("line", 0.1, 40, 2)      # line geometry is one-dimensional
+        Grid(0.0, 40, 1)
 
 
 def test_cell_measures():
-    line = Grid("line", 0.1, 40, 1)
-    assert np.allclose(line.cell_measures(), 0.1)
-    radial = Grid("radial", 0.1, 40, 3)
+    assert np.allclose(Grid(0.1, 40, 1).cell_measures(), 2.0 * 0.1)
+    radial = Grid(0.1, 40, 3)
     r = radial.centers()
     assert np.allclose(radial.cell_measures(), 4.0 * np.pi * r ** 2 * 0.1)
 
 
 def test_stable_dt_constant_field():
-    grid = Grid("radial", 0.01, 100, 1)
+    grid = Grid(0.01, 100, 1)
     state = solver.State(0.0, np.full(100, PARAMS.floor), PARAMS, grid)
     dt = stable_dt(stepper(state), state.values)
-    assert dt == pytest.approx(0.5 * 0.01 ** 2 / (2.0 * PARAMS.eps ** (PARAMS.p - 2.0)))
+    assert dt == pytest.approx(solver.SAFETY * 0.01 ** 2
+                               / (2.0 * PARAMS.eps ** (PARAMS.p - 2.0)))
 
 
 def test_stable_dt_against_independent_scan():
@@ -70,7 +66,7 @@ def test_stable_dt_against_independent_scan():
     # independent max-scan over faces
     g2 = (np.diff(state.values) / 0.01) ** 2
     dmax = max(model.effective_diffusivity(float(s), PARAMS.eps, 3.0) for s in g2)
-    assert dt == pytest.approx(0.5 * 0.01 ** 2 / (2.0 * dmax))
+    assert dt == pytest.approx(solver.SAFETY * 0.01 ** 2 / (2.0 * dmax))
 
 
 def test_stable_dt_sees_mirror_ghost_at_origin():
@@ -78,14 +74,14 @@ def test_stable_dt_sees_mirror_ghost_at_origin():
     # the mirror ghost u[-1] = u[0]; the absorption cap binds and must use it
     params = ProblemParams(3.0, 3.0, 1)
     h = 0.05
-    grid = Grid("radial", h, 32, 1)
+    grid = Grid(h, 32, 1)
     vals = np.zeros(32)
     vals[0] = 1.0
     vals[2:31] = np.linspace(0.9, 0.0, 29)
     vals += params.floor
     state = solver.State(0.0, vals, params, grid)
     gc0 = (vals[1] - vals[0]) / (2.0 * h)
-    cap = 0.5 * params.floor / model.b_eps(gc0 * gc0, params.eps, params.q)
+    cap = solver.SAFETY * params.floor / model.b_eps(gc0 * gc0, params.eps, params.q)
     assert stable_dt(stepper(state), vals) == pytest.approx(cap, rel=1e-12)
 
 
@@ -106,7 +102,7 @@ def test_stable_dt_quarters_when_h_halves():
 
 
 def test_constant_field_is_steady():
-    grid = Grid("radial", 0.01, 100, 1)
+    grid = Grid(0.01, 100, 1)
     state = solver.State(0.0, np.full(100, 0.3 + PARAMS.floor), PARAMS, grid)
     st = stepper(state)
     new = step(st, state.values.copy(), 1e-5)
@@ -140,7 +136,7 @@ def test_single_step_matches_analytic_time_derivative():
 def test_monotone_data_stay_monotone():
     # radial non-increasing fields remain non-increasing after one step
     rng = np.random.default_rng(9)
-    st = solver._Stepper(PARAMS, Grid("radial", 0.05, 32, 1), True, 0.5)
+    st = solver._Stepper(PARAMS, Grid(0.05, 32, 1), True)
     for _ in range(50):
         vals = np.sort(rng.uniform(0.0, 1.0, 32))[::-1] + PARAMS.floor
         vals[-1] = PARAMS.floor
@@ -160,7 +156,7 @@ def test_max_principle_and_floor():
 
 
 def test_floor_violation_detected_on_cfl_breach():
-    grid = Grid("radial", 0.01, 64, 1)
+    grid = Grid(0.01, 64, 1)
     vals = np.full(64, PARAMS.floor)
     vals[:20] += np.linspace(1.0, 0.0, 20)    # steep ramp
     state = solver.State(0.0, vals, PARAMS, grid)
@@ -169,7 +165,7 @@ def test_floor_violation_detected_on_cfl_breach():
 
 
 def test_run_zero_profile():
-    cfg = RunConfig(3.0, 2.0, 1, geometry="radial", h=0.01, L=2.0, t_end=0.5,
+    cfg = RunConfig(3.0, 2.0, 1, h=0.01, L=2.0, t_end=0.5,
                     profile="bump:R0=1,H=0,m=2")
     state, series = run(cfg)
     assert np.allclose(state.values, state.floor)
@@ -179,7 +175,7 @@ def test_run_zero_profile():
 
 
 def test_run_pure_diffusion_conserves_mass():
-    cfg = RunConfig(3.0, 2.0, 1, geometry="radial", h=0.01, L=6.0, t_end=2.0,
+    cfg = RunConfig(3.0, 2.0, 1, h=0.01, L=6.0, t_end=2.0,
                     profile="barenblatt:t0=1", absorption=False,
                     record_start=1.0)
     _, series = run(cfg)
@@ -188,7 +184,7 @@ def test_run_pure_diffusion_conserves_mass():
 
 
 def test_run_absorption_l1_nonincreasing():
-    cfg = RunConfig(3.0, 2.0, 1, geometry="radial", h=0.02, L=4.0, t_end=4.0)
+    cfg = RunConfig(3.0, 2.0, 1, h=0.02, L=4.0, t_end=4.0)
     state, series = run(cfg)
     assert type(state.absorbed_mass) is float
     assert type(state.boundary_out) is float
@@ -201,7 +197,7 @@ def test_run_reports_a_nan_in_the_field_as_non_finite():
     # a NaN written into the field at the first record gives dt = NaN, which
     # ends the advance; the floor check's minimum, read by index, is NaN too
     # and raises nothing, so the next record reports the non-finite field
-    cfg = RunConfig(3.0, 2.0, 1, geometry="radial", h=0.02, L=4.0, t_end=1.0)
+    cfg = RunConfig(3.0, 2.0, 1, h=0.02, L=4.0, t_end=1.0)
 
     def poison(state):
         if state.time == 0.0:
@@ -213,27 +209,16 @@ def test_run_reports_a_nan_in_the_field_as_non_finite():
 
 
 def test_run_detects_support_overflow():
-    cfg = RunConfig(3.0, 2.0, 1, geometry="radial", h=0.02, L=1.2, t_end=16.0,
-                    absorption=False)
+    cfg = RunConfig(3.0, 2.0, 1, h=0.02, L=1.2, t_end=16.0, absorption=False)
     with pytest.raises(SupportOverflowError):
         run(cfg)
 
 
 def test_run_is_deterministic():
-    cfg = RunConfig(3.0, 2.0, 1, geometry="radial", h=0.02, L=4.0, t_end=1.0)
+    cfg = RunConfig(3.0, 2.0, 1, h=0.02, L=4.0, t_end=1.0)
     _, s1 = run(cfg)
     _, s2 = run(cfg)
     assert s1.to_csv() == s2.to_csv()
-
-
-def test_line_and_radial_agree_for_n1():
-    # a symmetric N=1 problem computed on the half-line matches the full line
-    line = RunConfig(3.0, 2.0, 1, geometry="line", h=0.01, L=3.0, t_end=0.5)
-    radial = dataclasses.replace(line, geometry="radial")
-    ls, _ = run(line)
-    rs, _ = run(radial)
-    half = ls.values[ls.grid.n // 2:]
-    assert np.max(np.abs(half - rs.values[:half.size])) <= 5e-4
 
 
 def test_record_times():
@@ -258,7 +243,6 @@ def test_parse_config():
     h = 0.01
     L = 4
     t_end = 2
-    safety = 0.4
     profile = bump:R0=1,H=1,m=2
     absorption = on
     record_start = 0.125
@@ -267,6 +251,8 @@ def test_parse_config():
     assert cfg.p == 3.0 and cfg.q == 2.0 and cfg.L == 4.0
     assert cfg.absorption is True
     assert cfg.record_start == 0.125
+    # the grid is radial; a config may still say so, once
+    assert parse_config(text.replace("geometry = radial", "")) == cfg
 
     with pytest.raises(ConfigError):
         parse_config("p = 3\nbogus = 1\n")
@@ -276,6 +262,14 @@ def test_parse_config():
         parse_config("absorption = maybe\n")
     with pytest.raises(ConfigError):
         parse_config("p 3\n")
+    with pytest.raises(ConfigError, match="duplicate key 'geometry'"):
+        parse_config("p = 3\nq = 2\ngeometry = radial\ngeometry = radial\n")
+    for geometry in ("line", "cartesian"):
+        with pytest.raises(ConfigError, match=f"geometry must be radial, got '{geometry}'"):
+            parse_config(f"p = 3\nq = 2\ngeometry = {geometry}\n")
+    # the share of the monotone limit is the constant SAFETY, not a key
+    with pytest.raises(ConfigError, match="unknown key 'safety'"):
+        parse_config("p = 3\nq = 2\nsafety = 0.9\n")
     with pytest.raises(ConfigError):
         parse_config("p = 1.5\nq = 2\n")   # invalid exponent range
     # a missing required key is named, not a TypeError from RunConfig
@@ -283,15 +277,13 @@ def test_parse_config():
         with pytest.raises(ConfigError, match=f"missing required key\\(s\\) {missing}$"):
             parse_config(text)
     # values a run cannot start from are rejected when the config is built
-    for bad in ("safety = 0", "safety = -0.1", "safety = 1.5", "record_start = 0",
-                "t_end = 0", "profile = barenblatt:t0=1\nt_end = 1", "L = -2",
-                "L = four", "profile = bump:R0=x", "geometry = cartesian",
-                "geometry = line\nN = 2", "profile = bump:R0=0.1",
+    for bad in ("record_start = 0", "t_end = 0", "profile = barenblatt:t0=1\nt_end = 1",
+                "L = -2", "L = four", "profile = bump:R0=x", "profile = bump:R0=0.1",
                 "profile = bump:H=-1"):
         with pytest.raises(ConfigError):
             parse_config("p = 3\nq = 2\nh = 0.02\n" + bad)
     with pytest.raises(InvalidParams):
-        dataclasses.replace(cfg, safety=0.0)
+        dataclasses.replace(cfg, record_start=0.0)
 
 
 def test_default_domain_extent():
@@ -304,7 +296,7 @@ def test_default_domain_extent():
 
 
 def test_comparison_identical_profiles(monkeypatch):
-    cfg = RunConfig(3.0, 2.0, 1, geometry="radial", h=0.02, L=4.0, t_end=0.5)
+    cfg = RunConfig(3.0, 2.0, 1, h=0.02, L=4.0, t_end=0.5)
     states, init = [], solver.initial_state
     monkeypatch.setattr(solver, "initial_state",
                         lambda *args: states.append(init(*args)) or states[-1])
@@ -317,18 +309,17 @@ def test_comparison_identical_profiles(monkeypatch):
 
 
 def test_comparison_ordered_profiles():
-    cfg = RunConfig(3.0, 2.0, 1, geometry="radial", h=0.02, L=4.0, t_end=0.5)
+    cfg = RunConfig(3.0, 2.0, 1, h=0.02, L=4.0, t_end=0.5)
     rep = comparison_run(model.Bump(H=1.0), model.Bump(H=1.5), cfg)
     assert rep["max_violation"] <= 1e-12
     with pytest.raises(InvalidParams):
         comparison_run(model.Bump(H=1.5), model.Bump(H=1.0), cfg)
 
 
-@pytest.mark.parametrize("geometry,N", [("line", 1), ("radial", 1),
-                                        ("radial", 2), ("radial", 3)])
+@pytest.mark.parametrize("N", [1, 2, 3], ids=lambda N: f"radial-{N}")
 @pytest.mark.parametrize("pair", ["ordered", "absorption"])
-def test_comparison_principle_geometries(geometry, N, pair):
-    cfg = RunConfig(3.0, 2.0, N, geometry=geometry, h=0.02, L=4.0, t_end=0.5)
+def test_comparison_principle_geometries(N, pair):
+    cfg = RunConfig(3.0, 2.0, N, h=0.02, L=4.0, t_end=0.5)
     if pair == "ordered":
         rep = comparison_run(model.Bump(H=1.0), model.Bump(H=1.5), cfg)
     else:
@@ -337,54 +328,67 @@ def test_comparison_principle_geometries(geometry, N, pair):
     assert rep["max_violation"] <= 1e-12
 
 
-def reference_step(u, params, grid, a, b, dt, absorption):
+def reference_step(u, params, grid, a, b, dt, absorption, line=False):
     """One explicit step of cells [a, b) written out plainly: np.diff face
     gradients (zero-flux face at r = 0), a concatenated mirror ghost for the
     centered gradient of cell 0, and the radial divergence as a difference
-    of two weighted products.  Returns (new values, absorbed increment,
-    boundary_out increment)."""
+    of two weighted products.  With line, u is a field on the line [-L, L]
+    of 2 grid.n cells, which has no origin and no weights: the divergence is
+    a difference over h and a cell's measure is h.  Returns (new values,
+    absorbed increment, boundary_out increment)."""
     p, q, eps = params.p, params.q, params.eps
     inv_h = 1.0 / grid.h
-    radial = grid.geometry == "radial"
+    origin = a == 0 and not line
     u = u.copy()
     g = np.diff(u[max(a - 1, 0):b + 1]) * inv_h
-    if radial and a == 0:
+    if origin:
         g = np.concatenate(([0.0], g))
-    left = np.concatenate((u[:1], u[:b - 1])) if radial and a == 0 else u[a - 1:b - 1]
+    left = np.concatenate((u[:1], u[:b - 1])) if origin else u[a - 1:b - 1]
     gc = (u[a + 1:b + 1] - left) * (0.5 * inv_h)
     flux = model.a_eps(g * g, eps, p) * g
-    if radial:
+    if line:
+        div = (flux[1:] - flux[:-1]) * inv_h
+        out = dt * (flux[0] - flux[-1])
+        cellw = np.full(b - a, grid.h)
+    else:
         rw = (np.arange(grid.n + 1) * grid.h)[a:b + 1] ** (grid.N - 1.0)
         inv_rch = 1.0 / (grid.centers() ** (grid.N - 1.0) * grid.h)
         div = (rw[1:] * flux[1:] - rw[:-1] * flux[:-1]) * inv_rch[a:b]
         out = dt * solver.sphere_area(grid.N) * (rw[0] * flux[0] - rw[-1] * flux[-1])
-    else:
-        div = (flux[1:] - flux[:-1]) * inv_h
-        out = dt * (flux[0] - flux[-1])
+        cellw = grid.cell_measures()[a:b]
     u[a:b] += dt * div
     absorbed = 0.0
     if absorption:
         babs = model.b_eps(gc * gc, eps, q)
         u[a:b] -= dt * babs
-        absorbed = dt * float(babs @ grid.cell_measures()[a:b])
+        absorbed = dt * float(babs @ cellw)
     return u, absorbed, out
 
 
-def reference_stable_dt(u, params, grid, a, b, safety, absorption):
+def reference_stable_dt(u, params, grid, a, b, absorption, line=False):
     """The CFL rule of the step above, on the same plain gradients."""
-    inv_h = 1.0 / grid.h
-    radial = grid.geometry == "radial"
+    inv_h, safety = 1.0 / grid.h, solver.SAFETY
     s = (np.diff(u[max(a - 1, 0):b + 1]) * inv_h) ** 2
     dmax = model.effective_diffusivity(float(s.max()), params.eps, params.p)
     dt = safety * grid.h ** 2 / (2.0 * grid.N * dmax)
     if absorption:
-        left = np.concatenate((u[:1], u[:b - 1])) if radial and a == 0 else u[a - 1:b - 1]
+        origin = a == 0 and not line
+        left = np.concatenate((u[:1], u[:b - 1])) if origin else u[a - 1:b - 1]
         scmax = float((((u[a + 1:b + 1] - left) * (0.5 * inv_h)) ** 2).max())
         if scmax > 0.0:
             dt = min(dt, safety * params.floor / model.b_eps(scmax, params.eps, params.q))
     return dt
 
 
+def even_extension(u):
+    """The field on the line [-L, L] whose right half is the radial N = 1
+    field u: every profile is a function of |x|."""
+    return np.concatenate((u[::-1], u))
+
+
+# "line": the radial N = 1 stepper against the line's plain step on the
+# right half of the even extension; the left half mirrors it, so each of
+# the line's ledgers is twice the half's
 KERNEL_GRIDS = [("line", 1), ("radial", 1), ("radial", 2), ("radial", 3)]
 
 
@@ -395,13 +399,28 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p=
     # at (3, 1.6) a_eps takes np.sqrt and b_eps np.power; the test below
     # runs these cases at the other powers
     params = ProblemParams(p, q, N)
-    grid = Grid.from_extent(geometry, 0.05, 1.5, N)
+    grid = Grid.from_extent(0.05, 1.5, N)
+    n, line = grid.n, geometry == "line"
+
+    def reference(u, a, b, dt):
+        if not line:
+            return reference_step(u, params, grid, a, b, dt, absorption)
+        ext, absorbed, out = reference_step(even_extension(u), params, grid, n + a, n + b,
+                                            dt, absorption, line=True)
+        return ext[n:], 2.0 * absorbed, 2.0 * out
+
+    def reference_dt(u, a, b):
+        if not line:
+            return reference_stable_dt(u, params, grid, a, b, absorption)
+        return reference_stable_dt(even_extension(u), params, grid, n + a, n + b,
+                                   absorption, line=True)
+
     state = initial_state(params, grid, model.Bump(R0=2.0, H=1.0, m=2.0))
     u0 = state.values
     st = stepper(state, absorption)
     a, b = (st.lo_min, st.hi_max) if window == "full" else (3, grid.n - 4)
-    dt_ref = reference_stable_dt(u0, params, grid, a, b, 0.5, absorption)
-    ref, absorbed, out = reference_step(u0, params, grid, a, b, dt_ref, absorption)
+    dt_ref = reference_dt(u0, a, b)
+    ref, absorbed, out = reference(u0, a, b, dt_ref)
     dt = st.stable_dt_from(*st.gradients(u0, a, b)[1:])
     got = u0.copy()
     st.step_window(got, a, b, dt_ref, st.gradients(got, a, b))
@@ -427,7 +446,7 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p=
     reused = stepper(state, absorption)
     for k, w in ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0)):
         u, other = fields[k], fields[1 - k].copy()
-        ref, _, _ = reference_step(u, params, grid, *windows[w], dt_ref, absorption)
+        ref, _, _ = reference(u, *windows[w], dt_ref)
         reused.step_window(u, *windows[w], dt_ref, reused.gradients(u, *windows[w]))
         assert np.array_equal(fields[1 - k], other)
         if absorption:
@@ -464,7 +483,7 @@ def test_comparison_run_forms_gradients_once_per_field_per_step(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(solver._Stepper, name, counting(name))
-    cfg = RunConfig(3.0, 2.0, 1, geometry="radial", h=0.02, L=4.0, t_end=0.05)
+    cfg = RunConfig(3.0, 2.0, 1, h=0.02, L=4.0, t_end=0.05)
     profiles = (model.Bump(H=1.0), model.Bump(H=1.5))
     comparison_run(*profiles, cfg)
     paired = dict(calls)
@@ -508,8 +527,8 @@ def reference_comparison_run(profile_a, profile_b, config, absorption_a, absorpt
     params, grid = config.params(), config.grid()
     ua = initial_state(params, grid, profile_a).values
     ub = initial_state(params, grid, profile_b).values
-    st_a = solver._Stepper(params, grid, absorption_a, config.safety)
-    st_b = solver._Stepper(params, grid, absorption_b, config.safety)
+    st_a = solver._Stepper(params, grid, absorption_a)
+    st_b = solver._Stepper(params, grid, absorption_b)
     t = worst = 0.0
     while t < config.t_end:
         t += ssprk_step([(st_a, ua), (st_b, ub)], st_a.lo_min, st_a.hi_max, config.t_end - t)
@@ -523,7 +542,7 @@ def reference_run(config):
     and boundary_out ledgers."""
     params, grid = config.params(), config.grid()
     state = initial_state(params, grid, config.profile_obj())
-    st = solver._Stepper(params, grid, config.absorption, config.safety)
+    st = solver._Stepper(params, grid, config.absorption)
     t = state.time
     for t_record in record_times(t, config.t_end, config.record_start):
         while t < t_record - 1e-15 * max(1.0, t_record):
@@ -532,12 +551,54 @@ def reference_run(config):
     return state.values, st.absorbed, st.boundary_out
 
 
-@pytest.mark.parametrize("geometry,N", [("line", 1), ("radial", 1),
-                                        ("radial", 2), ("radial", 3)])
+def line_reference_run(config, profiles, absorption, t_targets):
+    """The line [-L, L] whose right half is the radial N = 1 grid, stepped
+    plainly on all of its 2n cells from the even extensions of the fields'
+    initial states, both end cells pinned: SSPRK steps with a shared dt from
+    reference_stable_dt, ending on each of t_targets.  Returns the fields'
+    right halves, the ledgers (absorbed, boundary_out) of each field, and
+    max (u_0 - u_1)_+ after every step."""
+    params, grid = config.params(), config.grid()
+    S, lo, hi = solver.STAGES, 1, 2 * grid.n - 1
+    states = [initial_state(params, grid, profile) for profile in profiles]
+    us = [even_extension(state.values) for state in states]
+    ledgers = [np.zeros(2) for _ in us]
+    t, worst = states[0].time, 0.0
+    for t_target in t_targets:
+        while t < t_target - 1e-15 * max(1.0, t_target):
+            dt = min((S - 1) * min(reference_stable_dt(u, params, grid, lo, hi, ab, line=True)
+                                   for u, ab in zip(us, absorption)), t_target - t)
+            starts = [u.copy() for u in us]
+            for _ in range(S):
+                for k, ab in enumerate(absorption):
+                    us[k], absorbed, out = reference_step(us[k], params, grid, lo, hi,
+                                                          dt / (S - 1), ab, line=True)
+                    ledgers[k] += np.array([absorbed, out]) * ((S - 1) / S)
+            for u, u_n in zip(us, starts):
+                u += (u_n - u) / S
+            t += dt
+            if len(us) == 2:
+                worst = max(worst, float((us[0] - us[1]).max()))
+        t = t_target
+    return [u[grid.n:] for u in us], ledgers, worst
+
+
+def test_line_and_radial_agree_for_n1():
+    # every profile is a function of |x|, so a run on the radial N = 1 grid
+    # is the right half of the same run on the line [-L, L]
+    cfg = RunConfig(3.0, 2.0, 1, h=0.02, L=3.0, t_end=0.25)
+    state, _ = run(cfg)
+    (u,), ((absorbed, _),), _ = line_reference_run(
+        cfg, [cfg.profile_obj()], [True], record_times(0.0, cfg.t_end, cfg.record_start))
+    np.testing.assert_allclose(state.values, u, rtol=0.0, atol=1e-15)
+    assert state.absorbed_mass == pytest.approx(absorbed, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("geometry,N", KERNEL_GRIDS)
 @pytest.mark.parametrize("pair", ["ordered", "nested", "absorption_on_off",
                                   "absorption_off_on", "floor_below"])
 def test_windowed_comparison_run_matches_full_grid(monkeypatch, geometry, N, pair):
-    cfg = RunConfig(3.0, 2.0, N, geometry=geometry, h=0.02, L=4.0, t_end=0.25)
+    cfg = RunConfig(3.0, 2.0, N, h=0.02, L=4.0, t_end=0.25)
     # "nested": the upper field's support is wider than the lower field's
     # window; "floor_below": the lower field is the floor, a steady state
     profiles = {"ordered": (model.Bump(H=1.0), model.Bump(H=1.5)),
@@ -556,6 +617,13 @@ def test_windowed_comparison_run_matches_full_grid(monkeypatch, geometry, N, pai
         assert violation > 0.0
     if pair == "floor_below":
         assert np.all(ua == cfg.params().floor) and violation == 0.0
+    if geometry == "line":
+        # the pair is also the right half of the same pair on the line
+        (la, lb), _, line_violation = line_reference_run(cfg, profiles, absorption,
+                                                         [cfg.t_end])
+        for u, ref in ((ua, la), (ub, lb)):
+            np.testing.assert_allclose(u, ref, rtol=0.0, atol=1e-15)
+        assert violation == pytest.approx(line_violation, rel=1e-14, abs=0.0)
 
 
 def windowed_and_reference(monkeypatch, profiles, cfg, absorption):
@@ -590,37 +658,45 @@ def windowed_and_reference(monkeypatch, profiles, cfg, absorption):
 
 
 @pytest.mark.parametrize("absorption", [(True, True), (True, False), (False, True)])
-def test_comparison_run_line_support_reaches_pinned_ends(monkeypatch, absorption):
-    # on a line the packed buffer joins the two fields' pinned end cells at
-    # its junction; the supports reach the cells next to them, which must
-    # not leak into the pinned cells or across the junction
-    cfg = RunConfig(3.0, 2.0, 1, geometry="line", h=0.02, L=1.2, t_end=0.25)
+def test_comparison_run_support_reaches_pinned_ends(monkeypatch, absorption):
+    # the packed buffer's two end cells are the fields' pinned outer cells;
+    # the supports reach the cells next to them, cell n - 2, which must not
+    # leak into the pinned cells
+    cfg = RunConfig(3.0, 2.0, 1, h=0.02, L=1.2, t_end=0.25)
     profiles = (model.Bump(R0=1.0, H=1.0), model.Bump(R0=1.1, H=1.5))
     ua, ub, _, _ = windowed_and_reference(monkeypatch, profiles, cfg, absorption)
     floor = cfg.params().floor
     for u in (ua, ub):
-        assert u[0] == u[-1] == floor
-        assert u[1] > floor and u[-2] > floor
+        assert u[-1] == floor and u[-2] > floor
 
 
 @pytest.mark.parametrize("geometry", ["radial", "line"])
 @pytest.mark.parametrize("absorption", [True, False])
 def test_run_books_outflow_through_the_pinned_cell(geometry, absorption):
     # at eps = 0.2 and p = 2.5 the floor's diffusivity is large, so the
-    # field's tail reaches the pinned outer cell(s) while its support, at
+    # field's tail reaches the pinned outer cell while its support, at
     # SUPPORT_REL_TOL of the peak, stays inside 0.9 L; outflow is about 1.5e-10
     # of the mass, so a step whose boundary_out increment were booked at
     # weight 1 instead of (S-1)/S would leave a residual near 1.5e-11
-    cfg = RunConfig(2.5, 2.0, 1, eps=0.2, geometry=geometry, h=0.02, L=3.0, t_end=0.14,
+    cfg = RunConfig(2.5, 2.0, 1, eps=0.2, h=0.02, L=3.0, t_end=0.14,
                     absorption=absorption)
     state, series = run(cfg)
     l1 = series.column("l1_excess")
     assert state.boundary_out > 1e-10 * l1[0]
     assert (state.absorbed_mass > 0.0) == absorption
     assert observe.mass_balance_residual(series) <= 5e-15
-    u, absorbed, out = reference_run(cfg)
-    assert np.array_equal(state.values, u)
-    assert state.absorbed_mass == absorbed and state.boundary_out == out
+    if geometry == "radial":
+        u, absorbed, out = reference_run(cfg)
+        assert np.array_equal(state.values, u)
+        assert state.absorbed_mass == absorbed and state.boundary_out == out
+    else:
+        # on the line [-L, L] the same mass leaves through both ends
+        (u,), ((absorbed, out),), _ = line_reference_run(
+            cfg, [cfg.profile_obj()], [absorption],
+            record_times(0.0, cfg.t_end, cfg.record_start))
+        np.testing.assert_allclose(state.values, u, rtol=0.0, atol=1e-15)
+        assert state.absorbed_mass == pytest.approx(absorbed, rel=1e-14, abs=0.0)
+        assert state.boundary_out == pytest.approx(out, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("entry", ["run", "comparison_run"])
@@ -632,7 +708,7 @@ def test_no_stage_reads_or_writes_past_its_window(monkeypatch, entry, p, q, eps)
     # floor; at eps = 0.2 the tail that the floor's diffusivity spreads
     # would cross the padding if the window were refreshed every
     # WINDOW_EVERY steps instead of stages
-    cfg = RunConfig(p, q, 1, eps=eps, geometry="radial", h=0.02, L=3.0, t_end=0.14)
+    cfg = RunConfig(p, q, 1, eps=eps, h=0.02, L=3.0, t_end=0.14)
     step_window, windows = solver._Stepper.step_window, []
 
     def checked_step(self, u, a, b, *args):
@@ -656,11 +732,10 @@ def test_no_stage_reads_or_writes_past_its_window(monkeypatch, entry, p, q, eps)
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 5.0])
 def test_no_stage_exceeds_the_euler_limit(monkeypatch, p, N):
     # the step takes its CFL bound at its first stage only; each later
-    # stage's Euler step must still lie within `safety` of its own monotone
+    # stage's Euler step must still lie within SAFETY of its own monotone
     # limit h^2 / (2 N D_max), and the pair must stay above the floor and
     # ordered
-    cfg = RunConfig(p, 2.0, N, geometry="radial", h=0.02, L=3.0, t_end=0.25,
-                    absorption=False)
+    cfg = RunConfig(p, 2.0, N, h=0.02, L=3.0, t_end=0.25, absorption=False)
     step_window, cfl = solver._Stepper.step_window, []
 
     def measured_step(self, u, a, b, tau, grads):
@@ -673,6 +748,6 @@ def test_no_stage_exceeds_the_euler_limit(monkeypatch, p, N):
                         lambda *args: states.append(init(*args)) or states[-1])
     monkeypatch.setattr(solver._Stepper, "step_window", measured_step)
     rep = comparison_run(model.Bump(H=1.0), model.Bump(H=1.5), cfg)
-    assert len(cfl) > solver.STAGES and max(cfl) <= cfg.safety * (1.0 + 1e-12)
+    assert len(cfl) > solver.STAGES and max(cfl) <= solver.SAFETY * (1.0 + 1e-12)
     assert rep["max_violation"] == 0.0
     assert all(np.all(s.values >= s.floor) for s in states)
