@@ -249,7 +249,11 @@ def parse_profile(spec):
             key, _, val = item.partition("=")
             if not val:
                 raise InvalidParams(f"bad profile option {item!r} in {spec!r}")
-            value = float(val)
+            try:
+                value = float(val)
+            except ValueError:
+                raise InvalidParams(f"profile option {item!r} in {spec!r} "
+                                    f"is not a number") from None
             if not math.isfinite(value):
                 raise InvalidParams(f"profile option {item!r} in {spec!r} is not finite")
             kwargs[key.strip()] = value

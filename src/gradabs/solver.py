@@ -332,7 +332,7 @@ def _advance(stepper, u, t, t_target, after_step=None):
     after_step(a, b), if given, after every step of window [a, b); returns
     early once u is at the floor, a steady state."""
     t_stop = t_target - 1e-15 * max(1.0, t_target)
-    stages, keep = np.array(float(STAGES)), (STAGES - 1) / STAGES
+    keep = (STAGES - 1) / STAGES
     while t < t_stop:
         win = stepper.active_window(u)
         if win is None:
@@ -348,10 +348,7 @@ def _advance(stepper, u, t, t_target, after_step=None):
             stepper.step_window(u, a, b, tau, g)
             for _ in range(STAGES - 1):
                 stepper.step_window(u, a, b, tau, stepper.gradients(u, a, b))
-            # u <- u + (u^n - u)/S, formed in u^n's scratch
-            np.subtract(un, uw, un)
-            np.divide(un, stages, un)
-            np.add(uw, un, uw)
+            uw += (un - uw) / STAGES
             stepper.absorbed = absorbed + (stepper.absorbed - absorbed) * keep
             stepper.boundary_out = out + (stepper.boundary_out - out) * keep
             t += dt
@@ -441,22 +438,31 @@ def parse_config(text) -> RunConfig:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             if key == "geometry":
                 if val != "radial":
-                    raise ConfigError(f"geometry must be radial, got {val!r}")
-            elif key == "N":
-                val = int(val)
+                    raise ConfigError(f"line {lineno}: geometry must be radial, got {val!r}")
             elif key == "absorption":
                 if val not in ("on", "off"):
-                    raise ConfigError(f"absorption must be on or off, got {val!r}")
+                    raise ConfigError(f"line {lineno}: absorption must be on or off, "
+                                      f"got {val!r}")
                 val = val == "on"
-            elif key != "profile":
-                val = float(val)
+            elif key == "profile":
+                try:
+                    model.parse_profile(val)
+                except ValueError as exc:
+                    raise ConfigError(f"line {lineno}: {exc}") from None
+            else:
+                kind, noun = (int, "an integer") if key == "N" else (float, "a number")
+                try:
+                    val = kind(val)
+                except ValueError:
+                    raise ConfigError(f"line {lineno}: {key} must be {noun}, "
+                                      f"got {val!r}") from None
             kwargs[key] = val
         missing = [key for key in REQUIRED_KEYS if key not in kwargs]
         if missing:
             raise ConfigError(f"missing required key(s) {', '.join(missing)}")
         kwargs.pop("geometry", None)
         return RunConfig(**kwargs)
-    except ValueError as exc:         # InvalidParams, or a value that is not a number
+    except ValueError as exc:         # InvalidParams from RunConfig
         raise ConfigError(str(exc)) from None
 
 
@@ -533,14 +539,12 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
     buf = np.concatenate((ub[::-1], ua))
     buf_a, buf_b = buf[n:], buf[n - 1::-1]    # ua[i] and ub[i]
     stepper = _Stepper.mirrored(params, grid, aa, ab)
-    worst, win, views = 0.0, None, None
+    worst = 0.0
 
     def take_gap(a, b):
-        nonlocal worst, win, views
-        if win != (a, b):             # the views are formed once per window
-            m = max(b - n, n - a)     # from cell m on both fields sit at the floor
-            win, views = (a, b), (buf_a[:m], buf_b[:m], np.empty(m))
-        gap = np.subtract(*views)
+        nonlocal worst
+        m = max(b - n, n - a)         # from cell m on both fields sit at the floor
+        gap = buf_a[:m] - buf_b[:m]
         worst = max(worst, gap.item(gap.argmax()))
 
     _advance(stepper, buf, 0.0, config.t_end, take_gap)

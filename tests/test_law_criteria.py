@@ -1,12 +1,14 @@
-"""The battery's six law criteria on synthetic series: each passes on a
-series that obeys the law it gates and fails on one that misses the law by
-more than the table's tolerance.  The series are seeded into the
-laboratory's cache, so no simulation runs."""
+"""The battery's laboratory without its simulations.  The six law criteria
+on synthetic series: each passes on a series that obeys the law it gates and
+fails on one that misses the law by more than the table's tolerance.  Mass
+balance on synthetic ledgers of every run of the table.  The series are
+seeded into the laboratory's cache, so no simulation runs; the cache itself
+is checked with the solver stubbed."""
 
 import numpy as np
 import pytest
 
-from gradabs import observe
+from gradabs import observe, solver
 from gradabs.acceptance import AcceptanceLab
 
 # the bound on grad_beta t^(1/q) is 1.10 times (q-1)^((q-1)/q)/q, at q = 2.5
@@ -42,7 +44,7 @@ def record_times(config):
 def seed(lab, name, columns):
     """Cache a synthetic run for name: smooth positive columns, absorption
     only where the run has it, and the given column overrides."""
-    config = lab.BB_LONG if name == "bb_long" else lab.RUNS[name]
+    config = lab.RUNS[name]
     t = record_times(config)
     values = {"t": t, "sup_excess": t ** -0.5, "l1_excess": t ** -1.0,
               "grad_sup": t ** -1.0, "grad_alpha": t ** -1.0,
@@ -53,10 +55,7 @@ def seed(lab, name, columns):
     series = observe.TimeSeries()
     for column, vals in values.items():
         series.columns[column] = [float(v) for v in vals]
-    if name == "bb_long":
-        lab._cache["bb_long"] = (None, series)
-    else:
-        lab._cache[("run", name)] = (None, series, None)
+    lab._cache[name] = (None, series, None)
 
 
 def gates(criterion):
@@ -85,3 +84,40 @@ def test_law_criterion_fails_on_a_series_that_misses_its_law(criterion, missed):
     result = seeded_lab(criterion, missed).run_criterion(criterion)
     assert not result.passed, result.details
     assert f"{missed[0]} {missed[1]}: " in result.details
+
+
+@pytest.mark.parametrize("broken", [None, *AcceptanceLab.RUNS])
+def test_mass_balance_gates_every_run_of_the_table(broken):
+    # each ledger books the excess that leaves as absorbed; the broken run
+    # gains 1e-9 of its initial mass after the first record
+    lab = AcceptanceLab()
+    for name in lab.RUNS:
+        drift = 1e-9 * (name == broken)
+        seed(lab, name, {"l1_excess": lambda t: 1.0 / t + drift * (t > t[0]) / t[0],
+                         "absorbed": lambda t: 1.0 / t[0] - 1.0 / t})
+    result = lab.run_criterion("mass-balance")
+    assert result.passed == (broken is None), result.details
+    if broken is not None:
+        assert f"({broken})" in result.details
+
+
+def test_simulation_runs_each_table_entry_once_per_lab(monkeypatch):
+    calls = []
+
+    def counting_run(config, on_record=None):
+        calls.append(config)
+        state = solver.initial_state(config.params(), config.grid(), config.profile_obj())
+        on_record(state)
+        return state, observe.TimeSeries()
+
+    monkeypatch.setattr(solver, "run", counting_run)
+    lab = AcceptanceLab()
+    for name, config in AcceptanceLab.RUNS.items():
+        first = lab.simulation(name)
+        assert lab.simulation(name) is first
+        assert len(calls) == 1 and calls.pop() is config
+        state, _, core = first
+        inside = state.grid.centers() <= 1.0
+        assert core == [float(state.values[inside].max()) - state.floor]
+    AcceptanceLab().simulation("q16")
+    assert calls == [AcceptanceLab.RUNS["q16"]]

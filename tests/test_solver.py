@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,17 @@ def test_parse_config():
                 "L = -2", "L = four", "profile = bump:R0=x", "profile = bump:R0=0.1",
                 "profile = bump:H=-1"):
         with pytest.raises(ConfigError):
+            parse_config("p = 3\nq = 2\nh = 0.02\n" + bad)
+    # a value of the wrong kind is named with its line and key
+    for bad, message in (
+            ("L = four", "L must be a number, got 'four'"),
+            ("N = 2.5", "N must be an integer, got '2.5'"),
+            ("eps = 1e-3x", "eps must be a number, got '1e-3x'"),
+            ("profile = bump:R0=x", "profile option 'R0=x' in 'bump:R0=x' is not a number"),
+            ("profile = wedge:R0=1", "unknown profile 'wedge'"),
+            ("geometry = line", "geometry must be radial, got 'line'"),
+            ("absorption = maybe", "absorption must be on or off, got 'maybe'")):
+        with pytest.raises(ConfigError, match=f"^line 4: {re.escape(message)}$"):
             parse_config("p = 3\nq = 2\nh = 0.02\n" + bad)
     with pytest.raises(InvalidParams):
         dataclasses.replace(cfg, record_start=0.0)
