@@ -2,21 +2,24 @@
 equation for radial data on a radial grid over [0, L].
 
 A time step is the low-storage SSPRK(S, 2) method of Ketcheson (SIAM J. Sci.
-Comput. 30, 2008), S = STAGES: S forward Euler stages of step tau = dt/(S-1)
-from u^n, then u <- u + (u^n - u)/S.  It is second order in time and its SSP
-coefficient is S - 1 (Gottlieb, Shu and Tadmor, SIAM Rev. 43, 2001): each
-stage is an Euler step at tau, so the step keeps the floor and the ordering
-that an Euler step at tau keeps, and the last line, a convex combination,
-leaves a cell with u = u^n, a floor cell in particular, exactly where it is.
+Comput. 30, 2008), S = STAGES = 20: S forward Euler stages of step
+tau = dt/(S-1) = dt/19 from u^n, then u <- u + (u^n - u)/S.  It is second
+order in time and its SSP coefficient is S - 1 = 19 (Gottlieb, Shu and
+Tadmor, SIAM Rev. 43, 2001): each stage is an Euler step at tau, so the step
+keeps the floor and the ordering that an Euler step at tau keeps, and the
+last line, a convex combination, leaves a cell with u = u^n, a floor cell in
+particular, exactly where it is.  A step advances (S-1)/S = 0.95 of S Euler
+steps at tau, and no monotone explicit method advances more than one Euler
+step per stage (Kraaijevanger, BIT 31, 1991).
 tau is at most the Euler CFL bound of u^n, which is taken once per step, at
 its first stage, and not again at the later stages.  It need not be: on the
 perfbench workloads, the 16 sweep-pq cells (up to their floor violation, if
 any), pure diffusion at p in {2.5, 3, 4, 5} x N in {1, 2, 3} and the
 acceptance runs cut to t = 16, no later stage's Euler step was measured
 above SAFETY = 0.9 of its own monotone limit; the largest was 0.899999, on
-barenblatt-wide (a test keeps the pure-diffusion part).  The
-ledgers book each stage's absorption and outflow at tau, and the
-combination scales the step's increments by (S-1)/S.
+barenblatt-wide (a test keeps the pure-diffusion part).  The ledgers book each
+stage's absorption and outflow at tau, and the combination scales the
+step's increments by (S-1)/S = 19/20.
 
 The diffusion of an Euler stage is monotone under the CFL restriction; its
 absorption, which sees the centered cell gradient (the mean of the cell's
@@ -31,21 +34,31 @@ solution on [-L, L].
 
 The entry points are `run` and `comparison_run`, both driven by a
 `RunConfig`, which rejects when it is built any config that no run can start
-from.  `_Stepper.gradients` is the one place the face and centered gradients
-are formed, `_Stepper.stable_dt_from` the one CFL rule and
+from.  `_Stepper.gradients` is the one place the face and centered
+differences are formed, `_Stepper.stable_dt_from` the one CFL rule and
 `_Stepper.step_window` the one stage kernel.  `_advance` is the one time
 loop, over one array: `run` drives it with the field, and `comparison_run`
 with its two fields laid out in one mirrored buffer [u_B reversed | u_A], so
 that one gradients and step call per stage, and one CFL call per step,
 advance both in lockstep with a shared dt.  A stage writes into the
 stepper's own scratch arrays, model.a_eps and model.b_eps included, through
-views that are formed once per array and window, so it allocates nothing.
-Every ufunc of a stage gets array operands and its output positionally: its
-constants (1/h, 1/2 and the coefficients' model.Coefficient) are 0-d arrays
-built once per stepper, and tau is written into a 0-d array once per stage.
-A ufunc converts a Python float operand on every call and parses an out=
-keyword, and on a window of a few hundred cells that is a large share of
-the call.
+views that are formed once per array and window, and the step's
+combination writes into u^n and u, so a step allocates nothing.
+Every ufunc of a stage gets array operands and its output positionally: the
+coefficients' constants (model.Coefficient) are 0-d arrays built once per
+stepper.  A ufunc converts a Python float operand on every call and parses
+an out= keyword, and on a window of a few hundred cells that is a large
+share of the call.
+A stage works in a folded algebra that drops every constant factor from
+its cell loops.  It keeps the face differences d = u_i - u_(i-1) = h g and
+sc = (d_l + d_r)^2 = (2h)^2 gc^2, and its coefficients are regularized by
+eps h and 2 eps h, so that model.a_eps(d^2) = h^(p-2) a_eps(g^2) and
+model.b_eps(sc) = (2h)^q b_eps(gc^2), each still exactly 0 where d = 0 or
+sc = 0.  The powers of h return as scalars: the flux difference is
+multiplied by one window operand W = tau h^(1-p) / (r^(N-1) h), formed
+once per tau, array and window (in practice once per step), the
+absorption by the 0-d tau (2h)^(-q), and the ledgers and the CFL rule's
+two maxima by the matching constants.
 The extrema (a step's CFL maxima and comparison gap, a stage's floor-check
 minimum) are read by index, x.item(x.argmax()), which costs less
 than a reduction to a numpy scalar and returns the first NaN just as the
@@ -70,12 +83,12 @@ FLOOR_SLACK = 1e-14
 SAFETY = 0.9
 
 # Euler stages per SSPRK(S, 2) step
-STAGES = 10
+STAGES = 20
 
 # Active-window bookkeeping: the update front moves at most one cell per
 # stage, so refreshing every WINDOW_EVERY stages (a whole number of steps)
 # with WINDOW_EVERY + 2 cells of padding is exact.
-WINDOW_EVERY = 6 * STAGES
+WINDOW_EVERY = 3 * STAGES
 WINDOW_PAD = WINDOW_EVERY + 2
 
 
@@ -169,18 +182,26 @@ class _Stepper:
     def __init__(self, params, grid, absorption):
         self.absorption = absorption
         self.p, self.q, self.eps, self.floor = params.p, params.q, params.eps, params.floor
-        self.cfl = SAFETY * grid.h ** 2           # dt = cfl / (2 N_eff D_max)
-        # the stage's ufunc operands as 0-d arrays: 1/h, 1/2, the coefficients'
-        # constants, and tau, written once per stage
-        self.inv_h, self.half, self.dt = np.array(1.0 / grid.h), np.array(0.5), np.array(0.0)
-        self.a_consts = model.Coefficient(self.eps, 0.5 * (self.p - 2.0))
-        self.b_consts = model.Coefficient(self.eps, 0.5 * self.q)
+        h = grid.h
+        # the folded algebra: a stage works on the face differences
+        # d = h g and on sc = (d_l + d_r)^2 = (2h)^2 gc^2, so the
+        # coefficients regularized by eps h and 2 eps h return h^(p-2) a and
+        # (2h)^q b; the powers of h come back as the scalars below
+        self.eps_a, self.eps_b = self.eps * h, 2.0 * self.eps * h
+        self.a_consts = model.Coefficient(self.eps_a, 0.5 * (self.p - 2.0))
+        self.b_consts = model.Coefficient(self.eps_b, 0.5 * self.q)
+        self.cfl = SAFETY * h ** self.p           # dt = cfl / (2 N_eff D_max)
+        self.cap = SAFETY * self.floor * (2.0 * h) ** self.q   # dt <= cap / b_max
+        self.flux_scale, self.abs_scale = h ** (1.0 - self.p), (2.0 * h) ** -self.q
         self.neff = grid.N
-        self.omega = sphere_area(grid.N)
+        self.omega_out = sphere_area(grid.N) * self.flux_scale
+        # 0-d operands of a stage, written when tau changes: tau h^(1-p) and
+        # tau (2h)^(-q)
+        self.tau_flux, self.tau_abs = np.array(0.0), np.array(0.0)
         # face weights r^(N-1) and cell factors 1/(r^(N-1) h); face 0 is the
         # zero-flux face at r = 0
-        self._lay_out((np.arange(grid.n + 1) * grid.h) ** (grid.N - 1.0),
-                      1.0 / (grid.centers() ** (grid.N - 1.0) * grid.h),
+        self._lay_out((np.arange(grid.n + 1) * h) ** (grid.N - 1.0),
+                      1.0 / (grid.centers() ** (grid.N - 1.0) * h),
                       grid.cell_measures(), 0, None, (0, 0))
         self.absorbed = 0.0
         self.boundary_out = 0.0
@@ -199,8 +220,9 @@ class _Stepper:
         self.junction, self.no_absorption = junction, no_absorption
         self.g, self.s, self.flux = np.zeros(n + 1), np.empty(n + 1), np.empty(n + 1)
         self.sc, self.div, self.babs = np.empty(n), np.empty(n), np.empty(n)
+        self.w = np.empty(n)                            # tau h^(1-p) / (r^(N-1) h)
         self.u_n = np.empty(n)                          # u^n of an SSPRK step
-        self._u, self._a, self._b = None, -1, -1
+        self._u, self._a, self._b, self._tau = None, -1, -1, None
 
     @classmethod
     def mirrored(cls, params, grid, absorption_a, absorption_b):
@@ -232,50 +254,49 @@ class _Stepper:
                             self.sc[z0 - a:z1 - a] if z0 < z1 else None)
         self._step_views = (flux, flux[1:], flux[:-1],
                             self.rw[a:b + 1] if self.weighted else None,
-                            self.div[:m], self.inv_rch[a:b], u[a:b],
+                            self.div[:m], self.inv_rch[a:b], self.w[:m], u[a:b],
                             self.babs[:m], self.cellw[a:b])
-        self._u, self._a, self._b = u, a, b
+        self._u, self._a, self._b, self._tau = u, a, b, None
 
     # -- gradients and CFL ---------------------------------------------------
 
     def gradients(self, u, a, b):
-        """Gradients seen by a step of cells [a, b): the face gradients g on
-        the b - a + 1 bounding faces (0 on the junction face), their squares
-        s, and the squared centered cell gradients sc (0 on the cells without
-        absorption), or sc = None when absorption is off.  A centered
-        gradient is the mean of its cell's two face gradients, which at
-        r = 0 equals the mirror-ghost difference.
+        """Gradients seen by a step of cells [a, b), in the folded algebra:
+        the face differences d = h g on the b - a + 1 bounding faces (0 on
+        the junction face), their squares s, and sc = (d_l + d_r)^2, the
+        squared centered cell gradient times (2h)^2 (0 on the cells without
+        absorption), or sc = None when absorption is off.  At r = 0 the
+        centered gradient is the mirror-ghost difference.
 
         The arrays are views on this stepper's scratch and are overwritten
         by its next call, so a caller that holds the gradients of several
         fields at once needs one stepper per field."""
         self._bind(u, a, b)
-        u_right, u_left, inner, g, s, g_left, g_right, sc, no_absorption = self._grad_views
+        u_right, u_left, inner, d, s, d_left, d_right, sc, no_absorption = self._grad_views
         np.subtract(u_right, u_left, inner)
-        np.multiply(inner, self.inv_h, inner)
         if self.junction is not None:
             self.g[self.junction] = 0.0
-        np.multiply(g, g, s)
+        np.multiply(d, d, s)
         if not self.absorption:
-            return g, s, None
-        np.add(g_left, g_right, sc)
-        np.multiply(sc, self.half, sc)
+            return d, s, None
+        np.add(d_left, d_right, sc)
         np.multiply(sc, sc, sc)
         if no_absorption is not None:
             no_absorption.fill(0.0)
-        return g, s, sc
+        return d, s, sc
 
     def stable_dt_from(self, s, sc):
         """Euler stage bound SAFETY * h^2 / (2 N_eff D_max), capped so one
         absorption stage cannot undershoot the floor; effective_diffusivity
-        and b_eps are increasing in s, so the face/cell maxima suffice.  A
-        NaN gradient gives dt = NaN."""
-        dmax = model.effective_diffusivity(s.item(s.argmax()), self.eps, self.p)
+        and b_eps are increasing in s, so the face/cell maxima suffice.  On
+        the folded s and sc they return h^(p-2) D and (2h)^q b, which cfl
+        and cap absorb.  A NaN gradient gives dt = NaN."""
+        dmax = model.effective_diffusivity(s.item(s.argmax()), self.eps_a, self.p)
         dt = self.cfl / (2.0 * self.neff * dmax)
         if sc is not None:
-            bmax = model.b_eps(sc.item(sc.argmax()), self.eps, self.q)
+            bmax = model.b_eps(sc.item(sc.argmax()), self.eps_b, self.q)
             if bmax > 0.0:
-                dt = min(dt, SAFETY * self.floor / bmax)
+                dt = min(dt, self.cap / bmax)
         return dt
 
     # -- one step on a window, and the active window -------------------------
@@ -289,26 +310,29 @@ class _Stepper:
         that the omitted fluxes vanish identically.
         """
         self._bind(u, a, b)
-        g, s, sc = grads
-        flux, flux_right, flux_left, rw, div, inv_rch, uw, babs, cellw = self._step_views
+        d, s, sc = grads
+        flux, flux_right, flux_left, rw, div, inv_rch, w, uw, babs, cellw = self._step_views
+        if dt != self._tau:
+            # the stage's operands, formed once per tau, array and window
+            self.tau_flux[()], self.tau_abs[()] = dt * self.flux_scale, dt * self.abs_scale
+            np.multiply(inv_rch, self.tau_flux, w)
+            self._tau = dt
 
-        # radially weighted flux r^(N-1) a_eps g on the faces; rw is None at
-        # N = 1, where every weight is 1
-        model.a_eps(s, self.eps, self.p, flux, self.a_consts)
-        np.multiply(flux, g, flux)
+        # radially weighted flux h^(p-1) r^(N-1) a_eps g on the faces; rw is
+        # None at N = 1, where every weight is 1
+        model.a_eps(s, self.eps_a, self.p, flux, self.a_consts)
+        np.multiply(flux, d, flux)
         if rw is not None:
             np.multiply(flux, rw, flux)
         np.subtract(flux_right, flux_left, div)
-        np.multiply(div, inv_rch, div)
-        self.dt[()] = dt
-        np.multiply(div, self.dt, div)
-        self.boundary_out += dt * self.omega * (flux.item(0) - flux.item(-1))
+        np.multiply(div, w, div)
+        self.boundary_out += dt * self.omega_out * (flux.item(0) - flux.item(-1))
         np.add(uw, div, uw)
 
         if sc is not None:
-            model.b_eps(sc, self.eps, self.q, babs, self.b_consts)
-            self.absorbed += dt * float(babs.dot(cellw))
-            np.multiply(babs, self.dt, babs)
+            model.b_eps(sc, self.eps_b, self.q, babs, self.b_consts)
+            self.absorbed += self.tau_abs.item() * float(babs.dot(cellw))
+            np.multiply(babs, self.tau_abs, babs)
             np.subtract(uw, babs, uw)
 
         umin = uw.item(uw.argmin())
@@ -332,7 +356,7 @@ def _advance(stepper, u, t, t_target, after_step=None):
     after_step(a, b), if given, after every step of window [a, b); returns
     early once u is at the floor, a steady state."""
     t_stop = t_target - 1e-15 * max(1.0, t_target)
-    keep = (STAGES - 1) / STAGES
+    keep, stages = (STAGES - 1) / STAGES, np.array(float(STAGES))
     while t < t_stop:
         win = stepper.active_window(u)
         if win is None:
@@ -348,7 +372,10 @@ def _advance(stepper, u, t, t_target, after_step=None):
             stepper.step_window(u, a, b, tau, g)
             for _ in range(STAGES - 1):
                 stepper.step_window(u, a, b, tau, stepper.gradients(u, a, b))
-            uw += (un - uw) / STAGES
+            # u += (u^n - u) / S, in place
+            np.subtract(un, uw, un)
+            np.divide(un, stages, un)
+            np.add(uw, un, uw)
             stepper.absorbed = absorbed + (stepper.absorbed - absorbed) * keep
             stepper.boundary_out = out + (stepper.boundary_out - out) * keep
             t += dt

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from barenblatt_oracle import barenblatt_residual, barenblatt_time_derivative
 
 from gradabs import model
 from gradabs.exponents import InvalidParams, ProblemParams
-from gradabs.solver import Grid, _Stepper
+from gradabs.solver import Grid
 
 
 def test_a_eps_examples():
@@ -73,9 +74,9 @@ def test_coefficients_write_into_out(p, q):
     s = np.random.default_rng(3).uniform(0.0, 40.0, 257)
     s[0] = 0.0
     for eps in (1e-3, 0.3):
-        st = _Stepper(ProblemParams(p, q, 1, eps), Grid(0.05, 32, 1), True)
-        for coef, k, plain, consts in ((model.a_eps, p, a_plain, st.a_consts),
-                                       (model.b_eps, q, b_plain, st.b_consts)):
+        for coef, k, plain, consts in (
+                (model.a_eps, p, a_plain, model.Coefficient(eps, 0.5 * (p - 2.0))),
+                (model.b_eps, q, b_plain, model.Coefficient(eps, 0.5 * q))):
             out = np.full_like(s, np.nan)
             assert coef(s, eps, k, out=out) is out
             assert np.array_equal(out, plain(s, eps))
@@ -95,46 +96,27 @@ def test_gamma_p_examples():
         model.gamma_p_constant(2.0, 1)
 
 
-def test_gamma_p_residual_check_runs_once_per_p_n(monkeypatch):
-    calls, residual = [], model.barenblatt_residual
-
-    def counting(*args):
-        calls.append(args[2:4])
-        return residual(*args)
-
-    monkeypatch.setattr(model, "barenblatt_residual", counting)
-    model.gamma_p_constant.cache_clear()
-    for _ in range(2):
-        model.barenblatt_value(1.5, np.linspace(0.0, 1.0, 5), 3.0, 1)
-        model.barenblatt_support_radius(1.5, 3.0, 1)
-    model.barenblatt_support_radius(1.5, 3.5, 2)
-    assert calls == [(3.0, 1), (3.5, 2)]
-    # a failing check is not cached: it raises on every call
-    monkeypatch.setattr(model, "barenblatt_residual", lambda *args: np.ones(20))
-    for _ in range(2):
-        with pytest.raises(RuntimeError):
-            model.gamma_p_constant(3.25, 1)
-    model.gamma_p_constant.cache_clear()
-
-
 def test_barenblatt_residual_vanishes():
+    # every (p, N) at which the battery, the benchmark or the tests evaluate
+    # gamma_p, (3, 1), (3.5, 2), (4, 1) and (4, 3), and the grid around them
     rng = np.random.default_rng(3)
-    for p, N in ((3.0, 1), (3.5, 2), (4.0, 3)):
-        t = rng.uniform(1.0, 2.0, 100)
-        edge = model.barenblatt_support_radius(1.0, p, N)
-        r = rng.uniform(0.0, 0.95 * edge, 100)
-        gp = model.gamma_p_constant(p, N)
-        res = model.barenblatt_residual(t, r, p, N, gp)
-        scale = np.max(np.abs(model.barenblatt_time_derivative(t, r, p, N, gp)))
-        assert np.max(np.abs(res)) <= 1e-8 * max(scale, 1.0)
+    for p in (2.5, 3.0, 3.5, 4.0, 5.0, 6.0):
+        for N in (1, 2, 3):
+            t = rng.uniform(1.0, 2.0, 100)
+            edge = model.barenblatt_support_radius(1.0, p, N)
+            r = rng.uniform(0.0, 0.95 * edge, 100)
+            gp = model.gamma_p_constant(p, N)
+            res = barenblatt_residual(t, r, p, N, gp)
+            scale = np.max(np.abs(barenblatt_time_derivative(t, r, p, N, gp)))
+            assert np.max(np.abs(res)) <= 1e-8 * max(scale, 1.0), (p, N)
 
 
 def test_residual_oracle_rejects_wrong_profile_constant():
     # the residual vanishes only at the exact constant 1/6 (p=3, N=1)
     t = np.linspace(1.0, 2.0, 20)
     r = np.linspace(0.1, 1.5, 20)
-    good = np.max(np.abs(model.barenblatt_residual(t, r, 3.0, 1, gamma=1.0 / 6.0)))
-    bad = np.max(np.abs(model.barenblatt_residual(t, r, 3.0, 1, gamma=0.2)))
+    good = np.max(np.abs(barenblatt_residual(t, r, 3.0, 1, gamma=1.0 / 6.0)))
+    bad = np.max(np.abs(barenblatt_residual(t, r, 3.0, 1, gamma=0.2)))
     assert good <= 1e-12
     assert bad > 1e-2
 
@@ -146,7 +128,7 @@ def test_time_derivative_matches_finite_difference():
     dt = 1e-6
     fd = (model.barenblatt_value(t + dt, r, p, N)
           - model.barenblatt_value(t - dt, r, p, N)) / (2.0 * dt)
-    exact = model.barenblatt_time_derivative(t, r, p, N, model.gamma_p_constant(p, N))
+    exact = barenblatt_time_derivative(t, r, p, N, model.gamma_p_constant(p, N))
     assert np.max(np.abs(fd - exact)) <= 1e-6
 
 
