@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bernstein, fit, model, observe, solver
-from .exponents import (ProblemParams, alpha_p, compute_exponents,
-                        eta_exponent, q_star)
+from .exponents import (ProblemParams, compute_exponents, eta_exponent,
+                        q_star)
 
 
 @dataclass(frozen=True)
@@ -189,34 +189,10 @@ class AcceptanceLab:
         return worst <= 1e-12, f"worst residual {worst:.2e} ({worst_name}), <= 1e-12"
 
     def check_bernstein(self):
-        *b22, phi1, eq = bernstein.standard_scans()
-        ok = all(rep.passed for rep in b22) and phi1.passed
-        msgs = [f"b22(q={q}) margin {rep.worst_margin:.2e}"
-                for q, rep in zip(bernstein.B22_QS, b22)]
-        # the scan list holds eps = 1e-3; mu must also exist at coarser eps
-        alpha = alpha_p(3.0, 1)
-        mus = [bernstein.search_mu(1.0, eps, 0.75, alpha) for eps in (1e-1, 1e-2)]
-        msgs.append(f"mu found: {mus}, phi1 margin {phi1.worst_margin:.2e} at eps=1e-3")
-        # supersolution margins: zero at equality, positive at the two
-        # working scalings with the damping bounded by the eps defect
-        ok &= abs(eq.worst_margin) <= 1e-12
-        d = bernstein.omega_eps(ProblemParams(3.0, 2.0, 1, eps=1e-3, gamma=0.75))
-        T = d ** -0.5
-        for m, sigma in ((2.5, 2.0 / 3.0), (2.0, 1.0)):  # p=3 and q=2 scalings
-            theta = (2.0 * (sigma + d * T)) ** (1.0 / (m - 1.0))
-            rep = bernstein.verify_power_supersolution(1.0, d, m, sigma, theta, T)
-            ok &= rep.passed and rep.worst_margin > 0.0
-            msgs.append(f"S(m={m}) margin {rep.worst_margin:.3f}")
-        # closed-form derivatives against centered finite differences
-        phi, lo, hi = bernstein.Phi1(2.0, 0.5), 0.02, 1.9
-        v = np.random.default_rng(7).uniform(lo, hi, 50)
-        dh = 1e-6 * (hi - lo)
-        d2 = phi.derivatives(v)[1]
-        fd1 = (phi.derivatives(v + dh)[0] - phi.derivatives(v - dh)[0]) / (2.0 * dh)
-        worst_fd = float(np.max(np.abs(fd1 - d2) / np.abs(d2)))
-        ok &= worst_fd <= 1e-6
-        msgs.append(f"derivative FD defect {worst_fd:.1e}")
-        return bool(ok), "; ".join(msgs)
+        reports = bernstein.standard_scans()
+        return all(rep.passed for rep in reports), "; ".join(
+            f"{rep.name} ({rep.grid_desc}) margin {rep.worst_margin:.4g}"
+            for rep in reports)
 
     CRITERIA = {
         "exponents": check_exponents,
@@ -241,7 +217,3 @@ class AcceptanceLab:
             passed, details = False, f"{type(exc).__name__}: {exc}"
         return CriterionResult(name, bool(passed), details,
                                time.perf_counter() - start)
-
-    def run_all(self, only):
-        names = [n for n in self.CRITERIA if only is None or n in only]
-        return [self.run_criterion(n) for n in names]

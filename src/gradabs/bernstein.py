@@ -21,7 +21,7 @@ MU_MAX_POWER = 20
 
 
 # ---------------------------------------------------------------------------
-# substitution functions phi with closed-form derivatives
+# the substitution phi1 and its log-derivative phi''/phi'
 
 
 @dataclass(frozen=True)
@@ -40,29 +40,16 @@ class Phi1:
         v = np.asarray(v, dtype=float)
         if np.any(v <= 0.0) or np.any(v > self.K):
             raise InvalidParams(f"Phi1 argument outside (0, K={self.K}]")
-
-    def derivatives(self, v):
-        """(phi', phi'') at v, via s = 2Kv - v^2."""
-        self.check_domain(v)
-        v = np.asarray(v, dtype=float)
-        ia = 1.0 / self.alpha
-        s = 2.0 * self.K * v - v * v
-        sp = 2.0 * (self.K - v)
-        d1 = ia * s ** (ia - 1.0) * sp
-        d2 = ia * ((ia - 1.0) * s ** (ia - 2.0) * sp * sp
-                   - 2.0 * s ** (ia - 1.0))
-        return d1, d2
+        return v
 
     def ratio(self, v):
         """phi''/phi' = (1/alpha - 1) s'/s - 1/(K - v)."""
-        self.check_domain(v)
-        v = np.asarray(v, dtype=float)
+        v = self.check_domain(v)
         s = 2.0 * self.K * v - v * v
         return (1.0 / self.alpha - 1.0) * 2.0 * (self.K - v) / s - 1.0 / (self.K - v)
 
     def ratio_prime(self, v):
-        self.check_domain(v)
-        v = np.asarray(v, dtype=float)
+        v = self.check_domain(v)
         s = 2.0 * self.K * v - v * v
         sp = 2.0 * (self.K - v)
         return (1.0 / self.alpha - 1.0) * (-2.0 * s - sp * sp) / (s * s) \
@@ -119,42 +106,36 @@ def check_b22(q) -> ProofCheckReport:
                                       np.asarray(margins), points)
 
 
-def check_phi1_properties(mu, M, eps, gamma, alpha) -> ProofCheckReport:
+def check_phi1_properties(M, eps, gamma, alpha) -> ProofCheckReport:
     """Sign conditions on phi1: (phi''/phi')' <= 0, phi''/phi' >= 0, and
     the quantitative bound
     (phi''/phi')' + alpha/(1-alpha) (phi''/phi')^2 <= -((1+alpha)/(2 alpha))/(K v)
     at 200 points of the admissible v interval
-    [eps^(gamma alpha) / (2K), M^(alpha/2)], K = sqrt(1+mu) M^alpha."""
-    K = math.sqrt(1.0 + mu) * M ** alpha
-    lo = eps ** (gamma * alpha) / (2.0 * K)
-    hi = M ** (0.5 * alpha)
-    if not lo < hi <= K:
-        raise InvalidParams(f"empty or out-of-domain v range [{lo}, {hi}] for K={K}")
-    v = np.geomspace(lo, hi, 200)
-    phi = Phi1(K, alpha)
-    rat = phi.ratio(v)
-    ratp = phi.ratio_prime(v)
-    m_concave = -ratp
-    m_sign = rat
-    m_quant = -(ratp + alpha / (1.0 - alpha) * rat * rat) \
-        - (1.0 + alpha) / (2.0 * alpha) / (K * v)
-    margins = np.concatenate([m_concave, m_sign, m_quant])
-    points = [(float(x),) for x in np.concatenate([v, v, v])]
-    desc = f"mu={mu}, M={M}, eps={eps}, gamma={gamma}, alpha={alpha}, {v.size} v samples"
-    return ProofCheckReport.from_scan("phi1-properties", desc, margins, points)
-
-
-def search_mu(M, eps, gamma, alpha):
-    """Smallest mu in {1, 2, 4, ..., 2^MU_MAX_POWER} making all three phi1
-    properties hold on the admissible interval."""
+    [eps^(gamma alpha) / (2K), M^(alpha/2)], K = sqrt(1+mu) M^alpha, for
+    mu = 1, 2, 4, ..., 2^MU_MAX_POWER.  Returns the report at the smallest
+    mu making all three hold, else at the largest mu scanned; a mu whose
+    interval is empty or leaves the domain (0, K] of phi1 is skipped."""
+    rep, hi = None, M ** (0.5 * alpha)
     for k in range(MU_MAX_POWER + 1):
         mu = float(2 ** k)
-        if check_phi1_properties(mu, M, eps, gamma, alpha).passed:
-            return mu
-    raise InvalidParams(
-        f"no mu <= 2^{MU_MAX_POWER} satisfies the phi1 properties for "
-        f"(M={M}, eps={eps}, gamma={gamma}, alpha={alpha})"
-    )
+        K = math.sqrt(1.0 + mu) * M ** alpha
+        lo = eps ** (gamma * alpha) / (2.0 * K)
+        if not lo < hi <= K:
+            continue            # phi1 at this mu is undefined on part of [lo, hi]
+        v = np.geomspace(lo, hi, 200)
+        phi = Phi1(K, alpha)
+        rat, ratp = phi.ratio(v), phi.ratio_prime(v)
+        m_quant = -(ratp + alpha / (1.0 - alpha) * rat * rat) \
+            - (1.0 + alpha) / (2.0 * alpha) / (K * v)
+        desc = f"mu={mu}, M={M}, eps={eps}, gamma={gamma}, alpha={alpha}, {v.size} v samples"
+        rep = ProofCheckReport.from_scan("phi1-properties", desc,
+                                         np.concatenate([-ratp, rat, m_quant]),
+                                         np.tile(v, 3))
+        if rep.passed:
+            break
+    if rep is None:
+        raise InvalidParams(f"empty or out-of-domain v range at every mu: M={M}, eps={eps}")
+    return rep
 
 
 def omega_eps(params: ProblemParams):
@@ -191,14 +172,21 @@ B22_QS = (1.1, 1.5, 2.0, 2.5, 3.0, 4.0)
 
 
 def standard_scans():
-    """The scans of `gradabs bernstein-check` and the acceptance battery:
-    the absorption bracket at each q in B22_QS, the phi1 properties at
-    (p, N) = (3, 1), eps = 1e-3 with the smallest working mu, and the
-    power supersolution at equality (margin 0), in that order."""
+    """The scans of `gradabs bernstein-check` and the acceptance battery, in
+    order: the absorption bracket at each q in B22_QS; the phi1 properties
+    at (p, N) = (3, 1) and eps = 1e-1, 1e-2, 1e-3, each at its smallest
+    working mu; the power supersolution at equality (margin 0), then at the
+    p = 3 and q = 2 working scalings, damped by omega_eps at eps = 1e-3 on
+    (0, omega_eps^(-1/2)]."""
     alpha = alpha_p(3.0, 1)
     reports = [check_b22(q) for q in B22_QS]
-    mu = search_mu(1.0, 1e-3, 0.75, alpha)
-    reports.append(check_phi1_properties(mu, 1.0, 1e-3, 0.75, alpha))
+    reports += [check_phi1_properties(1.0, eps, 0.75, alpha)
+                for eps in (1e-1, 1e-2, 1e-3)]
     reports.append(verify_power_supersolution(
         1.0, 0.0, 2.5, 2.0 / 3.0, (2.0 / 3.0) ** (2.0 / 3.0), 1.0))
+    d = omega_eps(ProblemParams(3.0, 2.0, 1, eps=1e-3, gamma=0.75))
+    T = d ** -0.5
+    for m, sigma in ((2.5, 2.0 / 3.0), (2.0, 1.0)):
+        theta = (2.0 * (sigma + d * T)) ** (1.0 / (m - 1.0))
+        reports.append(verify_power_supersolution(1.0, d, m, sigma, theta, T))
     return reports

@@ -45,6 +45,16 @@ def _load_config(path):
         raise _Failure(EXIT_CONFIG, f"bad config: {exc}") from None
 
 
+def _make_out(path):
+    """The --out directory, created before any simulation runs."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _Failure(EXIT_CONFIG, f"cannot create --out: {exc}") from None
+    return out
+
+
 def cmd_exponents(args):
     try:
         params = ProblemParams(args.p, args.q, args.N)
@@ -66,7 +76,6 @@ def _execute_run(config, out_dir, label):
     start = time.perf_counter()
     state, series = solver.run(config)
     wall = time.perf_counter() - start
-    out_dir.mkdir(parents=True, exist_ok=True)
     series_path = out_dir / f"{label}.csv"
     series_path.write_text(series.to_csv())
     params = config.params()
@@ -93,8 +102,9 @@ def _execute_run(config, out_dir, label):
 
 def cmd_run(args):
     config = _load_config(args.config)
+    out = _make_out(args.out)
     try:
-        report, verdicts = _execute_run(config, Path(args.out), "series")
+        report, verdicts = _execute_run(config, out, "series")
     except solver.NumericalError as exc:
         raise _Failure(EXIT_NUMERICAL, f"numerical failure: {exc}") from None
     print(json.dumps(report, indent=2))
@@ -149,8 +159,7 @@ def cmd_sweep(args):
     if args.workers < 1:
         raise _Failure(EXIT_CONFIG, f"--workers must be at least 1, got {args.workers}")
     configs = _cell_configs(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(args.out)
     jobs = [(c, str(out), f"p{c.p:g}_q{c.q:g}") for c in configs]
     workers = min(args.workers, len(jobs))    # no idle pool workers
     if workers > 1:
@@ -202,18 +211,19 @@ def cmd_bernstein_check(args):
 
 
 def cmd_verify(args):
-    only = set(args.only.split(",")) if args.only else None
-    if only:
-        unknown = only - set(acceptance.AcceptanceLab.CRITERIA)
-        if unknown:
-            raise _Failure(EXIT_CONFIG, f"unknown criteria: {sorted(unknown)}")
+    names = list(acceptance.AcceptanceLab.CRITERIA)
+    only = names if args.only is None else args.only.split(",")
+    unknown = set(only) - set(names)
+    if unknown:
+        raise _Failure(EXIT_CONFIG, f"unknown criteria: {sorted(unknown)}")
     lab = acceptance.AcceptanceLab()
-    results = lab.run_all(only)
-    for res in results:
-        print(res.line(), flush=True)
-    failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-    return EXIT_OK if not failed else EXIT_VERDICT
+    names, passed = [n for n in names if n in only], 0
+    for name in names:
+        res = lab.run_criterion(name)
+        print(res.line(), flush=True)     # as soon as the criterion finishes
+        passed += res.passed
+    print(f"{passed}/{len(names)} criteria passed")
+    return EXIT_OK if passed == len(names) else EXIT_VERDICT
 
 
 def build_parser():

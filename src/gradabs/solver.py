@@ -181,7 +181,8 @@ class _Stepper:
 
     def __init__(self, params, grid, absorption):
         self.absorption = absorption
-        self.p, self.q, self.eps, self.floor = params.p, params.q, params.eps, params.floor
+        self.p, self.q, self.N = params.p, params.q, params.N
+        self.eps, self.floor = params.eps, params.floor
         h = grid.h
         # the folded algebra: a stage works on the face differences
         # d = h g and on sc = (d_l + d_r)^2 = (2h)^2 gc^2, so the
@@ -190,10 +191,9 @@ class _Stepper:
         self.eps_a, self.eps_b = self.eps * h, 2.0 * self.eps * h
         self.a_consts = model.Coefficient(self.eps_a, 0.5 * (self.p - 2.0))
         self.b_consts = model.Coefficient(self.eps_b, 0.5 * self.q)
-        self.cfl = SAFETY * h ** self.p           # dt = cfl / (2 N_eff D_max)
+        self.cfl = SAFETY * h ** self.p           # dt = cfl / (2 N D_max)
         self.cap = SAFETY * self.floor * (2.0 * h) ** self.q   # dt <= cap / b_max
         self.flux_scale, self.abs_scale = h ** (1.0 - self.p), (2.0 * h) ** -self.q
-        self.neff = grid.N
         self.omega_out = sphere_area(grid.N) * self.flux_scale
         # 0-d operands of a stage, written when tau changes: tau h^(1-p) and
         # tau (2h)^(-q)
@@ -286,13 +286,13 @@ class _Stepper:
         return d, s, sc
 
     def stable_dt_from(self, s, sc):
-        """Euler stage bound SAFETY * h^2 / (2 N_eff D_max), capped so one
+        """Euler stage bound SAFETY * h^2 / (2 N D_max), capped so one
         absorption stage cannot undershoot the floor; effective_diffusivity
         and b_eps are increasing in s, so the face/cell maxima suffice.  On
         the folded s and sc they return h^(p-2) D and (2h)^q b, which cfl
         and cap absorb.  A NaN gradient gives dt = NaN."""
         dmax = model.effective_diffusivity(s.item(s.argmax()), self.eps_a, self.p)
-        dt = self.cfl / (2.0 * self.neff * dmax)
+        dt = self.cfl / (2.0 * self.N * dmax)
         if sc is not None:
             bmax = model.b_eps(sc.item(sc.argmax()), self.eps_b, self.q)
             if bmax > 0.0:

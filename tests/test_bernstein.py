@@ -5,14 +5,29 @@ from gradabs import bernstein as bn
 from gradabs.exponents import InvalidParams, ProblemParams, alpha_p, beta_pq
 
 
+def phi1_derivatives(phi, v):
+    """Closed-form (phi', phi'') of Phi1 at v, via s = 2Kv - v^2."""
+    ia = 1.0 / phi.alpha
+    s = 2.0 * phi.K * v - v * v
+    sp = 2.0 * (phi.K - v)
+    d1 = ia * s ** (ia - 1.0) * sp
+    d2 = ia * ((ia - 1.0) * s ** (ia - 2.0) * sp * sp - 2.0 * s ** (ia - 1.0))
+    return d1, d2
+
+
 def test_phi_derivatives_match_finite_differences():
     rng = np.random.default_rng(6)
-    for phi, lo, hi in ((bn.Phi1(2.0, 0.5), 0.05, 1.9),
-                        (bn.Phi1(5.0, 0.3), 0.1, 4.5)):
-        v = rng.uniform(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 40)
-        dh = 1e-6
-        d1, d2 = phi.derivatives(v)
-        fd1 = (phi.derivatives(v + dh)[0] - phi.derivatives(v - dh)[0]) / (2.0 * dh)
+    cases = [(phi, rng.uniform(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 40), 1e-6)
+             for phi, lo, hi in ((bn.Phi1(2.0, 0.5), 0.05, 1.9),
+                                 (bn.Phi1(5.0, 0.3), 0.1, 4.5))]
+    # 50 points over the whole of [0.02, 1.9], with a step scaled to it
+    lo, hi = 0.02, 1.9
+    cases.append((bn.Phi1(2.0, 0.5), np.random.default_rng(7).uniform(lo, hi, 50),
+                  1e-6 * (hi - lo)))
+    for phi, v, dh in cases:
+        d1, d2 = phi1_derivatives(phi, v)
+        fd1 = (phi1_derivatives(phi, v + dh)[0]
+               - phi1_derivatives(phi, v - dh)[0]) / (2.0 * dh)
         assert np.max(np.abs(fd1 - d2) / np.abs(d2)) <= 1e-6
         # the ratio helpers the phi1 scan reads agree with the derivatives
         assert np.allclose(phi.ratio(v), d2 / d1, rtol=1e-12)
@@ -24,9 +39,9 @@ def test_phi_derivatives_match_finite_differences():
 def test_phi1_domain_checks():
     phi = bn.Phi1(1.0, 0.5)
     with pytest.raises(InvalidParams):
-        phi.derivatives(1.5)
+        phi.ratio(1.5)
     with pytest.raises(InvalidParams):
-        phi.derivatives(0.0)
+        phi.ratio_prime(0.0)
     with pytest.raises(InvalidParams):
         bn.Phi1(-1.0, 0.5)
 
@@ -72,23 +87,24 @@ def test_c14_cases():
 def test_phi1_properties_and_mu_search(monkeypatch):
     alpha = alpha_p(3.0, 1)
     for eps in (1e-1, 1e-2, 1e-3):
-        mu = bn.search_mu(1.0, eps, 0.75, alpha)
-        assert np.isfinite(mu)
-        rep = bn.check_phi1_properties(mu, 1.0, eps, 0.75, alpha)
-        assert rep.passed
-    # a mu known too small for this range fails, so search with a scan
-    # capped below it reports rather than asserts
-    small = bn.check_phi1_properties(1.0, 1.0, 1e-3, 0.75, alpha)
-    assert not small.passed
+        rep = bn.check_phi1_properties(1.0, eps, 0.75, alpha)
+        assert rep.passed and rep.grid_desc.startswith("mu=8.0,")
+    # at M = 1e-2 the range's top M^(alpha/2) lies above K for mu <= 8; those
+    # mu are skipped, and mu = 16 and 32 fail the properties
+    rep = bn.check_phi1_properties(1e-2, 1e-3, 0.75, alpha)
+    assert rep.passed and rep.grid_desc.startswith("mu=64.0,")
+    # mu = 1 is too small for this range: with the search capped there, the
+    # report of the last mu tried fails rather than raising
     monkeypatch.setattr(bn, "MU_MAX_POWER", 0)
-    with pytest.raises(InvalidParams, match=r"no mu <= 2\^0"):
-        bn.search_mu(1.0, 1e-3, 0.75, alpha)
+    small = bn.check_phi1_properties(1.0, 1e-3, 0.75, alpha)
+    assert not small.passed and small.grid_desc.startswith("mu=1.0,")
 
 
 def test_phi1_properties_rejects_empty_v_range():
-    # M = 1e-6: hi = M^(alpha/2) lies above K = sqrt(2) M^alpha
+    # M = 1e-6: the v range is empty at every mu, and at small mu its top
+    # M^(alpha/2) also lies above K = sqrt(1 + mu) M^alpha
     with pytest.raises(InvalidParams, match="empty or out-of-domain"):
-        bn.check_phi1_properties(1.0, 1e-6, 1e-2, 0.75, 0.5)
+        bn.check_phi1_properties(1e-6, 1e-2, 0.75, 0.5)
 
 
 def test_omega_eps():
@@ -121,3 +137,15 @@ def test_supersolution_margins():
     with pytest.raises(InvalidParams):
         bn.verify_power_supersolution(-1.0, 0.0, 2.0, 1.0, 1.0, 1.0)
 
+
+
+def test_standard_scans():
+    reports = bn.standard_scans()
+    assert [rep.name for rep in reports] == (["b22-absorption-bracket"] * len(bn.B22_QS)
+                                             + ["phi1-properties"] * 3
+                                             + ["power-supersolution"] * 3)
+    assert all(rep.passed for rep in reports)
+    eq, *working = reports[-3:]
+    assert eq.worst_margin == pytest.approx(0.0, abs=1e-15)
+    # the two damped working scalings hold strictly, not within the slack
+    assert all(rep.worst_margin > 0.0 for rep in working)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from gradabs import cli, observe
+from gradabs import bernstein, cli, observe
+from gradabs.acceptance import AcceptanceLab
 
 GOOD_CONFIG = """
 p = 3
@@ -288,10 +289,21 @@ def test_sweep_rejects_workers_below_one(tmp_path, capsys):
 
 
 def test_bernstein_check(capsys):
+    # one passing line per report of the one scan list, in its order, and
+    # the battery's criterion quotes the margins of that same list
+    reports = bernstein.standard_scans()
+    assert len(reports) == 12
     assert run_cli("bernstein-check") == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) >= 7
-    assert all(json.loads(line)["pass"] for line in lines)
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line["name"] for line in lines] == [rep.name for rep in reports]
+    assert [line["grid"] for line in lines] == [rep.grid_desc for rep in reports]
+    assert all(line["pass"] for line in lines)
+    result = AcceptanceLab().run_criterion("bernstein")
+    assert result.passed
+    parts = result.details.split("; ")
+    assert [part.split(" (")[0] for part in parts] == [line["name"] for line in lines]
+    margins = [float(part.rpartition(" margin ")[2]) for part in parts]
+    assert margins == [pytest.approx(line["worst_margin"], rel=1e-3) for line in lines]
 
 
 def test_verify_only_fast_criteria(capsys):
@@ -302,4 +314,42 @@ def test_verify_only_fast_criteria(capsys):
 
 
 def test_verify_rejects_unknown_criterion(capsys):
-    assert run_cli("verify", "--only", "nonsense") == 2
+    # an empty --only names the criterion '', not the whole battery
+    for only, unknown in (("nonsense", "['nonsense']"), ("", "['']")):
+        assert run_cli("verify", "--only", only) == 2
+        assert f"unknown criteria: {unknown}" in capsys.readouterr().err
+
+
+def test_verify_prints_each_criterion_as_it_finishes(monkeypatch, capsys):
+    seen = []
+
+    def second(lab):
+        seen.append(capsys.readouterr().out)
+        return True, "second done"
+
+    monkeypatch.setattr(AcceptanceLab, "CRITERIA",
+                        {"first": lambda lab: (True, "first done"), "second": second})
+    assert run_cli("verify") == 0
+    assert seen[0].startswith("[PASS] first: first done (")
+    out = capsys.readouterr().out
+    assert out.startswith("[PASS] second: second done (")
+    assert out.endswith("2/2 criteria passed\n")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_and_sweep_reject_out_that_is_a_file(tmp_path, monkeypatch, capsys, command):
+    # --out is created before any simulation; a path it cannot be created at
+    # used to end in a FileExistsError traceback once the runs were done
+    cfg, out = tmp_path / "run.cfg", tmp_path / "taken"
+    cfg.write_text(GOOD_CONFIG)
+    out.write_text("")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("solver.run called")
+
+    monkeypatch.setattr(cli.solver, "run", no_run)
+    argv = ["--p", "3", "--q", "2"] if command == "sweep" else []
+    assert run_cli(command, *argv, "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create --out: ")
+    assert "Traceback" not in err
