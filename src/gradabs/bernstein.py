@@ -184,7 +184,7 @@ def standard_scans():
                 for eps in (1e-1, 1e-2, 1e-3)]
     reports.append(verify_power_supersolution(
         1.0, 0.0, 2.5, 2.0 / 3.0, (2.0 / 3.0) ** (2.0 / 3.0), 1.0))
-    d = omega_eps(ProblemParams(3.0, 2.0, 1, eps=1e-3, gamma=0.75))
+    d = omega_eps(ProblemParams(3.0, 2.0, 1, eps=1e-3))
     T = d ** -0.5
     for m, sigma in ((2.5, 2.0 / 3.0), (2.0, 1.0)):
         theta = (2.0 * (sigma + d * T)) ** (1.0 / (m - 1.0))

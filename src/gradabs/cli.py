@@ -55,20 +55,22 @@ def _make_out(path):
     return out
 
 
+def _exponent_table(params):
+    """The exponents that apply at params, by name, in ExponentSet order:
+    A_support and B_l1 only in the intermediate regime."""
+    return {name: value for name, value in
+            dataclasses.asdict(compute_exponents(params)).items() if value is not None}
+
+
 def cmd_exponents(args):
     try:
         params = ProblemParams(args.p, args.q, args.N)
     except InvalidParams as exc:
         raise _Failure(EXIT_CONFIG, str(exc)) from None
-    ex = compute_exponents(params)
-    regime = classify_regime(params)
     print(f"p={params.p} q={params.q} N={params.N}")
-    for name in ("alpha_p", "beta_pq", "q_star", "xi", "eta", "gamma_max"):
-        print(f"  {name:10s} = {getattr(ex, name):.12g}")
-    if ex.A_support is not None:
-        print(f"  {'A_support':10s} = {ex.A_support:.12g}")
-        print(f"  {'B_l1':10s} = {ex.B_l1:.12g}")
-    print(f"  regime     = {regime.value}")
+    for name, value in _exponent_table(params).items():
+        print(f"  {name:10s} = {value:.12g}")
+    print(f"  regime     = {classify_regime(params).value}")
     return EXIT_OK
 
 
@@ -88,9 +90,7 @@ def _execute_run(config, out_dir, label):
         "params": {"p": params.p, "q": params.q, "N": params.N,
                    "eps": params.eps, "gamma": params.gamma},
         "regime": classify_regime(params).value,
-        "exponents": {k: v for k, v in
-                      dataclasses.asdict(compute_exponents(params)).items()
-                      if v is not None},
+        "exponents": _exponent_table(params),
         "mass_balance_residual": observe.mass_balance_residual(series),
         "verdicts": [v.as_dict() for v in verdicts],
         "verdict_error": verdict_error,
@@ -114,8 +114,9 @@ def cmd_run(args):
 
 
 def _cell_configs(args):
-    """One run config per (p, q) cell, in sorted order.  A bad axis, a
-    duplicate cell or a cell whose config no run can start from exits 2."""
+    """One run config per (p, q) cell, in sorted order: the base config, or
+    h = 0.01, L = 8, t_end = 16, at (p, q).  A bad axis, a duplicate cell or
+    a cell whose config no run can start from exits 2."""
     try:
         ps = [float(x) for x in args.p.split(",")]
         qs = [float(x) for x in args.q.split(",")]
@@ -125,15 +126,12 @@ def _cell_configs(args):
     if len(set(cells)) != len(cells):
         raise _Failure(EXIT_CONFIG, "duplicate sweep cells")
     base = _load_config(args.config) if args.config else None
-    N = args.N                # --N overrides the base config's N
-    if N is None:
-        N = base.N if base else 1
     configs = []
     for p, q in sorted(cells):
         try:
             configs.append(
-                dataclasses.replace(base, p=p, q=q, N=N) if base else
-                solver.RunConfig(p, q, N, h=0.01, L=8.0, t_end=16.0))
+                dataclasses.replace(base, p=p, q=q) if base else
+                solver.RunConfig(p, q, h=0.01, L=8.0, t_end=16.0))
         except ValueError as exc:
             raise _Failure(EXIT_CONFIG, f"cell ({p}, {q}): {exc}") from None
     return configs
@@ -244,8 +242,6 @@ def build_parser():
     sp = sub.add_parser("sweep", help="parallel (p, q) sweep")
     sp.add_argument("--p", required=True, help="comma-separated p values")
     sp.add_argument("--q", required=True, help="comma-separated q values")
-    sp.add_argument("--N", type=int, default=None,
-                    help="dimension; default the base config's N, else 1")
     sp.add_argument("--config", default=None, help="base run config")
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--out", default="sweep")

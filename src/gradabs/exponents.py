@@ -17,7 +17,7 @@ EQUALITY_TOL = 1e-12
 
 
 class InvalidParams(ValueError):
-    """Raised when (p, q, N, eps, gamma) violate the admissible ranges."""
+    """Raised when (p, q, N, eps) violate the admissible ranges."""
 
 
 def alpha_p(p, N):
@@ -51,22 +51,20 @@ def gamma_cap(p, q, N):
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """The (p, q, N) triple plus regularization knobs (eps, gamma).
-
-    gamma defaults to the largest value allowed by the floor-exponent
-    constraint, which makes the floor eps**gamma as small as possible.
+    """The (p, q, N) triple plus the regularization parameter eps.  The
+    floor exponent gamma is derived, not set: it is gamma_cap(p, q, N), which
+    makes the floor eps**gamma as small as the gradient estimates admit.
     """
 
     p: float
     q: float
     N: int = 1
     eps: float = 1e-3
-    gamma: float | None = None
 
     def __post_init__(self):
-        for name in ("p", "q", "eps", "gamma"):
+        for name in ("p", "q", "eps"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise InvalidParams(f"{name} must be a finite number, got {name}={value}")
         if not self.p > 2.0:
             raise InvalidParams(f"p must satisfy p > 2, got p={self.p}")
@@ -76,13 +74,7 @@ class ProblemParams:
             raise InvalidParams(f"N must be a positive integer, got N={self.N}")
         if not 0.0 < self.eps < 0.5:
             raise InvalidParams(f"eps must lie in (0, 1/2), got eps={self.eps}")
-        cap = gamma_cap(self.p, self.q, self.N)
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", cap)
-        elif not 0.0 < self.gamma <= cap + 1e-15:
-            raise InvalidParams(
-                f"gamma={self.gamma} outside (0, {cap}] for (p,q,N)=({self.p},{self.q},{self.N})"
-            )
+        object.__setattr__(self, "gamma", gamma_cap(self.p, self.q, self.N))
 
     @property
     def floor(self):

@@ -33,7 +33,6 @@ class ConstantAbscissaError(FitError):
 
 @dataclass(frozen=True)
 class FitResult:
-    kind: str                 # power | log_growth | plateau | composite
     exponent: float | None    # power exponent / log slope / composite slope
     amplitude: float | None   # prefactor / intercept / plateau level
     r2: float
@@ -85,14 +84,14 @@ def fit_power(t, y, window) -> FitResult:
     if np.any(y <= 0.0):
         raise FitError("fit_power requires positive samples in the window")
     slope, intercept, r2 = _line(np.log(t), np.log(y))
-    return FitResult("power", slope, math.exp(intercept), r2, (float(t[0]), float(t[-1])))
+    return FitResult(slope, math.exp(intercept), r2, (float(t[0]), float(t[-1])))
 
 
 def fit_log_growth(t, y, window) -> FitResult:
     """Least-squares line on (ln t, y); the slope is the log-growth rate."""
     t, y = _windowed(t, window, y)
     slope, intercept, r2 = _line(np.log(t), y)
-    return FitResult("log_growth", slope, intercept, r2, (float(t[0]), float(t[-1])))
+    return FitResult(slope, intercept, r2, (float(t[0]), float(t[-1])))
 
 
 def plateau_test(t, y, window) -> FitResult:
@@ -102,7 +101,7 @@ def plateau_test(t, y, window) -> FitResult:
     top = float(y.max())
     variation = 0.0 if top == 0.0 else (top - float(y.min())) / top
     win = (float(t[0]), float(t[-1]))
-    return FitResult("plateau", None, float(y[-1]), 1.0, win,
+    return FitResult(None, float(y[-1]), 1.0, win,
                      passed=variation <= PLATEAU_REL_TOL)
 
 
@@ -116,7 +115,7 @@ def fit_composite(t, y, abscissa, window) -> FitResult:
     if np.ptp(la) == 0.0:
         raise ConstantAbscissaError("composite abscissa is constant on the window")
     slope, intercept, r2 = _line(la, np.log(y))
-    return FitResult("composite", slope, intercept, r2, (float(t[0]), float(t[-1])),
+    return FitResult(slope, intercept, r2, (float(t[0]), float(t[-1])),
                      passed=abs(slope - 1.0) <= COMPOSITE_SLOPE_TOL)
 
 

@@ -94,24 +94,14 @@ def gamma_p_constant(p, N):
     return ((p - 2.0) / p) * eta_exponent(p, N) ** (1.0 / (p - 1.0))
 
 
-def _profile_pieces(t, r, p, N, gamma):
-    """Similarity variable and profile factor for the self-similar solution."""
-    eta = eta_exponent(p, N)
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    s = r * t ** (-eta)
-    m = p / (p - 1.0)
-    k = (p - 1.0) / (p - 2.0)
-    core = np.maximum(1.0 - gamma * s ** m, 0.0)
-    return eta, s, m, k, core
-
-
 def barenblatt_value(t, r, p, N):
     """t^{-N eta} (1 - gamma_p (r/t^eta)^{p/(p-1)})_+^{(p-1)/(p-2)} for t > 0."""
     if np.any(np.asarray(t) <= 0.0):
         raise InvalidParams("Barenblatt solution requires t > 0")
-    eta, s, m, k, core = _profile_pieces(t, r, p, N, gamma_p_constant(p, N))
-    return np.asarray(t, dtype=float) ** (-N * eta) * core ** k
+    gamma, eta, t = gamma_p_constant(p, N), eta_exponent(p, N), np.asarray(t, dtype=float)
+    s = np.asarray(r, dtype=float) * t ** (-eta)
+    core = np.maximum(1.0 - gamma * s ** (p / (p - 1.0)), 0.0)
+    return t ** (-N * eta) * core ** ((p - 1.0) / (p - 2.0))
 
 
 def barenblatt_support_radius(t, p, N):
@@ -177,13 +167,12 @@ class DeadCoreAnnulus:
 
 @dataclass(frozen=True)
 class BarenblattAt:
-    """The self-similar profile frozen at time t0, scaled by M_scale."""
+    """The self-similar profile frozen at time t0."""
 
     t0: float = 1.0
-    M_scale: float = 1.0
 
     def value(self, r, params):
-        return self.M_scale * barenblatt_value(self.t0, r, params.p, params.N)
+        return barenblatt_value(self.t0, r, params.p, params.N)
 
     def support_radius(self, params):
         return float(barenblatt_support_radius(self.t0, params.p, params.N))
@@ -232,7 +221,7 @@ def sample_profile(profile, grid, params: ProblemParams):
             f"profile feature of width {width} needs >= 8 cells, have h={grid.h}"
         )
     r = grid.centers()
-    with np.errstate(over="ignore", invalid="ignore"):     # rejected below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # rejected below
         vals = np.asarray(profile.value(r, params), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise InvalidParams("profile produced non-finite samples")

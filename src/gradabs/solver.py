@@ -92,6 +92,10 @@ WINDOW_EVERY = 3 * STAGES
 WINDOW_PAD = WINDOW_EVERY + 2
 
 
+# the most cells a grid may have; the battery's largest has 3400
+MAX_CELLS = 10 ** 6
+
+
 class ConfigError(ValueError):
     pass
 
@@ -125,15 +129,30 @@ class Grid:
     N: int
 
     def __post_init__(self):
+        """Rejects, before anything is allocated, a grid of too few or too
+        many cells, and one whose r^(N-1) h, its reciprocal or omega_N
+        r^(N-1) h is not a finite positive float at the first cell center or
+        the outer face; r^(N-1) is monotone, so the other cells lie between."""
         if not self.h > 0.0:
             raise ConfigError("h must be positive")
         if self.n < 16:
             raise ConfigError("need at least 16 cells")
+        if self.n > MAX_CELLS:
+            raise ConfigError(f"need at most {MAX_CELLS} cells, h={self.h} gives more")
+        try:
+            ends = [r ** (self.N - 1) * self.h for r in (0.5 * self.h, self.L)]
+            ends += [1.0 / x for x in ends] + [sphere_area(self.N) * x for x in ends]
+        except (OverflowError, ZeroDivisionError):
+            ends = [0.0]
+        if not all(0.0 < x < math.inf for x in ends):
+            raise ConfigError(f"the radial weights of R^{self.N} on [0, {self.L:g}] "
+                              f"at h={self.h} overflow or underflow")
 
     @classmethod
     def from_extent(cls, h, L, N):
-        # a non-positive h is left for __post_init__ to reject
-        n = max(16, int(round(L / h))) if h > 0.0 else 0
+        # a non-positive h is left for __post_init__ to reject; a cell count
+        # past MAX_CELLS is not rounded, since L/h may be infinite
+        n = max(16, round(min(L / h, MAX_CELLS + 1))) if h > 0.0 else 0
         return cls(h, n, N)
 
     @property
@@ -181,7 +200,7 @@ class _Stepper:
 
     def __init__(self, params, grid, absorption):
         self.absorption = absorption
-        self.p, self.q, self.N = params.p, params.q, params.N
+        self.p, self.q = params.p, params.q
         self.eps, self.floor = params.eps, params.floor
         h = grid.h
         # the folded algebra: a stage works on the face differences
@@ -191,7 +210,12 @@ class _Stepper:
         self.eps_a, self.eps_b = self.eps * h, 2.0 * self.eps * h
         self.a_consts = model.Coefficient(self.eps_a, 0.5 * (self.p - 2.0))
         self.b_consts = model.Coefficient(self.eps_b, 0.5 * self.q)
-        self.cfl = SAFETY * h ** self.p           # dt = cfl / (2 N D_max)
+        # dt = cfl / (weight D_max) is monotone while weight bounds the sum
+        # of each cell's face weights over its own; the largest is the origin
+        # cell's 2^(N-1) (face 1's h^(N-1) over (h/2)^(N-1)), 2 at N = 1;
+        # weight is 2N wherever that is larger (N <= 4)
+        self.cfl = SAFETY * h ** self.p
+        self.weight = max(2.0 * params.N, 2.0 ** (params.N - 1))
         self.cap = SAFETY * self.floor * (2.0 * h) ** self.q   # dt <= cap / b_max
         self.flux_scale, self.abs_scale = h ** (1.0 - self.p), (2.0 * h) ** -self.q
         self.omega_out = sphere_area(grid.N) * self.flux_scale
@@ -286,13 +310,13 @@ class _Stepper:
         return d, s, sc
 
     def stable_dt_from(self, s, sc):
-        """Euler stage bound SAFETY * h^2 / (2 N D_max), capped so one
+        """Euler stage bound SAFETY * h^2 / (weight D_max), capped so one
         absorption stage cannot undershoot the floor; effective_diffusivity
         and b_eps are increasing in s, so the face/cell maxima suffice.  On
         the folded s and sc they return h^(p-2) D and (2h)^q b, which cfl
         and cap absorb.  A NaN gradient gives dt = NaN."""
         dmax = model.effective_diffusivity(s.item(s.argmax()), self.eps_a, self.p)
-        dt = self.cfl / (2.0 * self.N * dmax)
+        dt = self.cfl / (self.weight * dmax)
         if sc is not None:
             bmax = model.b_eps(sc.item(sc.argmax()), self.eps_b, self.q)
             if bmax > 0.0:
@@ -398,7 +422,6 @@ class RunConfig:
     q: float
     N: int = 1
     eps: float = 1e-3
-    gamma: float | None = None
     h: float = 0.005
     L: float | None = None
     t_end: float = 16.0
@@ -423,7 +446,7 @@ class RunConfig:
         model.sample_profile(self.profile_obj(), self.grid(), params)
 
     def params(self):
-        return ProblemParams(self.p, self.q, self.N, self.eps, self.gamma)
+        return ProblemParams(self.p, self.q, self.N, self.eps)
 
     def profile_obj(self):
         return model.parse_profile(self.profile)
@@ -576,9 +599,4 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
 
     _advance(stepper, buf, 0.0, config.t_end, take_gap)
     ua[:], ub[:] = buf_a, buf_b
-    return {
-        "max_violation": max(worst, 0.0),
-        "t_end": config.t_end,
-        "absorption_a": aa,
-        "absorption_b": ab,
-    }
+    return {"max_violation": max(worst, 0.0), "t_end": config.t_end}

@@ -4,7 +4,18 @@ The profile is an exact solution only at gamma = model.gamma_p_constant."""
 
 import numpy as np
 
-from gradabs.model import _profile_pieces
+from gradabs.exponents import eta_exponent
+
+
+def _profile_pieces(t, r, p, N, gamma):
+    """The similarity variable s = r t^(-eta), the powers m = p/(p-1) and
+    k = (p-1)/(p-2), and the profile factor core = (1 - gamma s^m)_+."""
+    eta = eta_exponent(p, N)
+    s = np.asarray(r, dtype=float) * np.asarray(t, dtype=float) ** (-eta)
+    m = p / (p - 1.0)
+    k = (p - 1.0) / (p - 2.0)
+    core = np.maximum(1.0 - gamma * s ** m, 0.0)
+    return eta, s, m, k, core
 
 
 def barenblatt_time_derivative(t, r, p, N, gamma):

@@ -108,7 +108,8 @@ def test_phi1_properties_rejects_empty_v_range():
 
 
 def test_omega_eps():
-    params = ProblemParams(3.0, 2.0, 1, eps=1e-8, gamma=0.75)
+    params = ProblemParams(3.0, 2.0, 1, eps=1e-8)
+    assert params.gamma == 0.75
     assert bn.omega_eps(params) < 1e-2
     assert bn.omega_eps(ProblemParams(3.0, 2.0, 1, eps=1e-12)) > 0.0
     # all three exponents positive once gamma sits strictly below its cap

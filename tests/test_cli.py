@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -23,18 +24,37 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+EXPONENTS_PRINTOUT = {
+    "2": """\
+p=3.0 q=2.0 N=1
+  alpha_p    = 0.5
+  beta_pq    = 0.5
+  q_star     = 2.5
+  xi         = 0.333333333333
+  eta        = 0.25
+  gamma_max  = 0.75
+  regime     = CriticalAbsorption
+""",
+    # A_support and B_l1 are printed in the intermediate regime alone
+    "2.25": """\
+p=3.0 q=2.25 N=1
+  alpha_p    = 0.5
+  beta_pq    = 0.555555555556
+  q_star     = 2.5
+  xi         = 0.285714285714
+  eta        = 0.25
+  gamma_max  = 0.75
+  A_support  = 0.166666666667
+  B_l1       = 0.333333333333
+  regime     = Intermediate
+""",
+}
+
+
 def test_exponents_command(capsys):
-    assert run_cli("exponents", "--p", "3", "--q", "2", "--N", "1") == 0
-    out = capsys.readouterr().out
-    assert "2.5" in out
-    assert "CriticalAbsorption" in out
-
-
-def test_exponents_command_intermediate(capsys):
-    assert run_cli("exponents", "--p", "3", "--q", "2.25") == 0
-    out = capsys.readouterr().out
-    assert "A_support" in out and "0.166666666667" in out
-    assert "B_l1" in out
+    for q, printout in EXPONENTS_PRINTOUT.items():
+        assert run_cli("exponents", "--p", "3", "--q", q, "--N", "1") == 0
+        assert capsys.readouterr().out == printout
 
 
 def test_exponents_command_rejects_bad_p(capsys):
@@ -108,6 +128,34 @@ def test_run_and_sweep_reject_unstartable_config(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists() and not (tmp_path / "sweep").exists()
 
 
+# grids that floats cannot hold: too many cells (used to end in a 58 TiB
+# allocation error, exit 1), a sphere area that overflows (exit 1, after
+# --out was created) and an r^(N-1) that underflows (exit 3)
+UNBUILDABLE = {
+    "h_1e-12": "h = 1e-12\nL = 8",
+    "N_400": "N = 400\nh = 0.02\nL = 4",
+    "N_200": "N = 200\nh = 0.02\nL = 4",
+}
+
+
+@pytest.mark.parametrize("case", UNBUILDABLE)
+def test_run_and_sweep_reject_grid_floats_cannot_hold(tmp_path, capsys, case):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("p = 3\nq = 2\nt_end = 1\n" + UNBUILDABLE[case] + "\n")
+    tracemalloc.start()
+    try:
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000             # the grid is rejected before it is allocated
+    assert run_cli("sweep", "--p", "3", "--q", "2", "--config", str(cfg),
+                   "--out", str(tmp_path / "sweep")) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: bad config: ") == 2 and "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "sweep").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_run_and_sweep_reject_config_without_p_or_q(tmp_path, capsys, command):
     # a config without a required key used to end in a TypeError traceback
@@ -133,7 +181,8 @@ NON_FINITE = {
     "bump_H_inf": ("profile", "bump:H=inf"),
     "bump_R0_inf": ("profile", "bump:R0=inf"),
     "annulus_H_nan": ("profile", "annulus:R0=2,R1=4,H=nan"),
-    "samples_overflow": ("profile", "barenblatt:t0=0.5,M_scale=1.7e308"),
+    # m < 0 puts a pole at r = R0: every sample from R0 on is infinite
+    "samples_overflow": ("profile", "bump:R0=1,H=1,m=-1"),
 }
 
 
@@ -151,27 +200,32 @@ def test_run_rejects_non_finite_config_values(tmp_path, capsys, case):
 
 
 def test_sweep_rejects_cell_its_base_config_cannot_start(tmp_path, capsys):
-    # the base config's gamma is admissible at (3, 2), but not at (2.1, 1.05)
-    cfg = tmp_path / "gamma.cfg"
-    cfg.write_text(GOOD_CONFIG + "gamma = 0.75\n")
-    assert run_cli("sweep", "--p", "2.1", "--q", "1.05", "--config", str(cfg),
+    # the base config starts at (3, 2), but no run starts at q = 1
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(GOOD_CONFIG)
+    assert run_cli("sweep", "--p", "3", "--q", "1,2", "--config", str(cfg),
                    "--out", str(tmp_path / "sweep")) == 2
     err = capsys.readouterr().err
-    assert "cell (2.1, 1.05): gamma=0.75 outside (0, 0.1818" in err
+    assert err == "error: cell (3.0, 1.0): q must satisfy q > 1, got q=1.0\n"
     assert not (tmp_path / "sweep").exists()
 
 
-def test_sweep_takes_N_from_its_base_config_unless_given(tmp_path, capsys):
+def test_sweep_takes_N_from_its_base_config(tmp_path, capsys):
     cfg = tmp_path / "n2.cfg"
     cfg.write_text(GOOD_CONFIG.replace("N = 1", "N = 2").replace("t_end = 2", "t_end = 0.25"))
-    for extra, N in (((), 2), (("--N", "3"), 3)):
-        out = tmp_path / f"sweep{N}"
-        assert run_cli("sweep", "--p", "3", "--q", "2,3", "--config", str(cfg), *extra,
-                       "--out", str(out)) == 0
-        reports = sorted(out.glob("*.report.json"))
-        assert len(reports) == 2
-        assert all(json.loads(r.read_text())["params"]["N"] == N for r in reports)
-    capsys.readouterr()
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--p", "3", "--q", "2,3", "--config", str(cfg),
+                   "--out", str(out)) == 0
+    reports = sorted(out.glob("*.report.json"))
+    assert len(reports) == 2
+    assert all(json.loads(r.read_text())["params"]["N"] == 2 for r in reports)
+    # the dimension is the base config's: the sweep has no --N to override it
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--p", "3", "--q", "2", "--N", "3", "--config", str(cfg),
+                "--out", str(tmp_path / "n3"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --N 3" in capsys.readouterr().err
+    assert not (tmp_path / "n3").exists()
 
 
 def test_run_command_support_overflow(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,16 +105,20 @@ def test_param_validation():
         ProblemParams(3.0, 2.0, 0)
     with pytest.raises(InvalidParams):
         ProblemParams(3.0, 2.0, 1, eps=0.6)
-    with pytest.raises(InvalidParams):
-        ProblemParams(3.0, 2.0, 1, gamma=0.8)  # above the 3/4 cap
-    with pytest.raises(InvalidParams):
-        ProblemParams(3.0, 2.0, 1, gamma=0.0)
+    # the floor exponent is derived, not set: neither an admissible gamma
+    # nor one past the 3/4 cap is accepted
+    for gamma in (0.5, 0.8):
+        with pytest.raises(TypeError, match="gamma"):
+            ProblemParams(3.0, 2.0, 1, gamma=gamma)
 
 
 def test_gamma_default_is_cap():
     params = ProblemParams(3.0, 2.0, 1)
     assert params.gamma == gamma_cap(3.0, 2.0, 1) == 0.75
-    assert params.floor == pytest.approx(1e-3 ** 0.75)
+    assert params.floor == 1e-3 ** 0.75
+    assert "gamma" not in {f.name for f in dataclasses.fields(ProblemParams)}
+    for p, q, N in ((3.0, 1.6, 1), (4.0, 3.5, 2), (2.5, 1.2, 3)):
+        assert ProblemParams(p, q, N, eps=0.01).floor == 0.01 ** gamma_cap(p, q, N)
     # small q caps gamma at q
     assert ProblemParams(3.0, 1.02, 1).gamma == pytest.approx(
         min(0.75, 2.0 * beta_pq(3.0, 1.02, 1), 1.02))

@@ -46,6 +46,12 @@ def test_grid_invariants():
         Grid(0.1, 8, 1)               # too few cells
     with pytest.raises(ConfigError):
         Grid(0.0, 40, 1)
+    # too many cells, L/h past every integer, and radial weights r^(N-1)
+    # that overflow (N = 400) or underflow (N = 200)
+    for h, L, N in ((1e-12, 8.0, 1), (5e-324, 8.0, 1), (0.02, 4.0, 400), (0.02, 4.0, 200)):
+        with pytest.raises(ConfigError):
+            Grid.from_extent(h, L, N)
+    assert Grid.from_extent(1e-5, 10.0, 1).n == solver.MAX_CELLS
 
 
 def test_cell_measures():
@@ -145,6 +151,29 @@ def test_monotone_data_stay_monotone():
         vals[-1] = PARAMS.floor
         new = step(st, vals, stable_dt(st, vals))
         assert np.all(np.diff(new[:-1]) <= 1e-13)
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_cone_stays_monotone_at_the_origin(N):
+    # the origin cell's stencil weight is face 1's h^(N-1) over its own
+    # (h/2)^(N-1), which passes 2N from N = 5 on; a stage at the CFL bound
+    # must still keep the cone radially non-increasing (with the weight 2N
+    # cell 0 rose by 9.4e-4, 1.8e-2 and 4.8e-2 at N = 6, 7 and 8)
+    params = ProblemParams(3.0, 2.0, N)
+    grid = Grid.from_extent(0.02, 2.0, N)
+    u = params.floor + np.maximum(1.0 - grid.centers(), 0.0)
+    st = solver._Stepper(params, grid, False)
+    new = step(st, u.copy(), stable_dt(st, u))
+    assert np.all(np.diff(new[:-1]) <= 0.0)
+    assert new.max() <= u.max() and new.min() >= params.floor
+
+
+@pytest.mark.parametrize("p,N", [(2.1, 7), (2.5, 10)])
+def test_pure_diffusion_keeps_the_floor_in_high_dimension(p, N):
+    # with the weight 2N both runs broke the floor in their first step
+    cfg = RunConfig(p, 2.0, N, h=0.02, L=4.0, t_end=0.05, absorption=False)
+    state, _ = run(cfg)
+    assert np.all(state.values >= state.floor)
 
 
 def test_max_principle_and_floor():
@@ -270,9 +299,11 @@ def test_parse_config():
     for geometry in ("line", "cartesian"):
         with pytest.raises(ConfigError, match=f"geometry must be radial, got '{geometry}'"):
             parse_config(f"p = 3\nq = 2\ngeometry = {geometry}\n")
-    # the share of the monotone limit is the constant SAFETY, not a key
-    with pytest.raises(ConfigError, match="unknown key 'safety'"):
-        parse_config("p = 3\nq = 2\nsafety = 0.9\n")
+    # the share of the monotone limit is the constant SAFETY, and the floor
+    # exponent is gamma_cap(p, q, N), not keys
+    for key, value in (("safety", 0.9), ("gamma", 0.75)):
+        with pytest.raises(ConfigError, match=f"line 3: unknown key '{key}'"):
+            parse_config(f"p = 3\nq = 2\n{key} = {value}\n")
     with pytest.raises(ConfigError):
         parse_config("p = 1.5\nq = 2\n")   # invalid exponent range
     # a missing required key is named, not a TypeError from RunConfig
