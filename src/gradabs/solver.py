@@ -17,9 +17,9 @@ perfbench workloads, the 16 sweep-pq cells (up to their floor violation, if
 any), pure diffusion at p in {2.5, 3, 4, 5} x N in {1, 2, 3} and the
 acceptance runs cut to t = 16, no later stage's Euler step was measured
 above SAFETY = 0.9 of its own monotone limit; the largest was 0.899999, on
-barenblatt-wide (a test keeps the pure-diffusion part).  The ledgers book each
-stage's absorption and outflow at tau, and the combination scales the
-step's increments by (S-1)/S = 19/20.
+bb_h0025, and 0.8998 at N = 2 and 3 (a test keeps the pure-diffusion
+part).  The ledgers book each stage's absorption and outflow at tau, and the
+combination scales the step's increments by (S-1)/S = 19/20.
 
 The diffusion of an Euler stage is monotone under the CFL restriction; its
 absorption, which sees the centered cell gradient (the mean of the cell's
@@ -210,12 +210,11 @@ class _Stepper:
         self.eps_a, self.eps_b = self.eps * h, 2.0 * self.eps * h
         self.a_consts = model.Coefficient(self.eps_a, 0.5 * (self.p - 2.0))
         self.b_consts = model.Coefficient(self.eps_b, 0.5 * self.q)
-        # dt = cfl / (weight D_max) is monotone while weight bounds the sum
-        # of each cell's face weights over its own; the largest is the origin
-        # cell's 2^(N-1) (face 1's h^(N-1) over (h/2)^(N-1)), 2 at N = 1;
-        # weight is 2N wherever that is larger (N <= 4)
-        self.cfl = SAFETY * h ** self.p
-        self.weight = max(2.0 * params.N, 2.0 ** (params.N - 1))
+        # dt = cfl / D_max is monotone while the divisor bounds every cell's
+        # sum of flux-carrying face weights r^(N-1) over its own: 2 at N = 1
+        # and N = 2 (every cell's sum), the origin cell's 2^(N-1) (face 1's
+        # h^(N-1) over (h/2)^(N-1)) from N = 3 on; a power of two, so exact
+        self.cfl = SAFETY * h ** self.p / max(2.0, 2.0 ** (params.N - 1))
         self.cap = SAFETY * self.floor * (2.0 * h) ** self.q   # dt <= cap / b_max
         self.flux_scale, self.abs_scale = h ** (1.0 - self.p), (2.0 * h) ** -self.q
         self.omega_out = sphere_area(grid.N) * self.flux_scale
@@ -310,13 +309,13 @@ class _Stepper:
         return d, s, sc
 
     def stable_dt_from(self, s, sc):
-        """Euler stage bound SAFETY * h^2 / (weight D_max), capped so one
-        absorption stage cannot undershoot the floor; effective_diffusivity
-        and b_eps are increasing in s, so the face/cell maxima suffice.  On
-        the folded s and sc they return h^(p-2) D and (2h)^q b, which cfl
-        and cap absorb.  A NaN gradient gives dt = NaN."""
+        """Euler stage bound SAFETY * h^2 / (max(2, 2^(N-1)) D_max), capped
+        so one absorption stage cannot undershoot the floor;
+        effective_diffusivity and b_eps are increasing in s, so the face/cell
+        maxima suffice.  On the folded s and sc they return h^(p-2) D and
+        (2h)^q b, which cfl and cap absorb.  A NaN gradient gives dt = NaN."""
         dmax = model.effective_diffusivity(s.item(s.argmax()), self.eps_a, self.p)
-        dt = self.cfl / (self.weight * dmax)
+        dt = self.cfl / dmax
         if sc is not None:
             bmax = model.b_eps(sc.item(sc.argmax()), self.eps_b, self.q)
             if bmax > 0.0:
@@ -431,8 +430,8 @@ class RunConfig:
 
     def __post_init__(self):
         """A config that no run can start from is rejected when it is built:
-        a number that is not finite, and the checks of ProblemParams, Grid
-        and model.sample_profile."""
+        a number that is not finite, a step scalar that a float cannot hold,
+        and the checks of ProblemParams, Grid and model.sample_profile."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -443,7 +442,18 @@ class RunConfig:
                          (self.L is None or self.L > 0.0, "L > 0")):
             if not ok:
                 raise InvalidParams(f"need {rule}")
-        model.sample_profile(self.profile_obj(), self.grid(), params)
+        grid = self.grid()
+        # the powers of h that a stage takes as scalars (_Stepper), checked
+        # as Grid checks its radial weights
+        h, p, q = self.h, self.p, self.q
+        try:
+            scalars = (h ** p, h ** (1.0 - p), (2.0 * h) ** q, (2.0 * h) ** -q)
+        except OverflowError:
+            scalars = (0.0,)
+        if not all(0.0 < x < math.inf for x in scalars):
+            raise InvalidParams(f"h^p, h^(1-p), (2h)^q or (2h)^(-q) at h={h}, p={p}, "
+                                f"q={q} overflows or underflows")
+        model.sample_profile(self.profile_obj(), grid, params)
 
     def params(self):
         return ProblemParams(self.p, self.q, self.N, self.eps)

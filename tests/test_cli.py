@@ -154,6 +154,30 @@ def test_run_and_sweep_reject_grid_floats_cannot_hold(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists() and not (tmp_path / "sweep").exists()
 
 
+# powers of h that a stage takes as scalars and a float cannot hold: each
+# config used to create --out and end in an OverflowError traceback (exit 1),
+# and a sweep over it in exit 3
+SCALAR_OVERFLOW = {"p_200": ("200", "2"), "q_250": ("3", "250")}
+
+
+@pytest.mark.parametrize("case", SCALAR_OVERFLOW)
+def test_run_and_sweep_reject_step_scalars_floats_cannot_hold(tmp_path, capsys, case):
+    p, q = SCALAR_OVERFLOW[case]
+    cfg = tmp_path / "scalars.cfg"
+    cfg.write_text(GOOD_CONFIG.replace("p = 3", f"p = {p}").replace("q = 2", f"q = {q}"))
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config: ") and "overflows or underflows" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+    # the sweep's base config starts at (3, 2), but no run starts at (p, q)
+    cfg.write_text(GOOD_CONFIG)
+    assert run_cli("sweep", "--p", p, "--q", q, "--config", str(cfg),
+                   "--out", str(tmp_path / "sweep")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cell ({float(p)}, {float(q)}): h^p, h^(1-p), ")
+    assert err.endswith(" overflows or underflows\n") and not (tmp_path / "sweep").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_run_and_sweep_reject_config_without_p_or_q(tmp_path, capsys, command):
     # a config without a required key used to end in a TypeError traceback

@@ -69,13 +69,28 @@ def test_stable_dt_constant_field():
                                / (2.0 * PARAMS.eps ** (PARAMS.p - 2.0)))
 
 
-def test_stable_dt_against_independent_scan():
-    state = barenblatt_state(h=0.01)
-    dt = stable_dt(stepper(state, absorption=False), state.values)
-    # independent max-scan over faces
-    g2 = (np.diff(state.values) / 0.01) ** 2
-    dmax = max(model.effective_diffusivity(float(s), PARAMS.eps, 3.0) for s in g2)
-    assert dt == pytest.approx(solver.SAFETY * 0.01 ** 2 / (2.0 * dmax))
+def stencil_weight(grid):
+    """The largest sum, over the unpinned cells, of a cell's flux-carrying
+    face weights r^(N-1) over its own weight, scanned cell by cell: cell i
+    has faces at r = i h and (i + 1) h and its center at (i + 1/2) h, and
+    face 0, at r = 0, carries no flux.  An Euler stage is monotone while
+    tau <= h^2 / (stencil_weight D_max)."""
+    k = grid.N - 1.0
+    i = np.arange(grid.n - 1.0)
+    faces = np.where(i > 0.0, i ** k, 0.0) + (i + 1.0) ** k
+    return float(np.max(faces / (i + 0.5) ** k))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_stable_dt_against_independent_scan(N):
+    params = ProblemParams(3.0, 2.0, N)
+    grid = Grid.from_extent(0.01, 6.0, N)
+    u = initial_state(params, grid, model.BarenblattAt(t0=1.0)).values
+    dt = stable_dt(solver._Stepper(params, grid, False), u)
+    # independent max-scans over the faces and over the stencil's weights
+    g2 = (np.diff(u) / 0.01) ** 2
+    dmax = max(model.effective_diffusivity(float(s), params.eps, 3.0) for s in g2)
+    assert dt == pytest.approx(solver.SAFETY * 0.01 ** 2 / (stencil_weight(grid) * dmax))
 
 
 def test_stable_dt_sees_mirror_ghost_at_origin():
@@ -142,13 +157,16 @@ def test_single_step_matches_analytic_time_derivative():
     assert np.max(np.abs(got_mid - expected_mid)) <= 1e-4 * (h ** 2 + dt)
 
 
-def test_monotone_data_stay_monotone():
-    # radial non-increasing fields remain non-increasing after one step
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_monotone_data_stay_monotone(N):
+    # radial non-increasing fields remain non-increasing after one stage at
+    # the CFL bound, whose weight is 2 at N = 1 and 2 and 4 at N = 3
+    params = ProblemParams(3.0, 2.0, N)
     rng = np.random.default_rng(9)
-    st = solver._Stepper(PARAMS, Grid(0.05, 32, 1), True)
-    for _ in range(50):
-        vals = np.sort(rng.uniform(0.0, 1.0, 32))[::-1] + PARAMS.floor
-        vals[-1] = PARAMS.floor
+    st = solver._Stepper(params, Grid(0.05, 32, N), True)
+    for _ in range(200):
+        vals = np.sort(rng.uniform(0.0, 1.0, 32))[::-1] + params.floor
+        vals[-1] = params.floor
         new = step(st, vals, stable_dt(st, vals))
         assert np.all(np.diff(new[:-1]) <= 1e-13)
 
@@ -156,8 +174,9 @@ def test_monotone_data_stay_monotone():
 @pytest.mark.parametrize("N", range(1, 9))
 def test_cone_stays_monotone_at_the_origin(N):
     # the origin cell's stencil weight is face 1's h^(N-1) over its own
-    # (h/2)^(N-1), which passes 2N from N = 5 on; a stage at the CFL bound
-    # must still keep the cone radially non-increasing (with the weight 2N
+    # (h/2)^(N-1), the CFL weight from N = 3 on; a stage at the CFL bound
+    # must keep the cone radially non-increasing (with the Cartesian
+    # stencil's weight, twice N, which falls below 2^(N-1) from N = 5 on,
     # cell 0 rose by 9.4e-4, 1.8e-2 and 4.8e-2 at N = 6, 7 and 8)
     params = ProblemParams(3.0, 2.0, N)
     grid = Grid.from_extent(0.02, 2.0, N)
@@ -170,10 +189,32 @@ def test_cone_stays_monotone_at_the_origin(N):
 
 @pytest.mark.parametrize("p,N", [(2.1, 7), (2.5, 10)])
 def test_pure_diffusion_keeps_the_floor_in_high_dimension(p, N):
-    # with the weight 2N both runs broke the floor in their first step
+    # the origin cell's weight 2^(N-1) sets the CFL bound here; with the
+    # Cartesian stencil's weight, twice N, both runs broke the floor in their
+    # first step
     cfg = RunConfig(p, 2.0, N, h=0.02, L=4.0, t_end=0.05, absorption=False)
     state, _ = run(cfg)
     assert np.all(state.values >= state.floor)
+
+
+# steep data on which the absorption cap SAFETY floor / b_max, not the
+# diffusion bound, sets dt on some steps (14 and 221 of them)
+@pytest.mark.parametrize("q,profile", [(6.0, "bump:R0=0.25,H=1,m=2"),
+                                       (4.0, "bump:R0=1,H=16,m=2")])
+def test_absorption_cap_keeps_the_floor_on_steep_runs(monkeypatch, q, profile):
+    cfg = RunConfig(3.0, q, 1, eps=1e-3, h=0.01, L=6.0, t_end=0.25, profile=profile)
+    stable_dt_from, capped = solver._Stepper.stable_dt_from, []
+
+    def spy(self, s, sc):
+        dt = stable_dt_from(self, s, sc)
+        capped.append(dt < stable_dt_from(self, s, None))
+        return dt
+
+    monkeypatch.setattr(solver._Stepper, "stable_dt_from", spy)
+    state, series = run(cfg)
+    assert any(capped)
+    assert np.all(state.values >= state.floor)
+    assert observe.mass_balance_residual(series) <= 1e-12
 
 
 def test_max_principle_and_floor():
@@ -414,12 +455,13 @@ def reference_step(u, params, grid, a, b, dt, absorption, line=False):
 
 def reference_stable_dt(u, params, grid, a, b, absorption, line=False):
     """The CFL rule of the step above, on the same plain differences:
-    SAFETY h^2 / (2 N D_max) with D_max = h^(2-p) D(eps h; d^2), capped at
-    SAFETY floor / b_max with b_max = (2h)^(-q) b(2 eps h; sc)."""
+    SAFETY h^2 / (w D_max) with w = stencil_weight(grid) and
+    D_max = h^(2-p) D(eps h; d^2), capped at SAFETY floor / b_max with
+    b_max = (2h)^(-q) b(2 eps h; sc)."""
     p, q, eps, h, safety = params.p, params.q, params.eps, grid.h, solver.SAFETY
     d = np.diff(u[max(a - 1, 0):b + 1])
     dmax = model.effective_diffusivity(float((d * d).max()), eps * h, p)
-    dt = safety * h ** p / (2.0 * grid.N * dmax)
+    dt = safety * h ** p / (stencil_weight(grid) * dmax)
     if absorption:
         if a == 0 and not line:
             d = np.concatenate(([0.0], d))
@@ -775,16 +817,16 @@ def test_no_stage_reads_or_writes_past_its_window(monkeypatch, entry, p, q, eps)
 def test_no_stage_exceeds_the_euler_limit(monkeypatch, p, N):
     # the step takes its CFL bound at its first stage only; each later
     # stage's Euler step must still lie within SAFETY of its own monotone
-    # limit h^2 / (2 N D_max), and the pair must stay above the floor and
-    # ordered
+    # limit h^2 / (w D_max), w = stencil_weight, and the pair must stay above
+    # the floor and ordered
     cfg = RunConfig(p, 2.0, N, h=0.02, L=3.0, t_end=0.25, absorption=False)
-    step_window, cfl = solver._Stepper.step_window, []
+    step_window, cfl, w = solver._Stepper.step_window, [], stencil_weight(cfg.grid())
 
     def measured_step(self, u, a, b, tau, grads):
         # grads[1] holds the squared face differences h^2 g^2
         dmax = model.effective_diffusivity(float(grads[1].max()) / cfg.h ** 2, self.eps,
                                            self.p)
-        cfl.append(tau * 2.0 * N * dmax / cfg.h ** 2)
+        cfl.append(tau * w * dmax / cfg.h ** 2)
         step_window(self, u, a, b, tau, grads)
 
     states, init = [], solver.initial_state
@@ -801,7 +843,8 @@ def textbook_stage(u, params, grid, dt):
     """One Euler stage of every unpinned cell in the unscaled algebra: face
     gradients g = (u_i - u_(i-1))/h, centered gradients gc = (g_l + g_r)/2,
     u += dt (div(r^(N-1) a(g^2) g) / r^(N-1) - b(gc^2)); and the stage's
-    CFL bound SAFETY h^2 / (2 N D_max), capped at SAFETY floor / b_max."""
+    CFL bound SAFETY h^2 / (stencil_weight D_max), capped at
+    SAFETY floor / b_max."""
     p, q, eps, h = params.p, params.q, params.eps, grid.h
     u = u.copy()
     g = np.concatenate(([0.0], np.diff(u) / h))
@@ -809,7 +852,7 @@ def textbook_stage(u, params, grid, dt):
     flux = (np.arange(grid.n) * h) ** (grid.N - 1.0) * model.a_eps(g * g, eps, p) * g
     div = (flux[1:] - flux[:-1]) / (grid.centers()[:-1] ** (grid.N - 1.0) * h)
     u[:-1] += dt * (div - model.b_eps(gc * gc, eps, q))
-    dt_max = solver.SAFETY * h * h / (2.0 * grid.N
+    dt_max = solver.SAFETY * h * h / (stencil_weight(grid)
                                       * model.effective_diffusivity(float((g * g).max()), eps, p))
     bmax = model.b_eps(float((gc * gc).max()), eps, q)
     return u, min(dt_max, solver.SAFETY * params.floor / bmax)
