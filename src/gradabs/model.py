@@ -44,32 +44,29 @@ class Coefficient:
 
 def a_eps(s, eps, p, out=None, consts=None):
     """Regularized diffusivity (eps^2 + s)^((p-2)/2), s = |grad u|^2.
-    With an array `out`, the result is written into it; `consts`, if given,
-    is Coefficient(eps, (p - 2) / 2)."""
-    k = 0.5 * (p - 2.0)
+    With an array `out`, the result is written into it through `consts`,
+    which is then Coefficient(eps, (p - 2) / 2)."""
     if out is None:
-        return (eps * eps + s) ** k
-    c = Coefficient(eps, k) if consts is None else consts
-    np.add(c.e2, s, out)
-    if c.power is not None:
-        c.power(out, *c.exponent, out)
+        return (eps * eps + s) ** (0.5 * (p - 2.0))
+    np.add(consts.e2, s, out)
+    if consts.power is not None:
+        consts.power(out, *consts.exponent, out)
     return out
 
 
 def b_eps(s, eps, q, out=None, consts=None):
     """Regularized absorption rate (eps^2 + s)^(q/2) - eps^q; vanishes at s=0.
-    With an array `out`, the result is written into it; `consts`, if given,
-    is Coefficient(eps, q / 2)."""
+    With an array `out`, the result is written into it through `consts`,
+    which is then Coefficient(eps, q / 2)."""
     # eps^q is evaluated as (eps^2)^(q/2), so the difference is exactly 0 at s = 0
     k = 0.5 * q
     if out is None:
         e2 = eps * eps
         return (e2 + s) ** k - e2 ** k
-    c = Coefficient(eps, k) if consts is None else consts
-    np.add(c.e2, s, out)
-    if c.power is not None:
-        c.power(out, *c.exponent, out)
-    np.subtract(out, c.offset, out)
+    np.add(consts.e2, s, out)
+    if consts.power is not None:
+        consts.power(out, *consts.exponent, out)
+    np.subtract(out, consts.offset, out)
     return out
 
 

@@ -23,10 +23,10 @@ combination scales the step's increments by (S-1)/S = 19/20.
 
 The diffusion of an Euler stage is monotone under the CFL restriction; its
 absorption, which sees the centered cell gradient (the mean of the cell's
-two face gradients, at r = 0 the mirror-ghost difference), is not monotone
-where q < p - 1: a floor cell next to the support can undershoot the floor
-eps**gamma, which the stage checks for instead of clamping, and which the
-CFL cap dt <= SAFETY * floor / b_max only limits.
+two face gradients, at r = 0 the mirror-ghost difference), is not: where
+q < p - 1, and on steep data at q >= p - 1 too, a floor cell next to the
+support can undershoot the floor eps**gamma, which the stage checks for
+instead of clamping and the CFL cap dt <= SAFETY * floor / b_max only limits.
 The outer cell is pinned at the floor (the constant floor is an exact
 solution); the origin is a zero-flux face at r = 0.  Every profile is a
 function of the radius, so at N = 1 the grid holds one half of an even
@@ -38,17 +38,15 @@ from.  `_Stepper.gradients` is the one place the face and centered
 differences are formed, `_Stepper.stable_dt_from` the one CFL rule and
 `_Stepper.step_window` the one stage kernel.  `_advance` is the one time
 loop, over one array: `run` drives it with the field, and `comparison_run`
-with its two fields laid out in one mirrored buffer [u_B reversed | u_A], so
+with its two fields as the columns of one C-contiguous (n, 2) array, so
 that one gradients and step call per stage, and one CFL call per step,
 advance both in lockstep with a shared dt.  A stage writes into the
 stepper's own scratch arrays, model.a_eps and model.b_eps included, through
 views that are formed once per array and window, and the step's
 combination writes into u^n and u, so a step allocates nothing.
-Every ufunc of a stage gets array operands and its output positionally: the
-coefficients' constants (model.Coefficient) are 0-d arrays built once per
-stepper.  A ufunc converts a Python float operand on every call and parses
-an out= keyword, and on a window of a few hundred cells that is a large
-share of the call.
+Every ufunc of a stage gets array operands, 0-d arrays for the constants
+(model.Coefficient), and its output positionally, not as an out= keyword
+that it would parse on every call.
 A stage works in a folded algebra that drops every constant factor from
 its cell loops.  It keeps the face differences d = u_i - u_(i-1) = h g and
 sc = (d_l + d_r)^2 = (2h)^2 gc^2, and its coefficients are regularized by
@@ -63,8 +61,8 @@ The extrema (a step's CFL maxima and comparison gap, a stage's floor-check
 minimum) are read by index, x.item(x.argmax()), which costs less
 than a reduction to a numpy scalar and returns the first NaN just as the
 reduction propagates it.  The loop steps only the active window: the cells
-above the floor plus a padding the front cannot cross before the window is
-refreshed.
+above the floor (for a pair, the rows where either field is) plus a padding
+the front cannot cross before the window is refreshed.
 """
 
 from __future__ import annotations
@@ -105,9 +103,9 @@ class NumericalError(RuntimeError):
 
 
 class FloorViolationError(NumericalError):
-    """Post-stage floor undershoot beyond roundoff: where q < p - 1 the
-    centered absorption is not monotone, which the CFL cap only limits; a
-    breached CFL bound gives it too."""
+    """Post-stage floor undershoot beyond roundoff: the centered absorption
+    is not monotone, where q < p - 1 and on steep data at q >= p - 1 too,
+    which the CFL cap only limits; a breached CFL bound gives it too."""
 
 
 class SupportOverflowError(NumericalError):
@@ -193,16 +191,16 @@ def initial_state(params, grid, profile):
 
 class _Stepper:
     """Precomputed geometry data, per-step scratch and the in-place update
-    kernel for one field of a grid, or, built by `mirrored`, for the two
-    fields of a comparison laid out in one buffer.  The views a step of
-    cells [a, b) takes of its field and of the scratch are formed once per
-    field and window, so a step allocates nothing."""
+    kernel for one field, a 1-D array, or for k fields as the columns of one
+    (n, k) array, each column stepped bit for bit as its field alone (their
+    ledgers mix), with one absorption flag per field.  A step's views are
+    formed once per array and window, so a step allocates nothing."""
 
-    def __init__(self, params, grid, absorption):
-        self.absorption = absorption
+    def __init__(self, params, grid, *absorption):
+        self.absorption = any(absorption)
         self.p, self.q = params.p, params.q
         self.eps, self.floor = params.eps, params.floor
-        h = grid.h
+        h, n = grid.h, grid.n
         # the folded algebra: a stage works on the face differences
         # d = h g and on sc = (d_l + d_r)^2 = (2h)^2 gc^2, so the
         # coefficients regularized by eps h and 2 eps h return h^(p-2) a and
@@ -221,46 +219,28 @@ class _Stepper:
         # 0-d operands of a stage, written when tau changes: tau h^(1-p) and
         # tau (2h)^(-q)
         self.tau_flux, self.tau_abs = np.array(0.0), np.array(0.0)
-        # face weights r^(N-1) and cell factors 1/(r^(N-1) h); face 0 is the
-        # zero-flux face at r = 0
-        self._lay_out((np.arange(grid.n + 1) * h) ** (grid.N - 1.0),
-                      1.0 / (grid.centers() ** (grid.N - 1.0) * h),
-                      grid.cell_measures(), 0, None, (0, 0))
-        self.absorbed = 0.0
-        self.boundary_out = 0.0
-
-    def _lay_out(self, rw, inv_rch, cellw, lo_min, junction, no_absorption):
-        """Set the geometry of a field of cellw.size cells and allocate the
-        scratch.  Face i lies between cells i-1 and i; the junction face's
-        gradient, if there is a junction, is 0 at every step, and the cells in
-        the range no_absorption = (first, stop) see no absorption.  Face 0's
-        gradient is never written, so it stays 0.  Face weights that are all
-        exactly 1 (N = 1) are not multiplied in."""
-        n = cellw.size
-        self.rw, self.inv_rch, self.cellw = rw, inv_rch, cellw
+        # k > 1 fields take C-contiguous (n(+1), k) geometry and scratch, a
+        # ufunc's fast path; the sc columns of fields without absorption are 0
+        k = len(absorption)
+        cols = (k,) if k > 1 else ()
+        self.off_columns = [j for j, on in enumerate(absorption) if not on] if cols else []
+        # face weights r^(N-1), cell factors 1/(r^(N-1) h) and cell measures;
+        # face i lies between cells i-1 and i, and face 0 is the zero-flux
+        # face at r = 0, whose gradient is never written, so it stays 0.
+        # Face weights that are all exactly 1 (N = 1) are not multiplied in.
+        rw = (np.arange(n + 1) * h) ** (grid.N - 1.0)
         self.weighted = bool(np.any(rw != 1.0))
-        self.lo_min, self.hi_max = lo_min, n - 1      # the last cell is pinned
-        self.junction, self.no_absorption = junction, no_absorption
-        self.g, self.s, self.flux = np.zeros(n + 1), np.empty(n + 1), np.empty(n + 1)
-        self.sc, self.div, self.babs = np.empty(n), np.empty(n), np.empty(n)
-        self.w = np.empty(n)                            # tau h^(1-p) / (r^(N-1) h)
-        self.u_n = np.empty(n)                          # u^n of an SSPRK step
+        self.rw, self.inv_rch, self.cellw = (
+            np.repeat(x[:, None], k, axis=1) if cols else x
+            for x in (rw, 1.0 / (grid.centers() ** (grid.N - 1.0) * h), grid.cell_measures()))
+        self.hi_max = n - 1                             # the last cell is pinned
+        faces, cells = (n + 1,) + cols, (n,) + cols
+        self.g, self.s, self.flux = np.zeros(faces), np.empty(faces), np.empty(faces)
+        self.sc, self.div, self.babs = np.empty(cells), np.empty(cells), np.empty(cells)
+        # tau h^(1-p) / (r^(N-1) h), and u^n of an SSPRK step
+        self.w, self.u_n = np.empty(cells), np.empty(cells)
         self._u, self._a, self._b, self._tau = None, -1, -1, None
-
-    @classmethod
-    def mirrored(cls, params, grid, absorption_a, absorption_b):
-        """One stepper for fields A and B of grid laid out as [B reversed | A],
-        their r = 0 faces meeting at face n.  Reversal negates B's face
-        gradients and fluxes exactly, so a step of the buffer is bit for bit
-        a step of each field, with dt the least of their CFL bounds.  A field
-        without absorption sees sc = 0.  The ledgers mix the fields."""
-        st = cls(params, grid, absorption_a or absorption_b)
-        n = grid.n
-        st._lay_out(np.concatenate((st.rw[:0:-1], st.rw)),
-                    np.concatenate((st.inv_rch[::-1], st.inv_rch)),
-                    np.concatenate((st.cellw[::-1], st.cellw)), 1, n,
-                    (n if absorption_b else 0, n if absorption_a else 2 * n))
-        return st
+        self.absorbed = self.boundary_out = 0.0
 
     def _bind(self, u, a, b):
         """Form the views of u and of the scratch that a step of cells
@@ -271,41 +251,39 @@ class _Stepper:
             return
         lo, m = max(a, 1), b - a
         g, flux = self.g[a:b + 1], self.flux[:m + 1]
-        z0, z1 = max(self.no_absorption[0], a), min(self.no_absorption[1], b)
         self._grad_views = (u[lo:b + 1], u[lo - 1:b], self.g[lo:b + 1], g,
                             self.s[:m + 1], g[:-1], g[1:], self.sc[:m],
-                            self.sc[z0 - a:z1 - a] if z0 < z1 else None)
+                            [self.sc[:m, j] for j in self.off_columns])
         self._step_views = (flux, flux[1:], flux[:-1],
                             self.rw[a:b + 1] if self.weighted else None,
                             self.div[:m], self.inv_rch[a:b], self.w[:m], u[a:b],
-                            self.babs[:m], self.cellw[a:b])
+                            self.babs[:m], self.babs[:m].reshape(-1),
+                            self.cellw[a:b].reshape(-1))
         self._u, self._a, self._b, self._tau = u, a, b, None
 
     # -- gradients and CFL ---------------------------------------------------
 
     def gradients(self, u, a, b):
         """Gradients seen by a step of cells [a, b), in the folded algebra:
-        the face differences d = h g on the b - a + 1 bounding faces (0 on
-        the junction face), their squares s, and sc = (d_l + d_r)^2, the
-        squared centered cell gradient times (2h)^2 (0 on the cells without
-        absorption), or sc = None when absorption is off.  At r = 0 the
-        centered gradient is the mirror-ghost difference.
+        the face differences d = h g on the b - a + 1 bounding faces, their
+        squares s, and sc = (d_l + d_r)^2, the squared centered cell gradient
+        times (2h)^2 (0 in the columns of the fields without absorption), or
+        sc = None when no field has absorption.  At r = 0 the centered
+        gradient is the mirror-ghost difference.
 
         The arrays are views on this stepper's scratch and are overwritten
         by its next call, so a caller that holds the gradients of several
-        fields at once needs one stepper per field."""
+        arrays at once needs one stepper per array."""
         self._bind(u, a, b)
-        u_right, u_left, inner, d, s, d_left, d_right, sc, no_absorption = self._grad_views
+        u_right, u_left, inner, d, s, d_left, d_right, sc, off = self._grad_views
         np.subtract(u_right, u_left, inner)
-        if self.junction is not None:
-            self.g[self.junction] = 0.0
         np.multiply(d, d, s)
         if not self.absorption:
             return d, s, None
         np.add(d_left, d_right, sc)
         np.multiply(sc, sc, sc)
-        if no_absorption is not None:
-            no_absorption.fill(0.0)
+        for column in off:
+            column.fill(0.0)
         return d, s, sc
 
     def stable_dt_from(self, s, sc):
@@ -334,7 +312,8 @@ class _Stepper:
         """
         self._bind(u, a, b)
         d, s, sc = grads
-        flux, flux_right, flux_left, rw, div, inv_rch, w, uw, babs, cellw = self._step_views
+        (flux, flux_right, flux_left, rw, div, inv_rch, w, uw, babs, babs_flat,
+         cellw_flat) = self._step_views
         if dt != self._tau:
             # the stage's operands, formed once per tau, array and window
             self.tau_flux[()], self.tau_abs[()] = dt * self.flux_scale, dt * self.abs_scale
@@ -354,7 +333,7 @@ class _Stepper:
 
         if sc is not None:
             model.b_eps(sc, self.eps_b, self.q, babs, self.b_consts)
-            self.absorbed += self.tau_abs.item() * float(babs.dot(cellw))
+            self.absorbed += self.tau_abs.item() * float(babs_flat.dot(cellw_flat))
             np.multiply(babs, self.tau_abs, babs)
             np.subtract(uw, babs, uw)
 
@@ -368,7 +347,7 @@ class _Stepper:
         active = np.nonzero(u > self.floor)[0]
         if active.size == 0:
             return None
-        a = max(int(active[0]) - WINDOW_PAD, self.lo_min)
+        a = max(int(active[0]) - WINDOW_PAD, 0)
         b = min(int(active[-1]) + 1 + WINDOW_PAD, self.hi_max)
         return a, b
 
@@ -580,33 +559,27 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
     """Evolve two ordered initial profiles with an identical dt sequence and
     report the worst ordering violation max_t max_i (uA - uB)_+.
 
-    Both fields advance as one buffer [uB reversed | uA] through one
-    `_Stepper.mirrored` and `_advance`, so each stage makes one gradients
-    and one step call for the pair, and each step one CFL call, on a window
-    that holds each field's own active window.  The gap is taken once per
-    step, on the cells where either field may lie above the floor;
-    elsewhere both sit exactly at it.  The final fields are copied back into
-    the two initial states' arrays."""
-    params = config.params()
-    grid = config.grid()
+    Both fields advance as the two columns of one (n, 2) array through one
+    `_Stepper` and `_advance`, so each stage makes one gradients and one
+    step call for the pair, and each step one CFL call, on the union of the
+    two fields' active windows.  The gap is taken once per step, below the
+    window's end, past which both sit exactly at the floor.  The final
+    fields are copied back into the two initial states' arrays."""
+    params, grid = config.params(), config.grid()
     ua = initial_state(params, grid, profile_a).values
     ub = initial_state(params, grid, profile_b).values
     if np.any(ua > ub + 1e-15):
         raise InvalidParams("profile_a must lie below profile_b pointwise")
-    aa = config.absorption if absorption_a is None else absorption_a
-    ab = config.absorption if absorption_b is None else absorption_b
-    n = grid.n
-    buf = np.concatenate((ub[::-1], ua))
-    buf_a, buf_b = buf[n:], buf[n - 1::-1]    # ua[i] and ub[i]
-    stepper = _Stepper.mirrored(params, grid, aa, ab)
+    u = np.stack((ua, ub), axis=1)
+    flags = [config.absorption if on is None else on for on in (absorption_a, absorption_b)]
+    stepper = _Stepper(params, grid, *flags)
     worst = 0.0
 
     def take_gap(a, b):
         nonlocal worst
-        m = max(b - n, n - a)         # from cell m on both fields sit at the floor
-        gap = buf_a[:m] - buf_b[:m]
+        gap = u[:b, 0] - u[:b, 1]
         worst = max(worst, gap.item(gap.argmax()))
 
-    _advance(stepper, buf, 0.0, config.t_end, take_gap)
-    ua[:], ub[:] = buf_a, buf_b
+    _advance(stepper, u, 0.0, config.t_end, take_gap)
+    ua[:], ub[:] = u[:, 0], u[:, 1]
     return {"max_violation": max(worst, 0.0), "t_end": config.t_end}

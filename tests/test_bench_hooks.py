@@ -59,3 +59,14 @@ def test_solver_entry_points_reach_every_solver_and_model_hook(entry):
     assert tracer.absent == []
     layers = [n for n in spans.HOOKS if n.startswith(("solver.", "model."))]
     assert layers and all(tracer.spans[n].calls > 0 for n in layers)
+
+
+@pytest.mark.parametrize("name", ["decay-narrow", "barenblatt-wide", "lockstep"])
+def test_benchmark_workload_operation_passes_its_checks(tmp_path, name):
+    # one operation of the workload, with the checks the benchmark applies to
+    # its output: a break in run, comparison_run or the CLI run path fails
+    # here, not only when the benchmark runs
+    workloads = load("workloads")
+    _, res = workloads.WORKLOADS[name](tmp_path, 0).run_op()
+    assert res.attempted == 1
+    assert res.failed == 0 and res.bad_output == [] and res.errors == []

@@ -259,6 +259,16 @@ def test_run_command_support_overflow(tmp_path, capsys):
     assert "overflow" in capsys.readouterr().err.lower()
 
 
+def test_run_command_floor_violation(tmp_path, capsys):
+    # steep data at q >= p - 1: the centered absorption undershoots the
+    # floor by 2.2e-3 though the CFL cap binds, and the stage raises
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text("p = 3\nq = 6\nN = 1\neps = 0.001\nh = 0.01\nL = 6\nt_end = 0.25\n"
+                   "profile = bump:R0=0.25,H=16,m=2\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 3
+    assert "floor violated" in capsys.readouterr().err
+
+
 def test_fit_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(GOOD_CONFIG.replace("t_end = 2", "t_end = 8"))

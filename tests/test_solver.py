@@ -28,12 +28,12 @@ def stepper(state, absorption=True):
 
 
 def stable_dt(st, u):
-    return st.stable_dt_from(*st.gradients(u, st.lo_min, st.hi_max)[1:])
+    return st.stable_dt_from(*st.gradients(u, 0, st.hi_max)[1:])
 
 
 def step(st, u, dt):
     """Advance every unpinned cell of u by dt, in place; returns u."""
-    st.step_window(u, st.lo_min, st.hi_max, dt, st.gradients(u, st.lo_min, st.hi_max))
+    st.step_window(u, 0, st.hi_max, dt, st.gradients(u, 0, st.hi_max))
     return u
 
 
@@ -510,7 +510,7 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p=
     state = initial_state(params, grid, model.Bump(R0=2.0, H=1.0, m=2.0))
     u0 = state.values
     st = stepper(state, absorption)
-    a, b = (st.lo_min, st.hi_max) if window == "full" else (3, grid.n - 4)
+    a, b = (0, st.hi_max) if window == "full" else (3, grid.n - 4)
     dt_ref = reference_dt(u0, a, b)
     ref, absorbed, out = reference(u0, a, b, dt_ref)
     dt = st.stable_dt_from(*st.gradients(u0, a, b)[1:])
@@ -529,7 +529,7 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p=
     # match the reference and leave the other array alone, so no step
     # writes through views bound to another array or window
     fields = [u0.copy(), initial_state(params, grid, model.Bump(R0=1.0, H=0.5)).values]
-    windows = [(a, b), (st.lo_min + 2, st.hi_max - 5)]
+    windows = [(a, b), (2, st.hi_max - 5)]
     reused = stepper(state, absorption)
     for k, w in ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0)):
         u, other = fields[k], fields[1 - k].copy()
@@ -551,10 +551,10 @@ def test_step_kernel_matches_plain_reference_at_each_power(geometry, N, absorpti
 
 
 def test_comparison_run_forms_gradients_once_per_field_per_step(monkeypatch):
-    # both fields share one buffer, so a stage of the pair is one gradients
-    # and one step_window call, and a step of the pair one CFL call; the step
-    # count comes from the full-grid reference, which takes the same dt
-    # sequence with one CFL call per field and step
+    # both fields are the columns of one array, so a stage of the pair is one
+    # gradients and one step_window call, and a step of the pair one CFL
+    # call; the step count comes from the full-grid reference, which takes
+    # the same dt sequence with one CFL call per field and step
     calls = {"gradients": 0, "stable_dt_from": 0, "step_window": 0}
 
     def counting(name):
@@ -615,7 +615,7 @@ def reference_comparison_run(profile_a, profile_b, config, absorption_a, absorpt
     st_b = solver._Stepper(params, grid, absorption_b)
     t = worst = 0.0
     while t < config.t_end:
-        t += ssprk_step([(st_a, ua), (st_b, ub)], st_a.lo_min, st_a.hi_max, config.t_end - t)
+        t += ssprk_step([(st_a, ua), (st_b, ub)], 0, st_a.hi_max, config.t_end - t)
         worst = max(worst, float((ua - ub).max()))
     return ua, ub, max(worst, 0.0)
 
@@ -630,7 +630,7 @@ def reference_run(config):
     t = state.time
     for t_record in record_times(t, config.t_end, config.record_start):
         while t < t_record - 1e-15 * max(1.0, t_record):
-            t += ssprk_step([(st, state.values)], st.lo_min, st.hi_max, t_record - t)
+            t += ssprk_step([(st, state.values)], 0, st.hi_max, t_record - t)
         t = t_record
     return state.values, st.absorbed, st.boundary_out
 
@@ -691,12 +691,12 @@ def test_windowed_comparison_run_matches_full_grid(monkeypatch, geometry, N, pai
                     pair, (model.Bump(), model.Bump()))
     absorption = {"absorption_on_off": (True, False),
                   "absorption_off_on": (False, True)}.get(pair, (True, True))
-    ua, ub, violation, halves = windowed_and_reference(monkeypatch, profiles, cfg,
+    ua, ub, violation, widths = windowed_and_reference(monkeypatch, profiles, cfg,
                                                        absorption)
-    # each half of the packed window is narrower than the grid, yet the
-    # result is bit for bit that of the full-grid loop
+    # every window of the pair is narrower than the grid, yet the result is
+    # bit for bit that of the full-grid loop
     n = cfg.grid().n
-    assert max(max(h) for h in halves) < n - 2
+    assert max(widths) < n - 2
     if pair == "absorption_off_on":
         assert violation > 0.0
     if pair == "floor_below":
@@ -713,12 +713,11 @@ def test_windowed_comparison_run_matches_full_grid(monkeypatch, geometry, N, pai
 def windowed_and_reference(monkeypatch, profiles, cfg, absorption):
     """Run comparison_run and the full-grid reference on the same pair and
     assert that their final fields and violations are bit for bit equal.
-    Returns the final fields, the violation and, per step, the widths of
-    the B and A halves of the packed window [uB reversed | uA]."""
+    Returns the final fields, the violation and, per stage, the width b - a
+    of the window that holds both fields' columns."""
     ref_a, ref_b, ref_violation = reference_comparison_run(*profiles, cfg, *absorption)
 
-    n = cfg.grid().n
-    states, halves = [], []
+    states, widths = [], []
     init, step_window = solver.initial_state, solver._Stepper.step_window
 
     def recording_init(*args):
@@ -726,7 +725,7 @@ def windowed_and_reference(monkeypatch, profiles, cfg, absorption):
         return states[-1]
 
     def recording_step(self, u, a, b, *args, **kwargs):
-        halves.append((max(n - a, 0), max(b - n, 0)))
+        widths.append(b - a)
         return step_window(self, u, a, b, *args, **kwargs)
 
     monkeypatch.setattr(solver, "initial_state", recording_init)
@@ -734,18 +733,18 @@ def windowed_and_reference(monkeypatch, profiles, cfg, absorption):
     rep = comparison_run(*profiles, cfg, absorption_a=absorption[0],
                          absorption_b=absorption[1])
     monkeypatch.undo()
-    assert halves and len(states) == 2
+    assert widths and len(states) == 2
     assert np.array_equal(states[0].values, ref_a)
     assert np.array_equal(states[1].values, ref_b)
     assert rep["max_violation"] == ref_violation
-    return states[0].values, states[1].values, ref_violation, halves
+    return states[0].values, states[1].values, ref_violation, widths
 
 
 @pytest.mark.parametrize("absorption", [(True, True), (True, False), (False, True)])
 def test_comparison_run_support_reaches_pinned_ends(monkeypatch, absorption):
-    # the packed buffer's two end cells are the fields' pinned outer cells;
-    # the supports reach the cells next to them, cell n - 2, which must not
-    # leak into the pinned cells
+    # the last row of the pair's (n, 2) array holds the fields' pinned outer
+    # cells; the supports reach the row next to it, cell n - 2, which must
+    # not leak into the pinned cells
     cfg = RunConfig(3.0, 2.0, 1, h=0.02, L=1.2, t_end=0.25)
     profiles = (model.Bump(R0=1.0, H=1.0), model.Bump(R0=1.1, H=1.5))
     ua, ub, _, _ = windowed_and_reference(monkeypatch, profiles, cfg, absorption)
@@ -798,7 +797,7 @@ def test_no_stage_reads_or_writes_past_its_window(monkeypatch, entry, p, q, eps)
     def checked_step(self, u, a, b, *args):
         step_window(self, u, a, b, *args)
         outside = np.concatenate((u[:a], u[b:]))
-        edges = [u[a]] * (a > self.lo_min) + [u[b - 1]] * (b < self.hi_max)
+        edges = [u[a]] * (a > 0) + [u[b - 1]] * (b < self.hi_max)
         assert np.all(outside == self.floor) and np.all(np.array(edges) == self.floor)
         windows.append(b < self.hi_max)
 
@@ -909,22 +908,26 @@ def test_a_step_allocates_nothing():
     # combination and the ledgers allocate no array: the traced peak of
     # several steps is the same on windows of 200 and 2000 cells of the same
     # periodic field (the window is held fixed, since a refresh scans the
-    # whole field)
-    params = ProblemParams(3.0, 1.6, 1)
-    peaks = []
-    for n in (202, 2002):
-        grid = Grid(0.01, n, 1)
-        u = params.floor + 0.5 + 0.25 * np.cos(2.0 * np.pi * grid.centers() / 0.4)
-        st = solver._Stepper(params, grid, True)
-        st.active_window = lambda u, window=(st.lo_min, st.hi_max): window
-        steps = []
-        solver._advance(st, u, 0.0, 1e-6)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            solver._advance(st, u, 1e-6, 1e-3, lambda a, b: steps.append(b - a))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert len(steps) >= 5 and steps[0] == n - 1
-    assert peaks[1] - peaks[0] < 1000, peaks
+    # whole field); one field at N = 1, and two fields as the columns of one
+    # (n, 2) array at N = 2, with and without absorption in the second
+    for N, absorption in ((1, (True,)), (2, (True, True)), (2, (True, False))):
+        params = ProblemParams(3.0, 1.6, N)
+        peaks = []
+        for n in (202, 2002):
+            grid = Grid(0.01, n, N)
+            u = params.floor + 0.5 + 0.25 * np.cos(2.0 * np.pi * grid.centers() / 0.4)
+            if len(absorption) == 2:
+                u = np.stack((u, 1.5 * u), axis=1)
+            st = solver._Stepper(params, grid, *absorption)
+            st.active_window = lambda u, window=(0, st.hi_max): window
+            steps = []
+            solver._advance(st, u, 0.0, 1e-6)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                solver._advance(st, u, 1e-6, 1e-3, lambda a, b: steps.append(b - a))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(steps) >= 5 and steps[0] == n - 1
+        assert peaks[1] - peaks[0] < 1000, (N, absorption, peaks)
