@@ -160,30 +160,12 @@ class Law:
     amplitude: float | None = None
 
 
-@dataclass(frozen=True)
-class PredictedLaws:
-    """The row of the law table that applies: the regime and the law of
-    each series column it judges; grad_beta is None where no law holds."""
-
-    regime: Regime
-    sup_excess: Law
-    grad_sup: Law
-    grad_beta: Law | None
-    rho: Law
-    l1_excess: Law
-
-    def items(self):
-        """(column, law) for each judged column, in report order."""
-        for column in ("sup_excess", "grad_sup", "grad_beta", "rho", "l1_excess"):
-            law = getattr(self, column)
-            if law is not None:
-                yield column, law
-
-
-def predicted_laws(params: ProblemParams, absorbing) -> PredictedLaws:
-    """The law table's row for params.  A series without absorption
-    (absorbing false) is pure diffusion and takes the diffusion-dominated
-    row whatever q is, with sharp support growth and no grad_beta law.
+def predicted_laws(params: ProblemParams, absorbing) -> dict[str, Law]:
+    """The law table's row for params: {column: Law} for each series column
+    it judges, in report order sup_excess, grad_sup, grad_beta (only where a
+    law holds), rho, l1_excess.  A series without absorption (absorbing
+    false) is pure diffusion and takes the diffusion-dominated row whatever
+    q is, with sharp support growth and no grad_beta law.
 
     The sup and gradient decays are bounds, except the diffusion-dominated
     sup decay, which follows the self-similar source solution and is sharp.
@@ -195,15 +177,14 @@ def predicted_laws(params: ProblemParams, absorbing) -> PredictedLaws:
     ex = compute_exponents(params)
     regime = classify_regime(params) if absorbing else Regime.DIFFUSION_DOMINATED
     if regime is Regime.DIFFUSION_DOMINATED:
-        sup = Law("power", -N * ex.eta)
-        grad_sup = Law("power_bound", -(N + 1) * ex.eta)
+        laws = {"sup_excess": Law("power", -N * ex.eta),
+                "grad_sup": Law("power_bound", -(N + 1) * ex.eta)}
     else:
-        sup = Law("power_bound", -N * ex.xi)
-        grad_sup = Law("power_bound", -(N + 1) * ex.xi)
-    grad_beta = None
+        laws = {"sup_excess": Law("power_bound", -N * ex.xi),
+                "grad_sup": Law("power_bound", -(N + 1) * ex.xi)}
     if absorbing and (q - 1.0) / q >= ex.alpha_p:
-        grad_beta = Law("amplitude_bound", -1.0 / q,
-                        (q - 1.0) ** ((q - 1.0) / q) / q)
+        laws["grad_beta"] = Law("amplitude_bound", -1.0 / q,
+                                (q - 1.0) ** ((q - 1.0) / q) / q)
 
     if regime is Regime.ABSORPTION_DOMINATED:
         rho = Law("bounded")
@@ -220,4 +201,5 @@ def predicted_laws(params: ProblemParams, absorbing) -> PredictedLaws:
     else:
         rho = Law("power_bound" if absorbing else "power", ex.eta)
         l1 = Law("positive_limit")
-    return PredictedLaws(regime, sup, grad_sup, grad_beta, rho, l1)
+    laws.update(rho=rho, l1_excess=l1)
+    return laws

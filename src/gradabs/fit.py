@@ -1,10 +1,10 @@
-"""Power, logarithmic, and plateau law fitting on recorded time series,
-plus `verdict`, which judges a series by its row of the law table
-(`exponents.predicted_laws`)."""
+"""Power, logarithmic and composite law fits on recorded time series,
+and `verdict`, which judges a series by its row of the law table
+(`exponents.predicted_laws`).  A fit only fits; `verdict` is the one place
+where a law passes or fails."""
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,25 +33,14 @@ class ConstantAbscissaError(FitError):
 
 @dataclass(frozen=True)
 class FitResult:
-    exponent: float | None    # power exponent / log slope / composite slope
-    amplitude: float | None   # prefactor / intercept / plateau level
+    exponent: float    # power exponent / log slope / composite slope
     r2: float
     window: tuple
-    passed: bool | None = None
 
 
 def _window_mask(t, window):
-    t = np.asarray(t, dtype=float)
     lo, hi = window
     return (t >= lo * (1.0 - 1e-12)) & (t <= hi * (1.0 + 1e-12))
-
-
-def _r2(y, yhat):
-    ss_res = float(np.sum((y - yhat) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    if ss_tot == 0.0:
-        return 1.0
-    return max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
 
 
 def _windowed(t, window, *columns, min_size=6):
@@ -66,16 +55,20 @@ def _windowed(t, window, *columns, min_size=6):
 
 
 def _line(x, y):
-    """Least-squares line y ~ slope x + intercept: (slope, intercept, r2).
-    A near-singular regression, which numpy only warns about, raises
-    FitError."""
+    """Least-squares line y ~ slope x + intercept: (slope, r2), with r2
+    clipped to [0, 1] and 1 for constant y.  A near-singular regression,
+    which numpy only warns about, raises FitError."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RankWarning)
         try:
             slope, intercept = np.polyfit(x, y, 1)
         except RankWarning as exc:
             raise FitError(f"near-singular least-squares fit: {exc}") from None
-    return float(slope), float(intercept), _r2(y, slope * x + intercept)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    if ss_tot == 0.0:
+        return float(slope), 1.0
+    return float(slope), max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
 
 
 def fit_power(t, y, window) -> FitResult:
@@ -83,40 +76,28 @@ def fit_power(t, y, window) -> FitResult:
     t, y = _windowed(t, window, y)
     if np.any(y <= 0.0):
         raise FitError("fit_power requires positive samples in the window")
-    slope, intercept, r2 = _line(np.log(t), np.log(y))
-    return FitResult(slope, math.exp(intercept), r2, (float(t[0]), float(t[-1])))
+    slope, r2 = _line(np.log(t), np.log(y))
+    return FitResult(slope, r2, (float(t[0]), float(t[-1])))
 
 
 def fit_log_growth(t, y, window) -> FitResult:
     """Least-squares line on (ln t, y); the slope is the log-growth rate."""
     t, y = _windowed(t, window, y)
-    slope, intercept, r2 = _line(np.log(t), y)
-    return FitResult(slope, intercept, r2, (float(t[0]), float(t[-1])))
-
-
-def plateau_test(t, y, window) -> FitResult:
-    """Pass when the total relative variation over the window is at most
-    PLATEAU_REL_TOL."""
-    t, y = _windowed(t, window, y, min_size=4)
-    top = float(y.max())
-    variation = 0.0 if top == 0.0 else (top - float(y.min())) / top
-    win = (float(t[0]), float(t[-1]))
-    return FitResult(None, float(y[-1]), 1.0, win,
-                     passed=variation <= PLATEAU_REL_TOL)
+    slope, r2 = _line(np.log(t), y)
+    return FitResult(slope, r2, (float(t[0]), float(t[-1])))
 
 
 def fit_composite(t, y, abscissa, window) -> FitResult:
-    """Regress ln y on the log of a predicted composite law; slope near 1
-    confirms the composite shape."""
+    """Regress ln y on the log of a predicted composite law; a slope of 1
+    is the composite shape."""
     t, y, a = _windowed(t, window, y, abscissa)
     if np.any(y <= 0.0) or np.any(a <= 0.0):
         raise FitError("composite fit requires positive samples")
     la = np.log(a)
     if np.ptp(la) == 0.0:
         raise ConstantAbscissaError("composite abscissa is constant on the window")
-    slope, intercept, r2 = _line(la, np.log(y))
-    return FitResult(slope, intercept, r2, (float(t[0]), float(t[-1])),
-                     passed=abs(slope - 1.0) <= COMPOSITE_SLOPE_TOL)
+    slope, r2 = _line(la, np.log(y))
+    return FitResult(slope, r2, (float(t[0]), float(t[-1])))
 
 
 @dataclass(frozen=True)
@@ -140,28 +121,6 @@ class Verdict:
         }
 
 
-def _exponent_verdict(name, fitted: FitResult, predicted, tol, one_sided):
-    if one_sided:
-        ok = fitted.exponent <= predicted + tol
-        pred = f"power(<= {predicted:.6g} + {tol:g})"
-    else:
-        ok = abs(fitted.exponent - predicted) <= tol
-        pred = f"power({predicted:.6g} +- {tol:g})"
-    return Verdict(name, pred, f"power({fitted.exponent:.6g})", fitted.r2,
-                   fitted.window, bool(ok))
-
-
-def _composite_verdict(kind, t, l1, model, window):
-    try:
-        fitted = fit_composite(t, l1, model, window)
-    except ConstantAbscissaError:
-        return Verdict("l1_excess", kind,
-                       "composite_undefined(constant abscissa on window)",
-                       0.0, window, False)
-    return Verdict("l1_excess", kind, f"composite_slope({fitted.exponent:.6g})",
-                   fitted.r2, fitted.window, bool(fitted.passed))
-
-
 def verdict(params: ProblemParams, series, h=None):
     """One pass/fail verdict per law in the row of the law table
     (`predicted_laws`) that applies to params and series; the row is the
@@ -173,9 +132,11 @@ def verdict(params: ProblemParams, series, h=None):
     EXPONENT_TOL past it; the support radius gets EXPONENT_TOL/2.  A
     bounded support grows by at most 3h (2 % of its final radius without
     h) over the last BOUNDED_SPAN_OCTAVES octaves.  An amplitude bound must
-    hold, with AMPLITUDE_SLACK, at every record t > 0.  A positive limit is
-    a plateau on the window at no less than LIMIT_LEVEL times the first
-    record.
+    hold, with AMPLITUDE_SLACK, at every record t > 0.  Log growth needs a
+    positive slope with r2 >= 0.9, and a composite law a log-log slope
+    within COMPOSITE_SLOPE_TOL of 1 against its predicted shape.  A positive
+    limit varies by at most PLATEAU_REL_TOL of its top on the window and
+    ends at no less than LIMIT_LEVEL times the first record.
     """
     t = series.t
     tpos = t[t > 0.0]
@@ -191,9 +152,16 @@ def verdict(params: ProblemParams, series, h=None):
     for name, law in laws.items():
         y = series.column(name)
         if law.kind in ("power", "power_bound"):
+            fitted = fit_power(t, y, window)
             tol = EXPONENT_TOL / 2.0 if name == "rho" else EXPONENT_TOL
-            out.append(_exponent_verdict(name, fit_power(t, y, window), law.exponent,
-                                         tol, one_sided=law.kind == "power_bound"))
+            if law.kind == "power_bound":
+                predicted = f"power(<= {law.exponent:.6g} + {tol:g})"
+                ok = fitted.exponent <= law.exponent + tol
+            else:
+                predicted = f"power({law.exponent:.6g} +- {tol:g})"
+                ok = abs(fitted.exponent - law.exponent) <= tol
+            out.append(Verdict(name, predicted, f"power({fitted.exponent:.6g})",
+                               fitted.r2, fitted.window, bool(ok)))
         elif law.kind == "amplitude_bound":
             worst = float(np.max(y[t > 0.0] * tpos ** -law.exponent))
             bound = AMPLITUDE_SLACK * law.amplitude
@@ -212,22 +180,35 @@ def verdict(params: ProblemParams, series, h=None):
             ok = fitted.exponent > 0.0 and fitted.r2 >= 0.9
             out.append(Verdict(name, "log", f"log_growth({fitted.exponent:.6g})",
                                fitted.r2, fitted.window, bool(ok)))
-        elif law.kind == "power_log":
+        elif law.kind in ("power_log", "inverse_log_power"):
             # the model is evaluated on the full series (including a possible
-            # t = 0 initial record) and only windowed inside fit_composite
-            tp = np.maximum(t, 1e-300)
-            model = tp ** law.exponent * np.log(np.maximum(tp, 1.0 + 1e-9)) ** (
-                -law.exponent / xi_exponent(params.q, params.N))
-            out.append(_composite_verdict("power_log", t, y, model, window))
-        elif law.kind == "inverse_log_power":
-            # constant, hence undefined, while the whole window lies in t <= 1
-            model = np.log(np.maximum(t, 1.0 + 1e-9)) ** law.exponent
-            out.append(_composite_verdict("inverse_log_power", t, y, model, window))
+            # t = 0 initial record) and only windowed inside fit_composite;
+            # its log t is constant, and the slope undefined, while the whole
+            # window lies in t <= 1
+            log_t = np.log(np.maximum(t, 1.0 + 1e-9))
+            if law.kind == "power_log":
+                model = np.maximum(t, 1e-300) ** law.exponent * log_t ** (
+                    -law.exponent / xi_exponent(params.q, params.N))
+            else:
+                model = log_t ** law.exponent
+            try:
+                fitted = fit_composite(t, y, model, window)
+            except ConstantAbscissaError:
+                out.append(Verdict(name, law.kind,
+                                   "composite_undefined(constant abscissa on window)",
+                                   0.0, window, False))
+                continue
+            ok = abs(fitted.exponent - 1.0) <= COMPOSITE_SLOPE_TOL
+            out.append(Verdict(name, law.kind, f"composite_slope({fitted.exponent:.6g})",
+                               fitted.r2, fitted.window, bool(ok)))
         else:  # positive_limit
-            res = plateau_test(t, y, window)
+            tw, yw = _windowed(t, window, y, min_size=4)
+            top = float(yw.max())
+            variation = 0.0 if top == 0.0 else (top - float(yw.min())) / top
+            last = float(yw[-1])
             level = LIMIT_LEVEL * float(y[0])
-            ok = bool(res.passed) and res.amplitude > 0.0 and res.amplitude >= level
+            ok = variation <= PLATEAU_REL_TOL and last > 0.0 and last >= level
             out.append(Verdict(name, f"positive_limit(>= {level:.6g})",
-                               f"plateau({res.amplitude:.6g})", res.r2,
-                               res.window, ok))
+                               f"plateau({last:.6g})", 1.0,
+                               (float(tw[0]), float(tw[-1])), ok))
     return out

@@ -125,6 +125,10 @@ class Bump:
     m: float = 2.0
     t0 = 0.0
 
+    def __post_init__(self):
+        if not (self.R0 > 0.0 and self.m > 0.0):
+            raise InvalidParams("bump needs R0 > 0 and m > 0")
+
     def value(self, r, params):
         r = np.asarray(r, dtype=float)
         return self.H * np.maximum(1.0 - (r / self.R0) ** 2, 0.0) ** self.m
@@ -195,7 +199,10 @@ def parse_profile(spec):
                                     f"is not a number") from None
             if not math.isfinite(value):
                 raise InvalidParams(f"profile option {item!r} in {spec!r} is not finite")
-            kwargs[key.strip()] = value
+            key = key.strip()
+            if key in kwargs:
+                raise InvalidParams(f"repeated profile option {key!r} in {spec!r}")
+            kwargs[key] = value
     try:
         if name == "bump":
             return Bump(**kwargs)

@@ -291,13 +291,17 @@ class _Stepper:
         so one absorption stage cannot undershoot the floor;
         effective_diffusivity and b_eps are increasing in s, so the face/cell
         maxima suffice.  On the folded s and sc they return h^(p-2) D and
-        (2h)^q b, which cfl and cap absorb.  A NaN gradient gives dt = NaN."""
-        dmax = model.effective_diffusivity(s.item(s.argmax()), self.eps_a, self.p)
+        (2h)^q b, which cfl and cap absorb.  A NaN gradient gives dt = NaN,
+        and maxima whose coefficients overflow a float raise NumericalError."""
+        try:
+            dmax = model.effective_diffusivity(s.item(s.argmax()), self.eps_a, self.p)
+            bmax = 0.0 if sc is None else model.b_eps(sc.item(sc.argmax()),
+                                                      self.eps_b, self.q)
+        except OverflowError as exc:
+            raise NumericalError(f"CFL bound overflows a float: {exc}") from None
         dt = self.cfl / dmax
-        if sc is not None:
-            bmax = model.b_eps(sc.item(sc.argmax()), self.eps_b, self.q)
-            if bmax > 0.0:
-                dt = min(dt, self.cap / bmax)
+        if bmax > 0.0:
+            dt = min(dt, self.cap / bmax)
         return dt
 
     # -- one step on a window, and the active window -------------------------

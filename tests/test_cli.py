@@ -1,3 +1,4 @@
+import csv
 import json
 import tracemalloc
 
@@ -203,8 +204,6 @@ NON_FINITE = {
     "bump_H_inf": ("profile", "bump:H=inf"),
     "bump_R0_inf": ("profile", "bump:R0=inf"),
     "annulus_H_nan": ("profile", "annulus:R0=2,R1=4,H=nan"),
-    # m < 0 puts a pole at r = R0: every sample from R0 on is infinite
-    "samples_overflow": ("profile", "bump:R0=1,H=1,m=-1"),
 }
 
 
@@ -267,6 +266,45 @@ def test_run_command_floor_violation(tmp_path, capsys):
                    "profile = bump:R0=0.25,H=16,m=2\n")
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 3
     assert "floor violated" in capsys.readouterr().err
+
+
+def test_run_and_sweep_report_coefficients_that_overflow(tmp_path, capsys):
+    # data so steep that the CFL maxima of the regularized coefficients
+    # overflow a float: a numerical failure, not an OverflowError traceback
+    # with exit 1
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text("p = 5\nq = 3\nh = 0.01\nL = 6\nt_end = 1\nprofile = bump:H=1e150\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 3
+    assert "numerical failure: CFL bound overflows a float" in capsys.readouterr().err
+    assert run_cli("sweep", "--p", "5", "--q", "3", "--config", str(cfg),
+                   "--out", str(tmp_path / "sweep")) == 3
+    _, row = csv.reader((tmp_path / "sweep" / "summary.csv").read_text().splitlines())
+    assert row[:3] == ["5", "3", ""]
+    assert row[3].startswith("error: NumericalError: CFL bound overflows a float")
+
+
+# profile options that used to start a run or to be blamed on something
+# else: a repeated option was overwritten by its last value (the run exited
+# 4 at H = 2), a bump with m = 0 is H on the whole grid (exit 3, support
+# overflow at any L), m < 0 puts a pole at r = R0 (rejected for its
+# infinite samples), and R0 < 0 was reported as a feature of negative width
+BAD_PROFILES = {
+    "repeated_option": ("bump:H=1,H=2", "repeated profile option 'H'"),
+    "m_zero": ("bump:m=0", "bump needs R0 > 0 and m > 0"),
+    "m_negative": ("bump:R0=1,H=1,m=-1", "bump needs R0 > 0 and m > 0"),
+    "R0_negative": ("bump:R0=-1", "bump needs R0 > 0 and m > 0"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PROFILES)
+def test_run_rejects_bad_profile_options(tmp_path, capsys, case):
+    profile, message = BAD_PROFILES[case]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"p = 3\nq = 2\nt_end = 1\nprofile = {profile}\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_roundtrip(tmp_path, capsys):

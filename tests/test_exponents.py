@@ -7,6 +7,7 @@ from gradabs.exponents import (EQUALITY_TOL, InvalidParams, Law, ProblemParams,
                                Regime, alpha_p, beta_pq, classify_regime,
                                compute_exponents, eta_exponent, gamma_cap,
                                predicted_laws, q_star, xi_exponent)
+from gradabs.observe import CSV_COLUMNS
 
 
 def test_worked_examples_exact():
@@ -126,34 +127,60 @@ def test_gamma_default_is_cap():
 
 def test_predicted_laws_examples():
     laws = predicted_laws(ProblemParams(3.0, 1.6, 1), absorbing=True)
-    assert laws.sup_excess == Law("power_bound", pytest.approx(-1.0 / 2.2))
-    assert laws.grad_sup == Law("power_bound", pytest.approx(-2.0 / 2.2))
-    assert laws.grad_beta is None
-    assert laws.rho.kind == "bounded"
-    assert laws.l1_excess == Law("power_bound", pytest.approx(-1.0 / 0.6))
+    assert laws["sup_excess"] == Law("power_bound", pytest.approx(-1.0 / 2.2))
+    assert laws["grad_sup"] == Law("power_bound", pytest.approx(-2.0 / 2.2))
+    assert "grad_beta" not in laws
+    assert laws["rho"].kind == "bounded"
+    assert laws["l1_excess"] == Law("power_bound", pytest.approx(-1.0 / 0.6))
 
     laws = predicted_laws(ProblemParams(3.0, 3.0, 1), absorbing=True)
-    assert laws.sup_excess == Law("power", pytest.approx(-0.25))
-    assert laws.grad_beta == Law("amplitude_bound", pytest.approx(-1.0 / 3.0),
-                                 pytest.approx(2.0 ** (2.0 / 3.0) / 3.0))
-    assert laws.rho == Law("power_bound", pytest.approx(0.25))
-    assert laws.l1_excess.kind == "positive_limit"
+    assert laws["sup_excess"] == Law("power", pytest.approx(-0.25))
+    assert laws["grad_beta"] == Law("amplitude_bound", pytest.approx(-1.0 / 3.0),
+                                    pytest.approx(2.0 ** (2.0 / 3.0) / 3.0))
+    assert laws["rho"] == Law("power_bound", pytest.approx(0.25))
+    assert laws["l1_excess"].kind == "positive_limit"
 
     laws = predicted_laws(ProblemParams(3.0, 2.0, 1), absorbing=True)
-    assert laws.rho.kind == "log"
-    assert laws.l1_excess.kind == "power_log"
-    assert [column for column, _ in laws.items()] == [
-        "sup_excess", "grad_sup", "grad_beta", "rho", "l1_excess"]
+    assert laws["rho"].kind == "log"
+    assert laws["l1_excess"].kind == "power_log"
+    assert list(laws) == ["sup_excess", "grad_sup", "grad_beta", "rho", "l1_excess"]
 
 
 def test_pure_diffusion_takes_the_diffusion_dominated_row():
+    # the row of q = 3 > q_* = 2.5, with sharp support growth and no
+    # grad_beta law
+    row = predicted_laws(ProblemParams(3.0, 3.0, 1), absorbing=True)
+    del row["grad_beta"]
+    row["rho"] = Law("power", row["rho"].exponent)
     for q in (1.5, 2.0, 2.25, 2.5, 3.0):
         laws = predicted_laws(ProblemParams(3.0, q, 1), absorbing=False)
-        assert laws.regime is Regime.DIFFUSION_DOMINATED
-        assert laws.sup_excess == Law("power", pytest.approx(-0.25))
-        assert laws.rho == Law("power", pytest.approx(0.25))
-        assert laws.l1_excess.kind == "positive_limit"
-        assert laws.grad_beta is None
+        assert laws == row and list(laws) == list(row)
+        assert laws["sup_excess"] == Law("power", pytest.approx(-0.25))
+        assert laws["rho"] == Law("power", pytest.approx(0.25))
+        assert laws["l1_excess"].kind == "positive_limit"
+        assert "grad_beta" not in laws
+
+
+REPORT_ORDER = ("sup_excess", "grad_sup", "grad_beta", "rho", "l1_excess")
+
+
+@pytest.mark.parametrize("absorbing", [True, False])
+@pytest.mark.parametrize("p, N", [(3.0, 1), (4.0, 2), (2.5, 3)])
+def test_law_rows_name_series_columns_in_report_order(p, N, absorbing):
+    # q below, at and above p - 1 and q_*: a key that names no series
+    # column would fail only once a run's verdict reads it
+    crit_abs, crit_mass = p - 1.0, q_star(p, N)
+    mid = 0.5 * (crit_abs + crit_mass)
+    assert 1.0 < 0.5 * (1.0 + crit_abs) and crit_abs < mid < crit_mass
+    grad_beta_rows = 0
+    for q in (0.5 * (1.0 + crit_abs), crit_abs, mid, crit_mass, crit_mass + 0.5):
+        laws = predicted_laws(ProblemParams(p, q, N), absorbing)
+        assert set(laws) <= set(CSV_COLUMNS)
+        assert list(laws) == [column for column in REPORT_ORDER if column in laws]
+        assert {"sup_excess", "grad_sup", "rho", "l1_excess"} <= set(laws)
+        grad_beta_rows += "grad_beta" in laws
+    # the order is checked with and without the optional grad_beta column
+    assert (grad_beta_rows > 0) == absorbing
 
 
 def test_xi_and_eta_coincide_at_the_critical_mass_exponent():
@@ -177,6 +204,6 @@ def test_law_selection_consistent_with_regime():
         q = rng.uniform(1.05, p + 1.0)
         params = ProblemParams(float(p), float(q), 1)
         laws = predicted_laws(params, absorbing=True)
-        support_kind, l1_kind = table[laws.regime]
-        assert laws.rho.kind == support_kind
-        assert laws.l1_excess.kind == l1_kind
+        support_kind, l1_kind = table[classify_regime(params)]
+        assert laws["rho"].kind == support_kind
+        assert laws["l1_excess"].kind == l1_kind

@@ -213,11 +213,53 @@ def test_parse_profile():
         model.parse_profile("bump:R0")
     with pytest.raises(InvalidParams):
         model.parse_profile("bump:R9=1")
+    # a repeated option is rejected, as parse_config rejects a repeated key,
+    # not overwritten by its last value
+    with pytest.raises(InvalidParams, match="repeated profile option 'H'"):
+        model.parse_profile("bump:H=1,H=2")
+    with pytest.raises(InvalidParams, match="repeated profile option 'R0'"):
+        model.parse_profile("annulus:R0=2, R0=3,R1=4")
     # t0 is a class constant of the fixed-start profiles, not an option
     assert bump.t0 == ann.t0 == 0.0
     for spec in ("bump:t0=1", "annulus:t0=1"):
         with pytest.raises(InvalidParams):
             model.parse_profile(spec)
+
+
+def test_bump_needs_positive_radius_and_power():
+    # at m = 0 the bump is H on the whole grid (0.0 ** 0 = 1), so its
+    # support is not R0; R0 <= 0 is no width at all
+    for kwargs in ({"m": 0.0}, {"m": -1.0}, {"R0": 0.0}, {"R0": -1.0}):
+        with pytest.raises(InvalidParams, match="bump needs R0 > 0 and m > 0"):
+            model.Bump(**kwargs)
+    # a zero height stays legal: it is the floor
+    grid = Grid(0.01, 200, 1)
+    assert not model.sample_profile(model.Bump(H=0.0), grid, ProblemParams(3.0, 2.0, 1)).any()
+    assert model.Bump(R0=0.5, m=0.5).support_radius(None) == 0.5
+
+
+class FilledProfile:
+    """A test-side profile whose every sample is `fill`; no option of the
+    program's profiles gives a non-finite or negative sample."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def feature_width(self, params):
+        return 1.0
+
+    def value(self, r, params):
+        return np.full_like(r, self.fill)
+
+
+def test_sample_profile_rejects_non_finite_or_negative_samples():
+    grid, params = Grid(0.01, 200, 1), ProblemParams(3.0, 2.0, 1)
+    for fill in (np.inf, np.nan):
+        with pytest.raises(InvalidParams, match="non-finite samples"):
+            model.sample_profile(FilledProfile(fill), grid, params)
+    with pytest.raises(InvalidParams, match="negative samples"):
+        model.sample_profile(FilledProfile(-1.0), grid, params)
+    assert (model.sample_profile(FilledProfile(0.5), grid, params) == 0.5).all()
 
 
 def test_sample_profile_rejects_underresolved_feature():

@@ -65,3 +65,25 @@ def test_law_criteria_hold_no_bound_of_their_own():
                 for node in ast.walk(body) if isinstance(node, ast.Constant)
                 and type(node.value) in (int, float, complex)]
     assert literals == []
+
+
+FITS = ("fit_power", "fit_log_growth", "fit_composite")
+LAW_BOUNDS = ("EXPONENT_TOL", "COMPOSITE_SLOPE_TOL", "PLATEAU_REL_TOL",
+              "LIMIT_LEVEL", "AMPLITUDE_SLACK", "BOUNDED_SPAN_OCTAVES")
+
+
+def test_only_verdict_judges_a_law():
+    # a fit returns its exponent, r2 and window; whether a law passes is
+    # decided by fit.verdict alone, so no other function of fit reads a
+    # tolerance, level, slack or span of the laws
+    tree = ast.parse((ROOT / "src" / "gradabs" / "fit.py").read_text())
+    assigned = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert set(LAW_BOUNDS) <= assigned
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert set(FITS) <= set(functions) and "verdict" in functions
+    reads = [f"{name}: {node.id}" for name, body in functions.items() if name != "verdict"
+             for node in ast.walk(body)
+             if isinstance(node, ast.Name) and node.id in LAW_BOUNDS]
+    assert reads == []
