@@ -7,8 +7,8 @@ from .exponents import (ExponentSet, InvalidParams, Law, ProblemParams,
                         predicted_laws)
 from .model import (BarenblattAt, Bump, DeadCoreAnnulus, a_eps, b_eps,
                     barenblatt_value, gamma_p_constant, parse_profile)
-from .solver import (ConfigError, Grid, RunConfig, State, comparison_run,
-                     initial_state, parse_config, run)
+from .solver import (Grid, RunConfig, State, comparison_run, initial_state,
+                     parse_config, run)
 from .observe import TimeSeries, mass_balance_residual, support_radius
 from .fit import FitResult, Verdict, fit_log_growth, fit_power, verdict
 

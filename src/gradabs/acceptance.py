@@ -8,7 +8,7 @@ proof-machinery scans.
 
 Every simulation a criterion reads is a named entry of `AcceptanceLab.RUNS`,
 simulated once per laboratory by `AcceptanceLab.simulation`, so criteria
-sharing a run pay for it once.
+sharing a run pay for it once; `check_comparison` alone builds its own pair.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ def _load_config(path):
         raise _Failure(EXIT_CONFIG, f"cannot read config: {exc}") from None
     try:
         return solver.parse_config(text)
-    except solver.ConfigError as exc:
+    except InvalidParams as exc:
         raise _Failure(EXIT_CONFIG, f"bad config: {exc}") from None
 
 
@@ -113,18 +113,24 @@ def cmd_run(args):
     return EXIT_OK
 
 
+def _cell_label(p, q):
+    return f"p{p:g}_q{q:g}"
+
+
 def _cell_configs(args):
     """One run config per (p, q) cell, in sorted order: the base config, or
-    h = 0.01, L = 8, t_end = 16, at (p, q).  A bad axis, a duplicate cell or
-    a cell whose config no run can start from exits 2."""
+    h = 0.01, L = 8, t_end = 16, at (p, q).  A bad axis, two cells of one
+    output name or a cell whose config no run can start from exits 2."""
     try:
         ps = [float(x) for x in args.p.split(",")]
         qs = [float(x) for x in args.q.split(",")]
     except ValueError as exc:
         raise _Failure(EXIT_CONFIG, f"bad sweep axis: {exc}") from None
     cells = [(p, q) for p in ps for q in qs]
-    if len(set(cells)) != len(cells):
-        raise _Failure(EXIT_CONFIG, "duplicate sweep cells")
+    labels = [_cell_label(p, q) for p, q in cells]
+    shared = [label for label in labels if labels.count(label) > 1]
+    if shared:
+        raise _Failure(EXIT_CONFIG, f"sweep cells share the output name {shared[0]}")
     base = _load_config(args.config) if args.config else None
     configs = []
     for p, q in sorted(cells):
@@ -132,7 +138,7 @@ def _cell_configs(args):
             configs.append(
                 dataclasses.replace(base, p=p, q=q) if base else
                 solver.RunConfig(p, q, h=0.01, L=8.0, t_end=16.0))
-        except ValueError as exc:
+        except InvalidParams as exc:
             raise _Failure(EXIT_CONFIG, f"cell ({p}, {q}): {exc}") from None
     return configs
 
@@ -158,14 +164,13 @@ def cmd_sweep(args):
         raise _Failure(EXIT_CONFIG, f"--workers must be at least 1, got {args.workers}")
     configs = _cell_configs(args)
     out = _make_out(args.out)
-    jobs = [(c, str(out), f"p{c.p:g}_q{c.q:g}") for c in configs]
+    jobs = [(c, str(out), _cell_label(c.p, c.q)) for c in configs]
     workers = min(args.workers, len(jobs))    # no idle pool workers
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             rows = pool.map(_sweep_cell, jobs)
     else:
         rows = [_sweep_cell(job) for job in jobs]
-    rows.sort(key=lambda r: (r["p"], r["q"]))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["p", "q", "regime", "status", "passes"])
@@ -173,7 +178,7 @@ def cmd_sweep(args):
         writer.writerow([f"{row['p']:g}", f"{row['q']:g}", row["regime"],
                          row["status"], row["passes"]])
         if row["report"] is not None:
-            path = out / f"p{row['p']:g}_q{row['q']:g}.report.json"
+            path = out / f"{_cell_label(row['p'], row['q'])}.report.json"
             path.write_text(json.dumps(row["report"], indent=2))
     (out / "summary.csv").write_text(buf.getvalue())
     print(buf.getvalue(), end="")

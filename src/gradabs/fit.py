@@ -43,14 +43,14 @@ def _window_mask(t, window):
     return (t >= lo * (1.0 - 1e-12)) & (t <= hi * (1.0 + 1e-12))
 
 
-def _windowed(t, window, *columns, min_size=6):
+def _windowed(t, window, *columns):
     """t and each column restricted to the window, as float arrays, with
-    at least min_size samples."""
+    at least 6 samples."""
     t = np.asarray(t, dtype=float)
     mask = _window_mask(t, window)
     t = t[mask]
-    if t.size < min_size:
-        raise FitError(f"need at least {min_size} samples in window, have {t.size}")
+    if t.size < 6:
+        raise FitError(f"need at least 6 samples in window, have {t.size}")
     return (t,) + tuple(np.asarray(c, dtype=float)[mask] for c in columns)
 
 
@@ -202,7 +202,7 @@ def verdict(params: ProblemParams, series, h=None):
             out.append(Verdict(name, law.kind, f"composite_slope({fitted.exponent:.6g})",
                                fitted.r2, fitted.window, bool(ok)))
         else:  # positive_limit
-            tw, yw = _windowed(t, window, y, min_size=4)
+            tw, yw = _windowed(t, window, y)
             top = float(yw.max())
             variation = 0.0 if top == 0.0 else (top - float(yw.min())) / top
             last = float(yw[-1])

@@ -12,10 +12,6 @@ import numpy as np
 from .exponents import InvalidParams, ProblemParams, eta_exponent
 
 
-class GridResolutionError(ValueError):
-    """Raised when a profile feature spans fewer than 8 cells."""
-
-
 # ---------------------------------------------------------------------------
 # regularized coefficients
 
@@ -221,7 +217,7 @@ def sample_profile(profile, grid, params: ProblemParams):
     samples that are not finite or negative."""
     width = profile.feature_width(params)
     if width < 8.0 * grid.h:
-        raise GridResolutionError(
+        raise InvalidParams(
             f"profile feature of width {width} needs >= 8 cells, have h={grid.h}"
         )
     r = grid.centers()

@@ -19,7 +19,7 @@ acceptance runs cut to t = 16, no later stage's Euler step was measured
 above SAFETY = 0.9 of its own monotone limit; the largest was 0.899999, on
 bb_h0025, and 0.8998 at N = 2 and 3 (a test keeps the pure-diffusion
 part).  The ledgers book each stage's absorption and outflow at tau, and the
-combination scales the step's increments by (S-1)/S = 19/20.
+combination (`_Stepper.step`) scales the step's increments by (S-1)/S = 19/20.
 
 The diffusion of an Euler stage is monotone under the CFL restriction; its
 absorption, which sees the centered cell gradient (the mean of the cell's
@@ -35,15 +35,17 @@ solution on [-L, L].
 The entry points are `run` and `comparison_run`, both driven by a
 `RunConfig`, which rejects when it is built any config that no run can start
 from.  `_Stepper.gradients` is the one place the face and centered
-differences are formed, `_Stepper.stable_dt_from` the one CFL rule and
-`_Stepper.step_window` the one stage kernel.  `_advance` is the one time
-loop, over one array: `run` drives it with the field, and `comparison_run`
-with its two fields as the columns of one C-contiguous (n, 2) array, so
-that one gradients and step call per stage, and one CFL call per step,
-advance both in lockstep with a shared dt.  A stage writes into the
-stepper's own scratch arrays, model.a_eps and model.b_eps included, through
-views that are formed once per array and window, and the step's
-combination writes into u^n and u, so a step allocates nothing.
+differences are formed, `_Stepper.stable_dt_from` the one CFL rule,
+`_Stepper.step_window` the one stage kernel and `_Stepper.step` the one
+SSPRK step.  `_advance` is the one time loop, over one array, and calls
+only `active_window` and `step` of its stepper: `run` drives it with the
+field, and `comparison_run` with its two fields as the columns of one
+C-contiguous (n, 2) array, so that one gradients and step_window call per
+stage, and one CFL call per step, advance both in lockstep with a shared
+dt.  A stage writes into the stepper's own scratch arrays, model.a_eps and
+model.b_eps included, through views that are formed once per array and
+window, and the step's combination writes into u^n and u, so a step
+allocates nothing.
 Every ufunc of a stage gets array operands, 0-d arrays for the constants
 (model.Coefficient), and its output positionally, not as an out= keyword
 that it would parse on every call.
@@ -60,9 +62,9 @@ two maxima by the matching constants.
 The extrema (a step's CFL maxima and comparison gap, a stage's floor-check
 minimum) are read by index, x.item(x.argmax()), which costs less
 than a reduction to a numpy scalar and returns the first NaN just as the
-reduction propagates it.  The loop steps only the active window: the cells
-above the floor (for a pair, the rows where either field is) plus a padding
-the front cannot cross before the window is refreshed.
+reduction propagates it.  The loop steps only the active window, taken
+before every step: the cells above the floor (for a pair, the rows where
+either field is) plus a padding the front cannot cross within the step.
 """
 
 from __future__ import annotations
@@ -83,19 +85,13 @@ SAFETY = 0.9
 # Euler stages per SSPRK(S, 2) step
 STAGES = 20
 
-# Active-window bookkeeping: the update front moves at most one cell per
-# stage, so refreshing every WINDOW_EVERY stages (a whole number of steps)
-# with WINDOW_EVERY + 2 cells of padding is exact.
-WINDOW_EVERY = 3 * STAGES
-WINDOW_PAD = WINDOW_EVERY + 2
+# the update front moves at most one cell per stage, so an active window
+# taken before every step with STAGES + 2 cells of padding is exact
+WINDOW_PAD = STAGES + 2
 
 
 # the most cells a grid may have; the battery's largest has 3400
 MAX_CELLS = 10 ** 6
-
-
-class ConfigError(ValueError):
-    pass
 
 
 class NumericalError(RuntimeError):
@@ -132,25 +128,25 @@ class Grid:
         r^(N-1) h is not a finite positive float at the first cell center or
         the outer face; r^(N-1) is monotone, so the other cells lie between."""
         if not self.h > 0.0:
-            raise ConfigError("h must be positive")
+            raise InvalidParams("h must be positive")
         if self.n < 16:
-            raise ConfigError("need at least 16 cells")
+            raise InvalidParams("need at least 16 cells")
         if self.n > MAX_CELLS:
-            raise ConfigError(f"need at most {MAX_CELLS} cells, h={self.h} gives more")
+            raise InvalidParams(f"need at most {MAX_CELLS} cells, h={self.h} gives more")
         try:
             ends = [r ** (self.N - 1) * self.h for r in (0.5 * self.h, self.L)]
             ends += [1.0 / x for x in ends] + [sphere_area(self.N) * x for x in ends]
         except (OverflowError, ZeroDivisionError):
             ends = [0.0]
         if not all(0.0 < x < math.inf for x in ends):
-            raise ConfigError(f"the radial weights of R^{self.N} on [0, {self.L:g}] "
-                              f"at h={self.h} overflow or underflow")
+            raise InvalidParams(f"the radial weights of R^{self.N} on [0, {self.L:g}] "
+                                f"at h={self.h} overflow or underflow")
 
     @classmethod
     def from_extent(cls, h, L, N):
         # a non-positive h is left for __post_init__ to reject; a cell count
         # past MAX_CELLS is not rounded, since L/h may be infinite
-        n = max(16, round(min(L / h, MAX_CELLS + 1))) if h > 0.0 else 0
+        n = round(min(L / h, MAX_CELLS + 1)) if h > 0.0 else 0
         return cls(h, n, N)
 
     @property
@@ -237,8 +233,9 @@ class _Stepper:
         faces, cells = (n + 1,) + cols, (n,) + cols
         self.g, self.s, self.flux = np.zeros(faces), np.empty(faces), np.empty(faces)
         self.sc, self.div, self.babs = np.empty(cells), np.empty(cells), np.empty(cells)
-        # tau h^(1-p) / (r^(N-1) h), and u^n of an SSPRK step
+        # tau h^(1-p) / (r^(N-1) h), u^n of an SSPRK step and S as a 0-d operand
         self.w, self.u_n = np.empty(cells), np.empty(cells)
+        self.stages = np.array(float(STAGES))
         self._u, self._a, self._b, self._tau = None, -1, -1, None
         self.absorbed = self.boundary_out = 0.0
 
@@ -272,8 +269,8 @@ class _Stepper:
         gradient is the mirror-ghost difference.
 
         The arrays are views on this stepper's scratch and are overwritten
-        by its next call, so a caller that holds the gradients of several
-        arrays at once needs one stepper per array."""
+        by its next call; k fields stepped together are the columns of one
+        (n, k) array, so that one call forms the gradients of them all."""
         self._bind(u, a, b)
         u_right, u_left, inner, d, s, d_left, d_right, sc, off = self._grad_views
         np.subtract(u_right, u_left, inner)
@@ -347,6 +344,26 @@ class _Stepper:
                 f"floor violated by {self.floor - umin:.3e} at t-step dt={dt:.3e}"
             )
 
+    def step(self, u, a, b, dt_max):
+        """One SSPRK(S, 2) step of cells [a, b), returning its dt, the lesser of
+        dt_max and S - 1 times the CFL bound of u^n: S Euler stages of tau =
+        dt/(S-1), u += (u^n - u)/S, and the ledgers' increments times (S-1)/S."""
+        g = self.gradients(u, a, b)
+        dt = min((STAGES - 1) * self.stable_dt_from(g[1], g[2]), dt_max)
+        tau = dt / (STAGES - 1)
+        uw, un = u[a:b], self.u_n[:b - a]
+        np.copyto(un, uw)
+        absorbed, out = self.absorbed, self.boundary_out
+        self.step_window(u, a, b, tau, g)
+        for _ in range(STAGES - 1):
+            self.step_window(u, a, b, tau, self.gradients(u, a, b))
+        np.subtract(un, uw, un)
+        np.divide(un, self.stages, un)
+        np.add(uw, un, uw)
+        self.absorbed = absorbed + (self.absorbed - absorbed) * ((STAGES - 1) / STAGES)
+        self.boundary_out = out + (self.boundary_out - out) * ((STAGES - 1) / STAGES)
+        return dt
+
     def active_window(self, u):
         active = np.nonzero(u > self.floor)[0]
         if active.size == 0:
@@ -358,37 +375,17 @@ class _Stepper:
 
 def _advance(stepper, u, t, t_target, after_step=None):
     """Step u in place from t to t_target, hit exactly, by SSPRK(STAGES, 2)
-    steps on its active window, refreshed every WINDOW_EVERY stages.  Calls
-    after_step(a, b), if given, after every step of window [a, b); returns
-    early once u is at the floor, a steady state."""
+    steps, each on the active window taken before it.  Calls after_step(a, b),
+    if given, after every step of window [a, b); returns early once u is at
+    the floor, a steady state."""
     t_stop = t_target - 1e-15 * max(1.0, t_target)
-    keep, stages = (STAGES - 1) / STAGES, np.array(float(STAGES))
     while t < t_stop:
         win = stepper.active_window(u)
         if win is None:
             return
-        a, b = win
-        uw, un = u[a:b], stepper.u_n[:b - a]
-        for _ in range(WINDOW_EVERY // STAGES):
-            g = stepper.gradients(u, a, b)
-            dt = min((STAGES - 1) * stepper.stable_dt_from(g[1], g[2]), t_target - t)
-            tau = dt / (STAGES - 1)
-            np.copyto(un, uw)
-            absorbed, out = stepper.absorbed, stepper.boundary_out
-            stepper.step_window(u, a, b, tau, g)
-            for _ in range(STAGES - 1):
-                stepper.step_window(u, a, b, tau, stepper.gradients(u, a, b))
-            # u += (u^n - u) / S, in place
-            np.subtract(un, uw, un)
-            np.divide(un, stages, un)
-            np.add(uw, un, uw)
-            stepper.absorbed = absorbed + (stepper.absorbed - absorbed) * keep
-            stepper.boundary_out = out + (stepper.boundary_out - out) * keep
-            t += dt
-            if after_step is not None:
-                after_step(a, b)
-            if t >= t_stop:
-                return
+        t += stepper.step(u, *win, t_target - t)
+        if after_step is not None:
+            after_step(*win)
 
 
 # ---------------------------------------------------------------------------
@@ -466,47 +463,44 @@ def parse_config(text) -> RunConfig:
     The grid is radial, and `geometry = radial` is accepted for configs that
     say so."""
     kwargs = {}
-    try:
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if not sep or not val:
-                raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-            if key not in CONFIG_KEYS and key != "geometry":
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            if key in kwargs:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            if key == "geometry":
-                if val != "radial":
-                    raise ConfigError(f"line {lineno}: geometry must be radial, got {val!r}")
-            elif key == "absorption":
-                if val not in ("on", "off"):
-                    raise ConfigError(f"line {lineno}: absorption must be on or off, "
-                                      f"got {val!r}")
-                val = val == "on"
-            elif key == "profile":
-                try:
-                    model.parse_profile(val)
-                except ValueError as exc:
-                    raise ConfigError(f"line {lineno}: {exc}") from None
-            else:
-                kind, noun = (int, "an integer") if key == "N" else (float, "a number")
-                try:
-                    val = kind(val)
-                except ValueError:
-                    raise ConfigError(f"line {lineno}: {key} must be {noun}, "
-                                      f"got {val!r}") from None
-            kwargs[key] = val
-        missing = [key for key in REQUIRED_KEYS if key not in kwargs]
-        if missing:
-            raise ConfigError(f"missing required key(s) {', '.join(missing)}")
-        kwargs.pop("geometry", None)
-        return RunConfig(**kwargs)
-    except ValueError as exc:         # InvalidParams from RunConfig
-        raise ConfigError(str(exc)) from None
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if not sep or not val:
+            raise InvalidParams(f"line {lineno}: expected key=value, got {line!r}")
+        if key not in CONFIG_KEYS and key != "geometry":
+            raise InvalidParams(f"line {lineno}: unknown key {key!r}")
+        if key in kwargs:
+            raise InvalidParams(f"line {lineno}: duplicate key {key!r}")
+        if key == "geometry":
+            if val != "radial":
+                raise InvalidParams(f"line {lineno}: geometry must be radial, got {val!r}")
+        elif key == "absorption":
+            if val not in ("on", "off"):
+                raise InvalidParams(f"line {lineno}: absorption must be on or off, "
+                                    f"got {val!r}")
+            val = val == "on"
+        elif key == "profile":
+            try:
+                model.parse_profile(val)
+            except InvalidParams as exc:
+                raise InvalidParams(f"line {lineno}: {exc}") from None
+        else:
+            kind, noun = (int, "an integer") if key == "N" else (float, "a number")
+            try:
+                val = kind(val)
+            except ValueError:
+                raise InvalidParams(f"line {lineno}: {key} must be {noun}, "
+                                    f"got {val!r}") from None
+        kwargs[key] = val
+    missing = [key for key in REQUIRED_KEYS if key not in kwargs]
+    if missing:
+        raise InvalidParams(f"missing required key(s) {', '.join(missing)}")
+    kwargs.pop("geometry", None)
+    return RunConfig(**kwargs)
 
 
 def record_times(t_start, t_end, record_start):
@@ -560,8 +554,8 @@ def run(config: RunConfig, on_record=None):
 
 def comparison_run(profile_a, profile_b, config: RunConfig,
                    absorption_a=None, absorption_b=None):
-    """Evolve two ordered initial profiles with an identical dt sequence and
-    report the worst ordering violation max_t max_i (uA - uB)_+.
+    """Evolve two ordered profiles from their shared t0 with an identical dt
+    sequence and report the worst ordering violation max_t max_i (uA - uB)_+.
 
     Both fields advance as the two columns of one (n, 2) array through one
     `_Stepper` and `_advance`, so each stage makes one gradients and one
@@ -569,6 +563,10 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
     two fields' active windows.  The gap is taken once per step, below the
     window's end, past which both sit exactly at the floor.  The final
     fields are copied back into the two initial states' arrays."""
+    t0 = profile_a.t0
+    if profile_b.t0 != t0 or not config.t_end > t0:
+        raise InvalidParams(f"need two profiles of one start time t0 < t_end, got "
+                            f"t0={t0} and {profile_b.t0}, t_end={config.t_end}")
     params, grid = config.params(), config.grid()
     ua = initial_state(params, grid, profile_a).values
     ub = initial_state(params, grid, profile_b).values
@@ -584,6 +582,6 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
         gap = u[:b, 0] - u[:b, 1]
         worst = max(worst, gap.item(gap.argmax()))
 
-    _advance(stepper, u, 0.0, config.t_end, take_gap)
+    _advance(stepper, u, t0, config.t_end, take_gap)
     ua[:], ub[:] = u[:, 0], u[:, 1]
     return {"max_violation": max(worst, 0.0), "t_end": config.t_end}

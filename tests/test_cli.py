@@ -110,6 +110,8 @@ UNSTARTABLE = {
     "line_N2": "geometry = line\nN = 2\nh = 0.02\nL = 4",
     "h_zero": "h = 0\nL = 4",
     "profile_under_8_cells": "h = 0.5\nL = 12",
+    # used to run on L = 1.6, enlarged to 16 cells, and end in exit 3
+    "L_under_16_cells": "h = 0.1\nL = 1\nprofile = bump:R0=0.8",
 }
 
 
@@ -124,6 +126,8 @@ def test_run_and_sweep_reject_unstartable_config(tmp_path, capsys, case):
     assert err.count("error: bad config: ") == 2
     if "geometry" in UNSTARTABLE[case]:
         assert err.count("geometry must be radial, got '") == 2
+    if case == "L_under_16_cells":
+        assert err.count("bad config: need at least 16 cells\n") == 2
     assert not (tmp_path / "out").exists() and not (tmp_path / "sweep").exists()
 
 
@@ -366,6 +370,15 @@ def test_sweep_deterministic_across_workers(tmp_path, capsys):
 
 def test_sweep_rejects_duplicates(capsys):
     assert run_cli("sweep", "--p", "3,3", "--q", "2", "--out", "unused") == 2
+
+
+def test_sweep_rejects_cells_that_share_output_files(tmp_path, capsys):
+    # p = 3 and 3.0000001 print as 3 under :g, so both cells would write
+    # p3_q3.csv and p3_q3.report.json
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--p", "3,3.0000001", "--q", "3", "--out", str(out)) == 2
+    assert "sweep cells share the output name p3_q3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_invalid_cells(capsys):

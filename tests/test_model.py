@@ -264,5 +264,5 @@ def test_sample_profile_rejects_non_finite_or_negative_samples():
 
 def test_sample_profile_rejects_underresolved_feature():
     grid = Grid(0.2, 16, 1)   # 5 cells across the unit bump
-    with pytest.raises(model.GridResolutionError):
+    with pytest.raises(InvalidParams, match="needs >= 8 cells"):
         model.sample_profile(model.Bump(), grid, ProblemParams(3.0, 2.0, 1))

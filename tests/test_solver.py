@@ -8,7 +8,7 @@ from barenblatt_oracle import barenblatt_time_derivative
 
 from gradabs import model, observe, solver
 from gradabs.exponents import InvalidParams, ProblemParams
-from gradabs.solver import (ConfigError, FloorViolationError, Grid, RunConfig,
+from gradabs.solver import (FloorViolationError, Grid, RunConfig,
                             SupportOverflowError, comparison_run,
                             initial_state, parse_config, record_times, run)
 
@@ -42,14 +42,17 @@ def test_grid_invariants():
     assert r.L == pytest.approx(4.0)
     assert r.centers()[0] == pytest.approx(0.05)
     assert Grid.from_extent(0.1, 4.0, 2) == r
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidParams):
         Grid(0.1, 8, 1)               # too few cells
-    with pytest.raises(ConfigError):
+    # an extent of too few cells is rejected, not enlarged to 16 cells
+    with pytest.raises(InvalidParams, match="^need at least 16 cells$"):
+        Grid.from_extent(0.1, 1.0, 1)
+    with pytest.raises(InvalidParams):
         Grid(0.0, 40, 1)
     # too many cells, L/h past every integer, and radial weights r^(N-1)
     # that overflow (N = 400) or underflow (N = 200)
     for h, L, N in ((1e-12, 8.0, 1), (5e-324, 8.0, 1), (0.02, 4.0, 400), (0.02, 4.0, 200)):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParams):
             Grid.from_extent(h, L, N)
     assert Grid.from_extent(1e-5, 10.0, 1).n == solver.MAX_CELLS
 
@@ -327,35 +330,35 @@ def test_parse_config():
     # the grid is radial; a config may still say so, once
     assert parse_config(text.replace("geometry = radial", "")) == cfg
 
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidParams):
         parse_config("p = 3\nbogus = 1\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidParams):
         parse_config("p = 3\np = 4\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidParams):
         parse_config("absorption = maybe\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidParams):
         parse_config("p 3\n")
-    with pytest.raises(ConfigError, match="duplicate key 'geometry'"):
+    with pytest.raises(InvalidParams, match="duplicate key 'geometry'"):
         parse_config("p = 3\nq = 2\ngeometry = radial\ngeometry = radial\n")
     for geometry in ("line", "cartesian"):
-        with pytest.raises(ConfigError, match=f"geometry must be radial, got '{geometry}'"):
+        with pytest.raises(InvalidParams, match=f"geometry must be radial, got '{geometry}'"):
             parse_config(f"p = 3\nq = 2\ngeometry = {geometry}\n")
     # the share of the monotone limit is the constant SAFETY, and the floor
     # exponent is gamma_cap(p, q, N), not keys
     for key, value in (("safety", 0.9), ("gamma", 0.75)):
-        with pytest.raises(ConfigError, match=f"line 3: unknown key '{key}'"):
+        with pytest.raises(InvalidParams, match=f"line 3: unknown key '{key}'"):
             parse_config(f"p = 3\nq = 2\n{key} = {value}\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidParams):
         parse_config("p = 1.5\nq = 2\n")   # invalid exponent range
     # a missing required key is named, not a TypeError from RunConfig
     for text, missing in (("q = 2\n", "p"), ("p = 3\n", "q"), ("h = 0.02\n", "p, q")):
-        with pytest.raises(ConfigError, match=f"missing required key\\(s\\) {missing}$"):
+        with pytest.raises(InvalidParams, match=f"missing required key\\(s\\) {missing}$"):
             parse_config(text)
     # values a run cannot start from are rejected when the config is built
     for bad in ("record_start = 0", "t_end = 0", "profile = barenblatt:t0=1\nt_end = 1",
                 "L = -2", "L = four", "profile = bump:R0=x", "profile = bump:R0=0.1",
                 "profile = bump:H=-1"):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParams):
             parse_config("p = 3\nq = 2\nh = 0.02\n" + bad)
     # a value of the wrong kind is named with its line and key
     for bad, message in (
@@ -366,7 +369,7 @@ def test_parse_config():
             ("profile = wedge:R0=1", "unknown profile 'wedge'"),
             ("geometry = line", "geometry must be radial, got 'line'"),
             ("absorption = maybe", "absorption must be on or off, got 'maybe'")):
-        with pytest.raises(ConfigError, match=f"^line 4: {re.escape(message)}$"):
+        with pytest.raises(InvalidParams, match=f"^line 4: {re.escape(message)}$"):
             parse_config("p = 3\nq = 2\nh = 0.02\n" + bad)
     with pytest.raises(InvalidParams):
         dataclasses.replace(cfg, record_start=0.0)
@@ -550,12 +553,9 @@ def test_step_kernel_matches_plain_reference_at_each_power(geometry, N, absorpti
     test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p, q)
 
 
-def test_comparison_run_forms_gradients_once_per_field_per_step(monkeypatch):
-    # both fields are the columns of one array, so a stage of the pair is one
-    # gradients and one step_window call, and a step of the pair one CFL
-    # call; the step count comes from the full-grid reference, which takes
-    # the same dt sequence with one CFL call per field and step
-    calls = {"gradients": 0, "stable_dt_from": 0, "step_window": 0}
+def count_calls(monkeypatch, *names):
+    """A dict that counts the calls of the named _Stepper methods."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
         original = getattr(solver._Stepper, name)
@@ -565,8 +565,19 @@ def test_comparison_run_forms_gradients_once_per_field_per_step(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(solver._Stepper, name, counting(name))
+    return calls
+
+
+def test_comparison_run_forms_gradients_once_per_field_per_step(monkeypatch):
+    # both fields are the columns of one array, so a stage of the pair is one
+    # gradients and one step_window call, and a step of the pair one CFL
+    # call and one active window; the step count comes from the full-grid
+    # reference, which takes the same dt sequence with one CFL call per
+    # field and step
+    calls = count_calls(monkeypatch, "gradients", "stable_dt_from", "step_window",
+                        "active_window")
     cfg = RunConfig(3.0, 2.0, 1, h=0.02, L=4.0, t_end=0.05)
     profiles = (model.Bump(H=1.0), model.Bump(H=1.5))
     comparison_run(*profiles, cfg)
@@ -575,11 +586,47 @@ def test_comparison_run_forms_gradients_once_per_field_per_step(monkeypatch):
     reference_comparison_run(*profiles, cfg, True, True)
     steps = calls["stable_dt_from"] // 2
     S = solver.STAGES
-    assert steps > 0 and calls == {"gradients": 2 * S * steps, "stable_dt_from": 2 * steps,
-                                   "step_window": 2 * S * steps}
+    assert steps > 3 and calls == {"gradients": 2 * S * steps, "stable_dt_from": 2 * steps,
+                                   "step_window": 2 * S * steps, "active_window": 0}
     assert paired == {"gradients": S * steps, "stable_dt_from": steps,
-                      "step_window": S * steps}
+                      "step_window": S * steps, "active_window": steps}
 
+
+def test_run_takes_the_active_window_once_per_step(monkeypatch):
+    # _advance takes the window before every step, and a step takes one CFL
+    # bound, so the two call counts agree
+    calls = count_calls(monkeypatch, "active_window", "stable_dt_from")
+    run(RunConfig(3.0, 2.0, 1, h=0.02, L=4.0, t_end=0.25))
+    assert calls["stable_dt_from"] > 3 and calls["active_window"] == calls["stable_dt_from"]
+
+
+def test_comparison_run_starts_at_the_profiles_t0(monkeypatch):
+    # a pair of source solutions frozen at t0 = 1 and advanced to t_end =
+    # 1.5 without absorption ends on the exact solution at t = 1.5; from
+    # t = 0 it would end near t = 2.5, 0.108 away
+    cfg = RunConfig(3.0, 2.0, 1, h=0.01, L=6.0, t_end=1.5, absorption=False)
+    states, init = [], solver.initial_state
+
+    def recording_init(*args):
+        states.append(init(*args))
+        return states[-1]
+
+    monkeypatch.setattr(solver, "initial_state", recording_init)
+    profile = model.BarenblattAt(t0=1.0)
+    assert comparison_run(profile, profile, cfg)["max_violation"] == 0.0
+    exact = model.barenblatt_value(1.5, cfg.grid().centers(), 3.0, 1) + PARAMS.floor
+    for state in states:
+        assert np.max(np.abs(state.values - exact)) < 1e-4
+
+
+def test_comparison_run_rejects_profiles_of_other_start_times():
+    cfg = RunConfig(3.0, 2.0, 1, h=0.02, L=6.0, t_end=1.5)
+    for profiles in ((model.Bump(), model.BarenblattAt(t0=1.0)),
+                     (model.BarenblattAt(t0=1.0), model.BarenblattAt(t0=1.25)),
+                     (model.BarenblattAt(t0=1.5), model.BarenblattAt(t0=1.5)),
+                     (model.BarenblattAt(t0=2.0), model.BarenblattAt(t0=2.0))):
+        with pytest.raises(InvalidParams, match="^need two profiles of one start time"):
+            comparison_run(*profiles, cfg)
 
 def ssprk_step(pairs, lo, hi, dt_max):
     """One SSPRK(S, 2) step of every (stepper, field) pair on cells
@@ -788,9 +835,9 @@ def test_no_stage_reads_or_writes_past_its_window(monkeypatch, entry, p, q, eps)
     # the stage of window [a, b) omits the fluxes through faces a and b, so
     # after every stage each cell outside [a, b), and each of its two edge
     # cells that is not the grid's own boundary, must still sit at the
-    # floor; at eps = 0.2 the tail that the floor's diffusivity spreads
-    # would cross the padding if the window were refreshed every
-    # WINDOW_EVERY steps instead of stages
+    # floor; the window is taken before every step, and at eps = 0.2 the
+    # tail that the floor's diffusivity spreads would cross the padding if
+    # it were taken every STAGES steps instead
     cfg = RunConfig(p, q, 1, eps=eps, h=0.02, L=3.0, t_end=0.14)
     step_window, windows = solver._Stepper.step_window, []
 
@@ -808,7 +855,7 @@ def test_no_stage_reads_or_writes_past_its_window(monkeypatch, entry, p, q, eps)
         comparison_run(model.Bump(H=1.0), model.Bump(H=1.5), cfg)
     # the run took several windows, and stepped some of them short of the
     # grid's outer boundary
-    assert len(windows) > solver.WINDOW_EVERY and any(windows)
+    assert len(windows) > solver.STAGES and any(windows)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])

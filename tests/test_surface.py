@@ -67,6 +67,20 @@ def test_law_criteria_hold_no_bound_of_their_own():
     assert literals == []
 
 
+def test_advance_calls_only_the_window_and_the_step_of_its_stepper():
+    # the SSPRK step, its combination and its ledger rule live in
+    # _Stepper.step, so the time loop reads no other attribute of its stepper
+    # and hands the stepper to nothing else
+    tree = ast.parse((ROOT / "src" / "gradabs" / "solver.py").read_text())
+    advance = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_advance")
+    uses = [node for node in ast.walk(advance)
+            if isinstance(node, ast.Name) and node.id == "stepper"]
+    reads = [node.attr for node in ast.walk(advance) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "stepper"]
+    assert len(reads) == len(uses) and set(reads) == {"active_window", "step"}
+
+
 FITS = ("fit_power", "fit_log_growth", "fit_composite")
 LAW_BOUNDS = ("EXPONENT_TOL", "COMPOSITE_SLOPE_TOL", "PLATEAU_REL_TOL",
               "LIMIT_LEVEL", "AMPLITUDE_SLACK", "BOUNDED_SPAN_OCTAVES")
