@@ -186,7 +186,7 @@ class AcceptanceLab:
             res = observe.mass_balance_residual(series)
             if res > worst:
                 worst_name, worst = name, res
-        return worst <= 1e-12, f"worst residual {worst:.2e} ({worst_name}), <= 1e-12"
+        return worst <= 1e-13, f"worst residual {worst:.2e} ({worst_name}), <= 1e-13"
 
     def check_bernstein(self):
         reports = bernstein.standard_scans()

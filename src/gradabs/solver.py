@@ -18,8 +18,8 @@ any), pure diffusion at p in {2.5, 3, 4, 5} x N in {1, 2, 3} and the
 acceptance runs cut to t = 16, no later stage's Euler step was measured
 above SAFETY = 0.9 of its own monotone limit; the largest was 0.899999, on
 bb_h0025, and 0.8998 at N = 2 and 3 (a test keeps the pure-diffusion
-part).  The ledgers book each stage's absorption and outflow at tau, and the
-combination (`_Stepper.step`) scales the step's increments by (S-1)/S = 19/20.
+part).  The stages add their absorption, cell by cell, and their outflow to
+running sums, which `_Stepper.ledgers` alone weights by (S-1)/S = 19/20.
 
 The diffusion of an Euler stage is monotone under the CFL restriction; its
 absorption, which sees the centered cell gradient (the mean of the cell's
@@ -36,16 +36,16 @@ The entry points are `run` and `comparison_run`, both driven by a
 `RunConfig`, which rejects when it is built any config that no run can start
 from.  `_Stepper.gradients` is the one place the face and centered
 differences are formed, `_Stepper.stable_dt_from` the one CFL rule,
-`_Stepper.step_window` the one stage kernel and `_Stepper.step` the one
-SSPRK step.  `_advance` is the one time loop, over one array, and calls
-only `active_window` and `step` of its stepper: `run` drives it with the
-field, and `comparison_run` with its two fields as the columns of one
-C-contiguous (n, 2) array, so that one gradients and step_window call per
-stage, and one CFL call per step, advance both in lockstep with a shared
-dt.  A stage writes into the stepper's own scratch arrays, model.a_eps and
-model.b_eps included, through views that are formed once per array and
-window, and the step's combination writes into u^n and u, so a step
-allocates nothing.
+`_Stepper.step_window` the one stage kernel, `_Stepper.step` the one SSPRK
+step and `_Stepper.ledgers` the one ledger reader, which `run` reads at each
+record.  `_advance` is the one time loop, over one array, and calls only
+`active_window` and `step` of its stepper: `run` drives it with the field,
+and `comparison_run` with its two fields as the columns of one C-contiguous
+(n, 2) array, so that one gradients and step_window call per stage, and one
+CFL call per step, advance both in lockstep with a shared dt.  A stage writes
+into the stepper's own scratch arrays, model.a_eps and model.b_eps included,
+through views that are formed once per array and window, and the step's
+combination writes into u^n and u, so a step allocates nothing.
 Every ufunc of a stage gets array operands, 0-d arrays for the constants
 (model.Coefficient), and its output positionally, not as an out= keyword
 that it would parse on every call.
@@ -57,8 +57,8 @@ model.b_eps(sc) = (2h)^q b_eps(gc^2), each still exactly 0 where d = 0 or
 sc = 0.  The powers of h return as scalars: the flux difference is
 multiplied by one window operand W = tau h^(1-p) / (r^(N-1) h), formed
 once per tau, array and window (in practice once per step), the
-absorption by the 0-d tau (2h)^(-q), and the ledgers and the CFL rule's
-two maxima by the matching constants.
+absorption, and with it the absorbed ledger, by the 0-d tau (2h)^(-q), and
+the outflow and the CFL rule's two maxima by the matching constants.
 The extrema (a step's CFL maxima and comparison gap, a stage's floor-check
 minimum) are read by index, x.item(x.argmax()), which costs less
 than a reduction to a numpy scalar and returns the first NaN just as the
@@ -186,11 +186,11 @@ def initial_state(params, grid, profile):
 
 
 class _Stepper:
-    """Precomputed geometry data, per-step scratch and the in-place update
-    kernel for one field, a 1-D array, or for k fields as the columns of one
-    (n, k) array, each column stepped bit for bit as its field alone (their
-    ledgers mix), with one absorption flag per field.  A step's views are
-    formed once per array and window, so a step allocates nothing."""
+    """Precomputed geometry, per-step scratch, the ledgers' running sums and
+    the in-place update kernel for one field, a 1-D array, or for k fields
+    as the columns of one (n, k) array, each column stepped bit for bit as
+    its field alone (their ledgers mix; nothing reads a pair's), with one
+    absorption flag per field.  Views are formed once per array and window."""
 
     def __init__(self, params, grid, *absorption):
         self.absorption = any(absorption)
@@ -237,7 +237,7 @@ class _Stepper:
         self.w, self.u_n = np.empty(cells), np.empty(cells)
         self.stages = np.array(float(STAGES))
         self._u, self._a, self._b, self._tau = None, -1, -1, None
-        self.absorbed = self.boundary_out = 0.0
+        self.absorbed_cells, self.outflow = np.zeros(cells), 0.0
 
     def _bind(self, u, a, b):
         """Form the views of u and of the scratch that a step of cells
@@ -254,8 +254,7 @@ class _Stepper:
         self._step_views = (flux, flux[1:], flux[:-1],
                             self.rw[a:b + 1] if self.weighted else None,
                             self.div[:m], self.inv_rch[a:b], self.w[:m], u[a:b],
-                            self.babs[:m], self.babs[:m].reshape(-1),
-                            self.cellw[a:b].reshape(-1))
+                            self.babs[:m], self.absorbed_cells[a:b])
         self._u, self._a, self._b, self._tau = u, a, b, None
 
     # -- gradients and CFL ---------------------------------------------------
@@ -313,8 +312,8 @@ class _Stepper:
         """
         self._bind(u, a, b)
         d, s, sc = grads
-        (flux, flux_right, flux_left, rw, div, inv_rch, w, uw, babs, babs_flat,
-         cellw_flat) = self._step_views
+        (flux, flux_right, flux_left, rw, div, inv_rch, w, uw, babs,
+         absorbed) = self._step_views
         if dt != self._tau:
             # the stage's operands, formed once per tau, array and window
             self.tau_flux[()], self.tau_abs[()] = dt * self.flux_scale, dt * self.abs_scale
@@ -329,13 +328,13 @@ class _Stepper:
             np.multiply(flux, rw, flux)
         np.subtract(flux_right, flux_left, div)
         np.multiply(div, w, div)
-        self.boundary_out += dt * self.omega_out * (flux.item(0) - flux.item(-1))
+        self.outflow += dt * self.omega_out * (flux.item(0) - flux.item(-1))
         np.add(uw, div, uw)
 
         if sc is not None:
             model.b_eps(sc, self.eps_b, self.q, babs, self.b_consts)
-            self.absorbed += self.tau_abs.item() * float(babs_flat.dot(cellw_flat))
             np.multiply(babs, self.tau_abs, babs)
+            np.add(absorbed, babs, absorbed)
             np.subtract(uw, babs, uw)
 
         umin = uw.item(uw.argmin())
@@ -347,22 +346,24 @@ class _Stepper:
     def step(self, u, a, b, dt_max):
         """One SSPRK(S, 2) step of cells [a, b), returning its dt, the lesser of
         dt_max and S - 1 times the CFL bound of u^n: S Euler stages of tau =
-        dt/(S-1), u += (u^n - u)/S, and the ledgers' increments times (S-1)/S."""
+        dt/(S-1), then u += (u^n - u)/S."""
         g = self.gradients(u, a, b)
         dt = min((STAGES - 1) * self.stable_dt_from(g[1], g[2]), dt_max)
         tau = dt / (STAGES - 1)
         uw, un = u[a:b], self.u_n[:b - a]
         np.copyto(un, uw)
-        absorbed, out = self.absorbed, self.boundary_out
         self.step_window(u, a, b, tau, g)
         for _ in range(STAGES - 1):
             self.step_window(u, a, b, tau, self.gradients(u, a, b))
         np.subtract(un, uw, un)
         np.divide(un, self.stages, un)
         np.add(uw, un, uw)
-        self.absorbed = absorbed + (self.absorbed - absorbed) * ((STAGES - 1) / STAGES)
-        self.boundary_out = out + (self.boundary_out - out) * ((STAGES - 1) / STAGES)
         return dt
+
+    def ledgers(self):
+        """(absorbed, boundary outflow): the stages' sums times (S-1)/S."""
+        weight = (STAGES - 1) / STAGES
+        return weight * float(np.vdot(self.absorbed_cells, self.cellw)), weight * self.outflow
 
     def active_window(self, u):
         active = np.nonzero(u > self.floor)[0]
@@ -536,8 +537,7 @@ def run(config: RunConfig, on_record=None):
     for t in record_times(state.time, config.t_end, config.record_start):
         _advance(stepper, state.values, state.time, t)
         state.time = t
-        state.absorbed_mass = stepper.absorbed
-        state.boundary_out = stepper.boundary_out
+        state.absorbed_mass, state.boundary_out = stepper.ledgers()
         if not np.all(np.isfinite(state.values)):
             raise NumericalError(f"non-finite field at t={t:g}")
         row = observe.observe(state, ref_sup)

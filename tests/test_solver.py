@@ -135,7 +135,7 @@ def test_constant_field_is_steady():
     new = step(st, state.values.copy(), 1e-5)
     # fluxes vanish and b_eps(0) = 0 away from the pinned boundary cell
     assert np.allclose(new[:-1], state.values[:-1], atol=1e-16)
-    assert st.absorbed == st.boundary_out == 0.0
+    assert st.ledgers() == (0.0, 0.0)
 
 
 def test_single_step_matches_analytic_time_derivative():
@@ -425,9 +425,9 @@ def reference_step(u, params, grid, a, b, dt, absorption, line=False):
     regularized by eps h and 2 eps h, which return h^(p-2) a and (2h)^q b,
     and the radial divergence as a difference of two weighted products.
     With line, u is a field on the line [-L, L] of 2 grid.n cells, which
-    has no origin and no weights: its cell factor is 1/h, its outflow is
-    not multiplied by a sphere area, and a cell's measure is h.  Returns (new values, absorbed increment, boundary_out
-    increment)."""
+    has no origin and no weights: its cell factor is 1/h and its outflow is
+    not multiplied by a sphere area.  Returns (new values, each cell's
+    absorption tau (2h)^(-q) b, boundary_out increment)."""
     p, q, eps, h = params.p, params.q, params.eps, grid.h
     origin = a == 0 and not line
     u = u.copy()
@@ -438,21 +438,18 @@ def reference_step(u, params, grid, a, b, dt, absorption, line=False):
     if line:
         rw = np.ones(b - a + 1)
         inv_rch, omega = np.full(b - a, 1.0 / h), 1.0
-        cellw = np.full(b - a, h)
     else:
         rw = (np.arange(grid.n + 1) * h)[a:b + 1] ** (grid.N - 1.0)
         inv_rch = (1.0 / (grid.centers() ** (grid.N - 1.0) * h))[a:b]
         omega = solver.sphere_area(grid.N)
-        cellw = grid.cell_measures()[a:b]
     div = (rw[1:] * flux[1:] - rw[:-1] * flux[:-1]) * (inv_rch * (dt * h ** (1.0 - p)))
     out = dt * (omega * h ** (1.0 - p)) * (rw[0] * flux[0] - rw[-1] * flux[-1])
     u[a:b] += div
-    absorbed = 0.0
+    absorbed = np.zeros(b - a)
     if absorption:
         babs = model.b_eps((d[:-1] + d[1:]) ** 2, 2.0 * eps * h, q)   # (2h)^q b
-        tau_b = dt * (2.0 * h) ** -q
-        u[a:b] -= babs * tau_b
-        absorbed = tau_b * float(babs @ cellw)
+        absorbed = dt * (2.0 * h) ** -q * babs
+        u[a:b] -= absorbed
     return u, absorbed, out
 
 
@@ -482,8 +479,9 @@ def even_extension(u):
 
 
 # "line": the radial N = 1 stepper against the line's plain step on the
-# right half of the even extension; the left half mirrors it, so each of
-# the line's ledgers is twice the half's
+# right half of the even extension; the left half mirrors it, so the
+# line's outflow is twice the half's, and each cell absorbs what its mirror
+# cell does
 KERNEL_GRIDS = [("line", 1), ("radial", 1), ("radial", 2), ("radial", 3)]
 
 
@@ -502,7 +500,7 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p=
             return reference_step(u, params, grid, a, b, dt, absorption)
         ext, absorbed, out = reference_step(even_extension(u), params, grid, n + a, n + b,
                                             dt, absorption, line=True)
-        return ext[n:], 2.0 * absorbed, 2.0 * out
+        return ext[n:], absorbed, 2.0 * out
 
     def reference_dt(u, a, b):
         if not line:
@@ -519,14 +517,15 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p=
     dt = st.stable_dt_from(*st.gradients(u0, a, b)[1:])
     got = u0.copy()
     st.step_window(got, a, b, dt_ref, st.gradients(got, a, b))
-    got_absorbed, got_out = st.absorbed, st.boundary_out
     assert np.any(got != u0) and out != 0.0
     # bit for bit, absorption on or off: the reference forms the centered
-    # difference as the kernel does, the sum of the cell's face differences
-    assert got_out == out
+    # difference as the kernel does, the sum of the cell's face differences;
+    # the stage books each cell's absorption in that cell's ledger entry
+    assert st.outflow == out
     assert np.array_equal(got, ref)
-    assert dt == dt_ref and got_absorbed == absorbed
-    assert (absorbed > 0.0) == absorption
+    assert dt == dt_ref and np.array_equal(st.absorbed_cells[a:b], absorbed)
+    assert not st.absorbed_cells[:a].any() and not st.absorbed_cells[b:].any()
+    assert np.any(absorbed > 0.0) == absorption
 
     # one stepper reused across two arrays and two windows: each step must
     # match the reference and leave the other array alone, so no step
@@ -631,23 +630,20 @@ def test_comparison_run_rejects_profiles_of_other_start_times():
 def ssprk_step(pairs, lo, hi, dt_max):
     """One SSPRK(S, 2) step of every (stepper, field) pair on cells
     [lo, hi), written out plainly: the shared dt from the CFL bounds of u^n,
-    S Euler stages of tau = dt/(S-1), then u += (u^n - u)/S, and each
-    stepper's ledger increments scaled by (S-1)/S.  Returns dt."""
+    S Euler stages of tau = dt/(S-1), then u += (u^n - u)/S.  Returns dt."""
     S = solver.STAGES
     grads = [st.gradients(u, lo, hi) for st, u in pairs]
     dt = min((S - 1) * min(st.stable_dt_from(*g[1:]) for (st, _), g in zip(pairs, grads)),
              dt_max)
     tau = dt / (S - 1)
-    starts = [(u.copy(), st.absorbed, st.boundary_out) for st, u in pairs]
+    starts = [u.copy() for _, u in pairs]
     for stage in range(S):
         if stage:
             grads = [st.gradients(u, lo, hi) for st, u in pairs]
         for (st, u), g in zip(pairs, grads):
             st.step_window(u, lo, hi, tau, g)
-    for (st, u), (u_n, absorbed, out) in zip(pairs, starts):
+    for (_, u), u_n in zip(pairs, starts):
         u += (u_n - u) / S
-        st.absorbed = absorbed + (st.absorbed - absorbed) * ((S - 1) / S)
-        st.boundary_out = out + (st.boundary_out - out) * ((S - 1) / S)
     return dt
 
 
@@ -669,8 +665,8 @@ def reference_comparison_run(profile_a, profile_b, config, absorption_a, absorpt
 
 def reference_run(config):
     """run's time loop on the full grid, one SSPRK step after another from
-    record time to record time.  Returns the final field and the absorbed
-    and boundary_out ledgers."""
+    record time to record time.  Returns the final field and the stepper's
+    ledgers (absorbed, boundary_out)."""
     params, grid = config.params(), config.grid()
     state = initial_state(params, grid, config.profile_obj())
     st = solver._Stepper(params, grid, config.absorption)
@@ -679,7 +675,7 @@ def reference_run(config):
         while t < t_record - 1e-15 * max(1.0, t_record):
             t += ssprk_step([(st, state.values)], 0, st.hi_max, t_record - t)
         t = t_record
-    return state.values, st.absorbed, st.boundary_out
+    return state.values, *st.ledgers()
 
 
 def line_reference_run(config, profiles, absorption, t_targets):
@@ -704,7 +700,7 @@ def line_reference_run(config, profiles, absorption, t_targets):
                 for k, ab in enumerate(absorption):
                     us[k], absorbed, out = reference_step(us[k], params, grid, lo, hi,
                                                           dt / (S - 1), ab, line=True)
-                    ledgers[k] += np.array([absorbed, out]) * ((S - 1) / S)
+                    ledgers[k] += np.array([grid.h * absorbed.sum(), out]) * ((S - 1) / S)
             for u, u_n in zip(us, starts):
                 u += (u_n - u) / S
             t += dt
@@ -829,6 +825,28 @@ def test_run_books_outflow_through_the_pinned_cell(geometry, absorption):
         assert state.boundary_out == pytest.approx(out, rel=1e-14, abs=0.0)
 
 
+def test_ledgers_do_not_depend_on_the_window(monkeypatch):
+    # the annulus's window starts past the origin; widening it moves the
+    # start and length of every stage's window but no bit of the field, and
+    # each cell's absorption is summed in that cell's own entry, so the
+    # ledgers keep their bits too
+    cfg = RunConfig(3.0, 1.5, 1, eps=1e-5, h=0.01, L=9.0, t_end=4.0,
+                    profile="annulus:R0=4,R1=6,H=1")
+    active_window, runs = solver._Stepper.active_window, []
+    for pad in (0, 3, 8):
+        def widened(self, u, pad=pad):
+            a, b = active_window(self, u)
+            assert a > pad
+            return a - pad, min(b + pad, self.hi_max)
+
+        monkeypatch.setattr(solver._Stepper, "active_window", widened)
+        state, _ = run(cfg)
+        runs.append((state.values, state.absorbed_mass, state.boundary_out))
+    assert runs[0][1] > 0.0
+    for values, *ledgers in runs[1:]:
+        assert np.array_equal(values, runs[0][0]) and ledgers == list(runs[0][1:])
+
+
 @pytest.mark.parametrize("entry", ["run", "comparison_run"])
 @pytest.mark.parametrize("p,q,eps", [(3.0, 2.0, 1e-3), (5.0, 4.5, 1e-3), (2.5, 2.0, 0.2)])
 def test_no_stage_reads_or_writes_past_its_window(monkeypatch, entry, p, q, eps):
@@ -942,7 +960,7 @@ def test_floor_cells_stay_exact(p, q):
                                           model.Coefficient(st.eps_b, 0.5)))
             flat = np.full(grid.n, params.floor)
             assert np.array_equal(step(st, flat.copy(), stable_dt(st, flat)), flat)
-            assert st.absorbed == st.boundary_out == 0.0
+            assert st.ledgers() == (0.0, 0.0)
             bump = flat.copy()
             bump[15:25] += np.sin(np.linspace(0.0, np.pi, 12)[1:-1])
             new = step(st, bump.copy(), stable_dt(st, bump))

@@ -5,6 +5,8 @@ alive for the tests alone; this test names it instead."""
 import ast
 from pathlib import Path
 
+from gradabs.acceptance import AcceptanceLab
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "gradabs").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
@@ -36,11 +38,8 @@ def references(tree):
 
 
 def test_no_name_is_reached_only_from_tests():
-    # the package's __init__ re-exports names for the tests and users; a
-    # re-export is not a use, so it is left out of the reference scan
     trees = {path: ast.parse(path.read_text()) for path in SOURCES}
-    used = {name for path, tree in trees.items() if path.name != "__init__.py"
-            for name in references(tree)}
+    used = {name for tree in trees.values() for name in references(tree)}
     unused = [f"{path.relative_to(ROOT)}:{qualname}"
               for path, tree in trees.items()
               for qualname, name in definitions(tree) if name not in used]
@@ -68,9 +67,9 @@ def test_law_criteria_hold_no_bound_of_their_own():
 
 
 def test_advance_calls_only_the_window_and_the_step_of_its_stepper():
-    # the SSPRK step, its combination and its ledger rule live in
-    # _Stepper.step, so the time loop reads no other attribute of its stepper
-    # and hands the stepper to nothing else
+    # the SSPRK step and its combination live in _Stepper.step, so the time
+    # loop reads no other attribute of its stepper and hands the stepper to
+    # nothing else
     tree = ast.parse((ROOT / "src" / "gradabs" / "solver.py").read_text())
     advance = next(node for node in tree.body
                    if isinstance(node, ast.FunctionDef) and node.name == "_advance")
@@ -79,6 +78,33 @@ def test_advance_calls_only_the_window_and_the_step_of_its_stepper():
     reads = [node.attr for node in ast.walk(advance) if isinstance(node, ast.Attribute)
              and isinstance(node.value, ast.Name) and node.value.id == "stepper"]
     assert len(reads) == len(uses) and set(reads) == {"active_window", "step"}
+
+
+LEDGERS = ("absorbed_cells", "outflow", "ledgers", "absorbed", "boundary_out")
+
+
+def test_step_books_no_ledger():
+    # the stages add to the ledgers' running sums and _Stepper.ledgers alone
+    # weights them, so the step names no ledger
+    tree = ast.parse((ROOT / "src" / "gradabs" / "solver.py").read_text())
+    stepper = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "_Stepper")
+    step = next(item for item in stepper.body
+                if isinstance(item, ast.FunctionDef) and item.name == "step")
+    names = [node.attr for node in ast.walk(step) if isinstance(node, ast.Attribute)]
+    assert "step_window" in names and not set(names) & set(LEDGERS)
+
+
+def test_every_criterion_has_its_acceptance_test():
+    # each key of AcceptanceLab.CRITERIA is checked by exactly one test of
+    # tests/test_acceptance.py, so a criterion added to the table cannot be
+    # left out of the battery's tests
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    tests = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")]
+    checked = [call.args[1].value for test in tests for call in ast.walk(test)
+               if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_check"]
+    assert len(checked) == len(tests) and checked == list(AcceptanceLab.CRITERIA)
 
 
 FITS = ("fit_power", "fit_log_growth", "fit_composite")
