@@ -76,8 +76,12 @@ def cmd_exponents(args):
 
 def _execute_run(config, out_dir, label):
     start = time.perf_counter()
-    state, series = solver.run(config)
-    wall = time.perf_counter() - start
+    _, series = solver.run(config)
+    return _report(config, series, out_dir, label, time.perf_counter() - start)
+
+
+def _report(config, series, out_dir, label, wall):
+    """Write a finished run's series and return its report and verdicts."""
     series_path = out_dir / f"{label}.csv"
     series_path.write_text(series.to_csv())
     params = config.params()
@@ -143,20 +147,33 @@ def _cell_configs(args):
     return configs
 
 
-def _sweep_cell(job):
-    """Worker: run one (p, q) cell; never raises (failures are recorded)."""
-    config, out, label = job
+def _sweep_batch(job):
+    """Worker: run one batch of cells as the columns of one array
+    (solver.run_batch) and return their summary rows.  A cell's wall time
+    is an even share of the batch's solver time."""
+    configs, out = job
+    start = time.perf_counter()
+    outcomes = solver.run_batch(configs)
+    wall = (time.perf_counter() - start) / len(configs)
+    return [_sweep_cell(config, outcome, Path(out), wall)
+            for config, outcome in zip(configs, outcomes)]
+
+
+def _sweep_cell(config, outcome, out, wall):
+    """The summary row of one cell's run_batch outcome; a numerical or
+    configuration failure is recorded in the row, any other fault raises."""
     try:
-        report, verdicts = _execute_run(config, Path(out), label)
-        passes = sum(v.passed for v in verdicts)
-        row = {"p": config.p, "q": config.q, "regime": report["regime"],
-               "status": "ok", "passes": f"{passes}/{len(verdicts)}",
-               "report": report}
-    except Exception as exc:
-        row = {"p": config.p, "q": config.q, "regime": "",
-               "status": f"error: {type(exc).__name__}: {exc}",
-               "passes": "", "report": None}
-    return row
+        if isinstance(outcome, Exception):
+            raise outcome
+        report, verdicts = _report(config, outcome[1], out, _cell_label(config.p, config.q),
+                                   wall)
+    except (solver.NumericalError, InvalidParams) as exc:
+        return {"p": config.p, "q": config.q, "regime": "",
+                "status": f"error: {type(exc).__name__}: {exc}",
+                "passes": "", "report": None}
+    passes = sum(v.passed for v in verdicts)
+    return {"p": config.p, "q": config.q, "regime": report["regime"],
+            "status": "ok", "passes": f"{passes}/{len(verdicts)}", "report": report}
 
 
 def cmd_sweep(args):
@@ -164,13 +181,16 @@ def cmd_sweep(args):
         raise _Failure(EXIT_CONFIG, f"--workers must be at least 1, got {args.workers}")
     configs = _cell_configs(args)
     out = _make_out(args.out)
-    jobs = [(c, str(out), _cell_label(c.p, c.q)) for c in configs]
-    workers = min(args.workers, len(jobs))    # no idle pool workers
+    workers = min(args.workers, len(configs))    # no idle pool workers
+    # the sorted cells, dealt round-robin into one batch per worker
+    jobs = [(configs[i::workers], str(out)) for i in range(workers)]
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_sweep_cell, jobs)
+            batches = pool.map(_sweep_batch, jobs)
     else:
-        rows = [_sweep_cell(job) for job in jobs]
+        batches = [_sweep_batch(job) for job in jobs]
+    rows = sorted((row for batch in batches for row in batch),
+                  key=lambda row: (row["p"], row["q"]))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["p", "q", "regime", "status", "passes"])
@@ -248,7 +268,10 @@ def build_parser():
     sp.add_argument("--p", required=True, help="comma-separated p values")
     sp.add_argument("--q", required=True, help="comma-separated q values")
     sp.add_argument("--config", default=None, help="base run config")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1,
+                    help="pool processes; the sorted cells are dealt round-robin "
+                         "into one batch per process, stepped as the columns of one "
+                         "array (default 1: one batch in this process)")
     sp.add_argument("--out", default="sweep")
     sp.set_defaults(func=cmd_sweep)
 

@@ -23,19 +23,43 @@ class Coefficient:
     which it converts on every call.  The power is chosen as numpy's
     `x **= k` chooses it for a Python float k, so the bits are those of the
     plain formula: np.sqrt at k = 1/2, no call at k = 1, np.square at k = 2,
-    and np.power with the 0-d k at any other k."""
+    and np.power with the 0-d k at any other k.
+
+    A row k, one exponent per column of an (m, len(k)) array, always takes
+    np.power, and holds its exponents and offsets as tables of `rows` copies
+    of the row, of which `window(m)` takes the first m.  numpy takes np.sqrt
+    or np.square for an exponent operand of stride 0, which the row of a
+    lone column would be, so the table keeps a column's bits independent of
+    the other columns; and a ufunc reads a contiguous table for a fraction
+    of the cost of a broadcast row.  The offsets are taken by that same
+    np.power, so each coefficient is still exactly 0 at s = 0."""
 
     __slots__ = ("e2", "offset", "power", "exponent")
 
-    def __init__(self, eps, k):
+    def __init__(self, eps, k, rows=1):
         e2 = eps * eps
-        self.e2, self.offset = np.array(e2), np.array(e2 ** k)
+        self.e2 = np.array(e2)
+        if np.ndim(k):
+            table = np.repeat(np.array([k], dtype=float), rows, axis=0)
+            self.power, self.exponent = np.power, (table,)
+            self.offset = np.power(np.full(table.shape, e2), table)
+            return
+        self.offset = np.array(e2 ** k)
         # power(out, *exponent, out) is out **= k; at k = 1 there is no call
         special = {0.5: np.sqrt, 1.0: None, 2.0: np.square}
         if k in special:
             self.power, self.exponent = special[k], ()
         else:
             self.power, self.exponent = np.power, (np.array(k),)
+
+    def window(self, m):
+        """The coefficient on the first m rows: a row k's tables cut to m rows."""
+        if not self.exponent or not self.exponent[0].ndim:
+            return self
+        cut = object.__new__(Coefficient)
+        cut.e2, cut.power = self.e2, self.power
+        cut.offset, cut.exponent = self.offset[:m], (self.exponent[0][:m],)
+        return cut
 
 
 def a_eps(s, eps, p, out=None, consts=None):
@@ -55,9 +79,8 @@ def b_eps(s, eps, q, out=None, consts=None):
     With an array `out`, the result is written into it through `consts`,
     which is then Coefficient(eps, q / 2)."""
     # eps^q is evaluated as (eps^2)^(q/2), so the difference is exactly 0 at s = 0
-    k = 0.5 * q
     if out is None:
-        e2 = eps * eps
+        e2, k = eps * eps, 0.5 * q
         return (e2 + s) ** k - e2 ** k
     np.add(consts.e2, s, out)
     if consts.power is not None:

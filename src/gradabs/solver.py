@@ -32,23 +32,29 @@ solution); the origin is a zero-flux face at r = 0.  Every profile is a
 function of the radius, so at N = 1 the grid holds one half of an even
 solution on [-L, L].
 
-The entry points are `run` and `comparison_run`, both driven by a
-`RunConfig`, which rejects when it is built any config that no run can start
-from.  `_Stepper.gradients` is the one place the face and centered
+The entry points are `run`, `run_batch` and `comparison_run`, driven by
+`RunConfig`s, each of which rejects when it is built a config that no run
+can start from.  `_Stepper.gradients` is the one place the face and centered
 differences are formed, `_Stepper.stable_dt_from` the one CFL rule,
 `_Stepper.step_window` the one stage kernel, `_Stepper.step` the one SSPRK
-step and `_Stepper.ledgers` the one ledger reader, which `run` reads at each
-record.  `_advance` is the one time loop, over one array, and calls only
-`active_window` and `step` of its stepper: `run` drives it with the field,
-and `comparison_run` with its two fields as the columns of one C-contiguous
-(n, 2) array, so that one gradients and step_window call per stage, and one
-CFL call per step, advance both in lockstep with a shared dt.  A stage writes
-into the stepper's own scratch arrays, model.a_eps and model.b_eps included,
-through views that are formed once per array and window, and the step's
-combination writes into u^n and u, so a step allocates nothing.
-Every ufunc of a stage gets array operands, 0-d arrays for the constants
-(model.Coefficient), and its output positionally, not as an out= keyword
-that it would parse on every call.
+step and `_Stepper.ledgers` the one ledger reader.  `_advance` is the one
+time loop, over one array, and calls only `active_window` and `step` of its
+stepper; `_record` is the one record loop, of `run` and `run_batch`.  `run`
+steps its field; `run_batch` the fields of configs that share a grid, eps
+and recording times (a sweep's (p, q) cells) as the columns of one
+C-contiguous (n, k) array, each column with its own p, q and clock, so that
+one gradients and step_window call per stage advances them all, each by its
+own dt; and `comparison_run` its two fields as the columns of one (n, 2)
+array on one clock, so that both advance in lockstep with a shared dt.  A
+column of a batch whose clock has reached the record time takes dt = 0, an
+exact no-op, and a column that fails leaves the array by the end of its
+step.  A stage writes into the stepper's own scratch arrays, model.a_eps
+and model.b_eps included, through views that are formed once per array and
+window, and the step's combination writes into u^n and u, so a step
+allocates nothing.  Every ufunc of a stage gets array operands, 0-d arrays
+for the constants of one p and q (model.Coefficient) and contiguous (n, k)
+tables for the rows of a batch, and its output positionally, not as an out=
+keyword that it would parse on every call.
 A stage works in a folded algebra that drops every constant factor from
 its cell loops.  It keeps the face differences d = u_i - u_(i-1) = h g and
 sc = (d_l + d_r)^2 = (2h)^2 gc^2, and its coefficients are regularized by
@@ -57,14 +63,14 @@ model.b_eps(sc) = (2h)^q b_eps(gc^2), each still exactly 0 where d = 0 or
 sc = 0.  The powers of h return as scalars: the flux difference is
 multiplied by one window operand W = tau h^(1-p) / (r^(N-1) h), formed
 once per tau, array and window (in practice once per step), the
-absorption, and with it the absorbed ledger, by the 0-d tau (2h)^(-q), and
-the outflow and the CFL rule's two maxima by the matching constants.
+absorption, and with it the absorbed ledger, by tau (2h)^(-q), and the
+outflow and the CFL rule's two maxima by the matching constants.
 The extrema (a step's CFL maxima and comparison gap, a stage's floor-check
 minimum) are read by index, x.item(x.argmax()), which costs less
 than a reduction to a numpy scalar and returns the first NaN just as the
 reduction propagates it.  The loop steps only the active window, taken
-before every step: the cells above the floor (for a pair, the rows where
-either field is) plus a padding the front cannot cross within the step.
+before every step: the cells above the floor (for k fields, the rows
+where any field is) plus a padding the front cannot cross within the step.
 """
 
 from __future__ import annotations
@@ -189,55 +195,84 @@ class _Stepper:
     """Precomputed geometry, per-step scratch, the ledgers' running sums and
     the in-place update kernel for one field, a 1-D array, or for k fields
     as the columns of one (n, k) array, each column stepped bit for bit as
-    its field alone (their ledgers mix; nothing reads a pair's), with one
-    absorption flag per field.  Views are formed once per array and window."""
+    its field alone, with one absorption flag and one pair of ledgers per
+    field.  Given one ProblemParams, the fields share it and one clock, and
+    a stage's constants are 0-d operands; given a list of k, one per column,
+    each column has its own p, q and clock, and the constants are (k,) rows,
+    the exponents a row model.Coefficient.  Views are formed once per array
+    and window."""
 
     def __init__(self, params, grid, *absorption):
+        self.rows = isinstance(params, list)
+        columns = params if self.rows else [params]
+        self.params, self.grid, self.flags = columns, grid, absorption
         self.absorption = any(absorption)
-        self.p, self.q = params.p, params.q
-        self.eps, self.floor = params.eps, params.floor
-        h, n = grid.h, grid.n
+        self.eps = columns[0].eps
+        h, n, k = grid.h, grid.n, len(absorption)
         # the folded algebra: a stage works on the face differences
         # d = h g and on sc = (d_l + d_r)^2 = (2h)^2 gc^2, so the
         # coefficients regularized by eps h and 2 eps h return h^(p-2) a and
         # (2h)^q b; the powers of h come back as the scalars below
         self.eps_a, self.eps_b = self.eps * h, 2.0 * self.eps * h
-        self.a_consts = model.Coefficient(self.eps_a, 0.5 * (self.p - 2.0))
-        self.b_consts = model.Coefficient(self.eps_b, 0.5 * self.q)
         # dt = cfl / D_max is monotone while the divisor bounds every cell's
         # sum of flux-carrying face weights r^(N-1) over its own: 2 at N = 1
         # and N = 2 (every cell's sum), the origin cell's 2^(N-1) (face 1's
         # h^(N-1) over (h/2)^(N-1)) from N = 3 on; a power of two, so exact
-        self.cfl = SAFETY * h ** self.p / max(2.0, 2.0 ** (params.N - 1))
-        self.cap = SAFETY * self.floor * (2.0 * h) ** self.q   # dt <= cap / b_max
-        self.flux_scale, self.abs_scale = h ** (1.0 - self.p), (2.0 * h) ** -self.q
-        self.omega_out = sphere_area(grid.N) * self.flux_scale
-        # 0-d operands of a stage, written when tau changes: tau h^(1-p) and
-        # tau (2h)^(-q)
-        self.tau_flux, self.tau_abs = np.array(0.0), np.array(0.0)
-        # k > 1 fields take C-contiguous (n(+1), k) geometry and scratch, a
-        # ufunc's fast path; the sc columns of fields without absorption are 0
-        k = len(absorption)
-        cols = (k,) if k > 1 else ()
-        self.off_columns = [j for j, on in enumerate(absorption) if not on] if cols else []
+        weight = max(2.0, 2.0 ** (grid.N - 1))
+        ps, qs, floors = ([getattr(P, x) for P in columns] for x in ("p", "q", "floor"))
+        cfl = [SAFETY * h ** p / weight for p in ps]
+        cap = [SAFETY * f * (2.0 * h) ** q for f, q in zip(floors, qs)]   # dt <= cap / b_max
+        flux_scale, abs_scale = [h ** (1.0 - p) for p in ps], [(2.0 * h) ** -q for q in qs]
+        omega_out = [sphere_area(grid.N) * x for x in flux_scale]
+        self.omega_out = omega_out if self.rows else omega_out * k
+        faces, cells = (n + 1, k), (n, k)
+        if self.rows:
+            # Python floats per column for the CFL rule, rows for the step;
+            # a ufunc reads contiguous (n, k) tables of the rows tau h^(1-p),
+            # tau (2h)^(-q) and the floor limits, not the rows themselves,
+            # which it would broadcast through a buffer; the limit of a
+            # column that has failed is set to -inf
+            self.p, self.q, self.cfl, self.cap = ps, qs, cfl, cap
+            self.floor = np.array(floors)
+            self.floor_lim = np.repeat([[f - FLOOR_SLACK for f in floors]], n, axis=0)
+            self.flux_scale, self.abs_scale = np.array(flux_scale), np.array(abs_scale)
+            self.tau_flux, self.tau_abs = np.zeros(k), np.zeros(k)
+            self.tau_tables, self.below = (np.zeros(cells), np.zeros(cells)), np.empty(cells, bool)
+            self.a_consts = model.Coefficient(self.eps_a, [0.5 * (p - 2.0) for p in ps], n + 1)
+            self.b_consts = model.Coefficient(self.eps_b, [0.5 * q for q in qs], n)
+        else:
+            self.p, self.q, self.cfl, self.cap, self.floor = ps[0], qs[0], cfl[0], cap[0], floors[0]
+            self.flux_scale, self.abs_scale = flux_scale[0], abs_scale[0]
+            # 0-d operands of a stage, written when tau changes: tau h^(1-p)
+            # and tau (2h)^(-q)
+            self.tau_flux, self.tau_abs = np.array(0.0), np.array(0.0)
+            self.a_consts = model.Coefficient(self.eps_a, 0.5 * (self.p - 2.0))
+            self.b_consts = model.Coefficient(self.eps_b, 0.5 * self.q)
+            if k == 1:
+                faces, cells = (n + 1,), (n,)
+        # k > 1 fields, and every row stepper's, take C-contiguous (n(+1), k)
+        # geometry and scratch, a ufunc's fast path; the sc columns of fields
+        # without absorption are 0
+        two_d = len(cells) == 2
+        self.off_columns = [j for j, on in enumerate(absorption) if not on] if two_d else []
         # face weights r^(N-1), cell factors 1/(r^(N-1) h) and cell measures;
         # face i lies between cells i-1 and i, and face 0 is the zero-flux
         # face at r = 0, whose gradient is never written, so it stays 0.
         # Face weights that are all exactly 1 (N = 1) are not multiplied in.
         rw = (np.arange(n + 1) * h) ** (grid.N - 1.0)
         self.weighted = bool(np.any(rw != 1.0))
-        self.rw, self.inv_rch, self.cellw = (
-            np.repeat(x[:, None], k, axis=1) if cols else x
-            for x in (rw, 1.0 / (grid.centers() ** (grid.N - 1.0) * h), grid.cell_measures()))
+        self.rw, self.inv_rch = (np.repeat(x[:, None], k, axis=1) if two_d else x
+                                 for x in (rw, 1.0 / (grid.centers() ** (grid.N - 1.0) * h)))
+        self.cellw = grid.cell_measures()
         self.hi_max = n - 1                             # the last cell is pinned
-        faces, cells = (n + 1,) + cols, (n,) + cols
         self.g, self.s, self.flux = np.zeros(faces), np.empty(faces), np.empty(faces)
         self.sc, self.div, self.babs = np.empty(cells), np.empty(cells), np.empty(cells)
         # tau h^(1-p) / (r^(N-1) h), u^n of an SSPRK step and S as a 0-d operand
         self.w, self.u_n = np.empty(cells), np.empty(cells)
         self.stages = np.array(float(STAGES))
         self._u, self._a, self._b, self._tau = None, -1, -1, None
-        self.absorbed_cells, self.outflow = np.zeros(cells), 0.0
+        self.absorbed_cells, self.outflow = np.zeros(cells), [0.0] * k
+        self.failed = {}
 
     def _bind(self, u, a, b):
         """Form the views of u and of the scratch that a step of cells
@@ -251,10 +286,16 @@ class _Stepper:
         self._grad_views = (u[lo:b + 1], u[lo - 1:b], self.g[lo:b + 1], g,
                             self.s[:m + 1], g[:-1], g[1:], self.sc[:m],
                             [self.sc[:m, j] for j in self.off_columns])
+        if self.rows:
+            operands = (self.tau_tables[0][:m], self.tau_tables[1][:m], self.below[:m],
+                        self.floor_lim[:m])
+        else:
+            operands = (self.tau_flux, self.tau_abs, None, None)
         self._step_views = (flux, flux[1:], flux[:-1],
                             self.rw[a:b + 1] if self.weighted else None,
                             self.div[:m], self.inv_rch[a:b], self.w[:m], u[a:b],
-                            self.babs[:m], self.absorbed_cells[a:b])
+                            self.babs[:m], self.absorbed_cells[a:b],
+                            self.a_consts.window(m + 1), self.b_consts.window(m), *operands)
         self._u, self._a, self._b, self._tau = u, a, b, None
 
     # -- gradients and CFL ---------------------------------------------------
@@ -286,70 +327,136 @@ class _Stepper:
         """Euler stage bound SAFETY * h^2 / (max(2, 2^(N-1)) D_max), capped
         so one absorption stage cannot undershoot the floor;
         effective_diffusivity and b_eps are increasing in s, so the face/cell
-        maxima suffice.  On the folded s and sc they return h^(p-2) D and
+        maxima suffice, and the maxima over all columns give the least of
+        their bounds.  On the folded s and sc they return h^(p-2) D and
         (2h)^q b, which cfl and cap absorb.  A NaN gradient gives dt = NaN,
-        and maxima whose coefficients overflow a float raise NumericalError."""
+        and maxima whose coefficients overflow a float raise NumericalError.
+        A row stepper returns a list, each column's bound from its own
+        maxima, p and q; a column whose coefficients overflow is failed (in
+        `failed`) and bound by 0."""
+        if not self.rows:
+            return self._bound(s.item(s.argmax()), None if sc is None else sc.item(sc.argmax()),
+                               self.p, self.q, self.cfl, self.cap)
+        smax = s.max(axis=0).tolist()
+        scmax = [None] * len(smax) if sc is None else sc.max(axis=0).tolist()
+        bounds = []
+        for j, column in enumerate(zip(smax, scmax, self.p, self.q, self.cfl, self.cap)):
+            try:
+                bounds.append(self._bound(*column))
+            except NumericalError as exc:
+                self.failed[j] = exc
+                bounds.append(0.0)
+        return bounds
+
+    def _bound(self, smax, scmax, p, q, cfl, cap):
+        """The CFL rule of one column, or of columns that share p and q, from
+        its maxima of s and sc (None without absorption)."""
         try:
-            dmax = model.effective_diffusivity(s.item(s.argmax()), self.eps_a, self.p)
-            bmax = 0.0 if sc is None else model.b_eps(sc.item(sc.argmax()),
-                                                      self.eps_b, self.q)
+            dmax = model.effective_diffusivity(smax, self.eps_a, p)
+            bmax = 0.0 if scmax is None else model.b_eps(scmax, self.eps_b, q)
         except OverflowError as exc:
             raise NumericalError(f"CFL bound overflows a float: {exc}") from None
-        dt = self.cfl / dmax
+        dt = cfl / dmax
         if bmax > 0.0:
-            dt = min(dt, self.cap / bmax)
+            dt = min(dt, cap / bmax)
         return dt
 
     # -- one step on a window, and the active window -------------------------
 
     def step_window(self, u, a, b, dt, grads):
         """Advance cells [a, b) by one forward Euler stage of size dt, where
-        grads is this stepper's gradients(u, a, b); dt is bounded by the
-        stable_dt_from of the first stage of the step.
+        grads is this stepper's gradients(u, a, b); dt, a float, or a list of
+        one per column for a row stepper, is bounded by the stable_dt_from
+        of the first stage of the step.
 
         Cells outside [a, b) must be at the floor beyond one padding cell so
-        that the omitted fluxes vanish identically.
+        that the omitted fluxes vanish identically; so do the fluxes through
+        face a and through a face b short of the pinned cell, and only a
+        window that ends at the pinned cell books outflow.  A row stepper's
+        column that undershoots its floor is failed (in `failed`), not
+        raised, and its floor check is off for the rest of the step.
         """
         self._bind(u, a, b)
         d, s, sc = grads
-        (flux, flux_right, flux_left, rw, div, inv_rch, w, uw, babs,
-         absorbed) = self._step_views
-        if dt != self._tau:
-            # the stage's operands, formed once per tau, array and window
-            self.tau_flux[()], self.tau_abs[()] = dt * self.flux_scale, dt * self.abs_scale
-            np.multiply(inv_rch, self.tau_flux, w)
+        (flux, flux_right, flux_left, rw, div, inv_rch, w, uw, babs, absorbed,
+         a_consts, b_consts, tau_flux, tau_abs, below, floor_lim) = self._step_views
+        if dt is not self._tau:
+            # the stage's operands, formed once per tau, array and window;
+            # tau_flux and tau_abs are a row stepper's tables, else the 0-d
+            # operands themselves
+            np.multiply(dt, self.flux_scale, self.tau_flux)
+            np.multiply(dt, self.abs_scale, self.tau_abs)
+            np.copyto(tau_flux, self.tau_flux)
+            np.copyto(tau_abs, self.tau_abs)
+            np.multiply(inv_rch, tau_flux, w)
             self._tau = dt
 
         # radially weighted flux h^(p-1) r^(N-1) a_eps g on the faces; rw is
         # None at N = 1, where every weight is 1
-        model.a_eps(s, self.eps_a, self.p, flux, self.a_consts)
+        model.a_eps(s, self.eps_a, self.p, flux, a_consts)
         np.multiply(flux, d, flux)
         if rw is not None:
             np.multiply(flux, rw, flux)
         np.subtract(flux_right, flux_left, div)
         np.multiply(div, w, div)
-        self.outflow += dt * self.omega_out * (flux.item(0) - flux.item(-1))
+        if b == self.hi_max:
+            self._book_outflow(flux, dt)
         np.add(uw, div, uw)
 
         if sc is not None:
-            model.b_eps(sc, self.eps_b, self.q, babs, self.b_consts)
-            np.multiply(babs, self.tau_abs, babs)
+            model.b_eps(sc, self.eps_b, self.q, babs, b_consts)
+            np.multiply(babs, tau_abs, babs)
             np.add(absorbed, babs, absorbed)
             np.subtract(uw, babs, uw)
 
+        if below is not None:
+            np.less(uw, floor_lim, below)
+            if below.item(below.argmax()):      # any(), read by index
+                self._fail_below(uw, below, dt)
+            return
         umin = uw.item(uw.argmin())
         if umin < self.floor - FLOOR_SLACK:
             raise FloorViolationError(
                 f"floor violated by {self.floor - umin:.3e} at t-step dt={dt:.3e}"
             )
 
+    def _book_outflow(self, flux, dt):
+        """Add each column's outflow through the pinned cell's face."""
+        taus = dt if self.rows else [dt] * len(self.outflow)
+        first, last = flux[[0, -1]].reshape(2, -1).tolist()
+        self.outflow = [x + tau * omega * (f0 - f1) for x, tau, omega, f0, f1
+                        in zip(self.outflow, taus, self.omega_out, first, last)]
+
+    def _fail_below(self, uw, below, dt):
+        """Fail each column of a row stepper that undershot its floor, with
+        the error its field alone would raise, from its own minimum, read by
+        index as there (a NaN read first is no undershoot), and its own tau."""
+        for j in np.flatnonzero(below.any(axis=0)).tolist():
+            column = uw[:, j]
+            umin = column.item(column.argmin())
+            if umin < self.floor_lim[0, j]:
+                self.failed[j] = FloorViolationError(
+                    f"floor violated by {self.floor[j] - umin:.3e} at t-step dt={dt[j]:.3e}")
+                self.floor_lim[:, j] = -np.inf
+
     def step(self, u, a, b, dt_max):
-        """One SSPRK(S, 2) step of cells [a, b), returning its dt, the lesser of
-        dt_max and S - 1 times the CFL bound of u^n: S Euler stages of tau =
-        dt/(S-1), then u += (u^n - u)/S."""
+        """One SSPRK(S, 2) step of cells [a, b).  dt_max lists the time left
+        on each clock: one for all columns, or one per column of a row
+        stepper.  A clock's dt is the lesser of its dt_max and S - 1 times
+        the CFL bound of u^n; the step is S Euler stages of tau = dt/(S-1),
+        then u += (u^n - u)/S.  Returns (each clock's dt, failed): failed
+        maps each column of a row stepper that the step failed to its error;
+        such a column took the whole step, to be dropped after it."""
         g = self.gradients(u, a, b)
-        dt = min((STAGES - 1) * self.stable_dt_from(g[1], g[2]), dt_max)
-        tau = dt / (STAGES - 1)
+        self.failed = {}
+        bound = self.stable_dt_from(g[1], g[2])
+        if self.failed:
+            # a column's coefficients overflow: no column takes this step
+            return [0.0] * len(dt_max), self.failed
+        dts = [min((STAGES - 1) * x, m)
+               for x, m in zip(bound if self.rows else [bound], dt_max)]
+        taus = [dt / (STAGES - 1) for dt in dts]
+        tau = taus if self.rows else taus[0]
         uw, un = u[a:b], self.u_n[:b - a]
         np.copyto(un, uw)
         self.step_window(u, a, b, tau, g)
@@ -358,12 +465,26 @@ class _Stepper:
         np.subtract(un, uw, un)
         np.divide(un, self.stages, un)
         np.add(uw, un, uw)
-        return dt
+        return dts, self.failed
 
-    def ledgers(self):
-        """(absorbed, boundary outflow): the stages' sums times (S-1)/S."""
+    def ledgers(self, column=0):
+        """(absorbed, boundary outflow) of a column: the stages' sums times
+        (S-1)/S, the absorbed sum read from a contiguous copy of the column
+        (a strided vdot may round differently)."""
         weight = (STAGES - 1) / STAGES
-        return weight * float(np.vdot(self.absorbed_cells, self.cellw)), weight * self.outflow
+        cells = self.absorbed_cells
+        if cells.ndim == 2:
+            cells = np.ascontiguousarray(cells[:, column])
+        return weight * float(np.vdot(cells, self.cellw)), weight * self.outflow[column]
+
+    def keep(self, columns):
+        """A row stepper of the given columns alone, which carries on their
+        ledgers' running sums."""
+        kept = _Stepper([self.params[j] for j in columns], self.grid,
+                        *[self.flags[j] for j in columns])
+        kept.absorbed_cells[:] = self.absorbed_cells[:, columns]
+        kept.outflow = [self.outflow[j] for j in columns]
+        return kept
 
     def active_window(self, u):
         active = np.nonzero(u > self.floor)[0]
@@ -374,19 +495,28 @@ class _Stepper:
         return a, b
 
 
-def _advance(stepper, u, t, t_target, after_step=None):
-    """Step u in place from t to t_target, hit exactly, by SSPRK(STAGES, 2)
-    steps, each on the active window taken before it.  Calls after_step(a, b),
-    if given, after every step of window [a, b); returns early once u is at
-    the floor, a steady state."""
+def _advance(stepper, u, clocks, t_target, after_step=None):
+    """Step u in place until every clock reads t_target, hit exactly, by
+    SSPRK(STAGES, 2) steps, each on the active window taken before it.
+    clocks holds the time of all columns of u (one entry) or of each column
+    (a row stepper), and is advanced in place; a clock that has reached
+    t_target takes exactly dt = 0, an exact no-op.  Calls after_step(a, b),
+    if given, after every step of window [a, b).  Returns the failed columns
+    of a step that failed any, right after it, for the caller to drop, and
+    {} otherwise; returns early once u is at the floor, a steady state."""
     t_stop = t_target - 1e-15 * max(1.0, t_target)
-    while t < t_stop:
+    while any(t < t_stop for t in clocks):
         win = stepper.active_window(u)
         if win is None:
-            return
-        t += stepper.step(u, *win, t_target - t)
+            return {}
+        dts, failed = stepper.step(u, *win, [t_target - t if t < t_stop else 0.0
+                                             for t in clocks])
+        clocks[:] = [t + dt for t, dt in zip(clocks, dts)]
         if after_step is not None:
             after_step(*win)
+        if failed:
+            return failed
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -520,36 +650,105 @@ def record_times(t_start, t_end, record_start):
     return times
 
 
+def _record(configs, on_record=None, batch=False):
+    """The one record loop: evolve configs that share a grid, eps and
+    recording times, and record each one's observables at the geometric
+    times.  Returns one outcome per config: (final state, time series), or
+    the NumericalError or InvalidParams that ended its run.
+
+    One config that is not a batch steps its state's own array on one clock
+    with 0-d operands, and its stage and CFL failures raise.  A batch steps
+    the fields as the columns of one C-contiguous (n, k) array through a
+    row stepper, each column on its own clock, and copies each column into
+    its state to record it.  A column that fails leaves the array by the end
+    of its step, or at its record, and the others go on bit for bit as they
+    would without it."""
+    first, grid = configs[0], configs[0].grid()
+    params = [c.params() for c in configs]
+    states = [initial_state(P, grid, c.profile_obj()) for P, c in zip(params, configs)]
+    flags = [c.absorption for c in configs]
+    if batch:
+        stepper = _Stepper(params, grid, *flags)
+        u = np.stack([state.values for state in states], axis=1)
+    else:
+        stepper, u = _Stepper(params[0], grid, *flags), states[0].values
+    series = [observe.TimeSeries() for _ in states]
+    ref_sups = [float(state.values.max()) - state.floor for state in states]
+    for state, rows, ref_sup in zip(states, series, ref_sups):
+        rows.append(observe.observe(state, ref_sup))
+        if on_record is not None:
+            on_record(state)
+    outcomes, live = list(zip(states, series)), list(range(len(states)))
+    clocks = [first.profile_obj().t0] * (len(live) if batch else 1)
+
+    def drop(failed):
+        nonlocal u, stepper, clocks, live
+        for j, exc in failed.items():
+            outcomes[live[j]] = exc
+        keep = [j for j in range(len(live)) if j not in failed]
+        live = [live[j] for j in keep]
+        if keep:
+            u, stepper = np.ascontiguousarray(u[:, keep]), stepper.keep(keep)
+            clocks = [clocks[j] for j in keep]
+
+    for t in record_times(clocks[0], first.t_end, first.record_start):
+        while live and (failed := _advance(stepper, u, clocks, t)):
+            drop(failed)
+        failed = {}
+        for j, i in enumerate(live):
+            state = states[i]
+            if batch:
+                np.copyto(state.values, u[:, j])
+            state.time = t
+            state.absorbed_mass, state.boundary_out = stepper.ledgers(j)
+            try:
+                if not np.all(np.isfinite(state.values)):
+                    raise NumericalError(f"non-finite field at t={t:g}")
+                row = observe.observe(state, ref_sups[i])
+                if row["rho"] > 0.9 * grid.L:
+                    raise SupportOverflowError(
+                        f"support overflow: radius {row['rho']:.3g} exceeds 0.9 L = "
+                        f"{0.9 * grid.L:.3g} at t={t:g}; enlarge L"
+                    )
+                series[i].append(row)
+            except (NumericalError, InvalidParams) as exc:
+                failed[j] = exc
+                continue
+            if on_record is not None:
+                on_record(state)
+        if failed:
+            drop(failed)
+        if not live:
+            break
+        clocks = [t] * len(clocks)
+    return outcomes
+
+
 def run(config: RunConfig, on_record=None):
     """Evolve the configured problem, recording observables at geometric
     times.  Returns (final state, time series)."""
-    params = config.params()
-    grid = config.grid()
-    state = initial_state(params, grid, config.profile_obj())
+    (outcome,) = _record([config], on_record)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
-    series = observe.TimeSeries()
-    ref_sup = float(state.values.max()) - params.floor
-    series.append(observe.observe(state, ref_sup))
-    if on_record is not None:
-        on_record(state)
 
-    stepper = _Stepper(params, grid, config.absorption)
-    for t in record_times(state.time, config.t_end, config.record_start):
-        _advance(stepper, state.values, state.time, t)
-        state.time = t
-        state.absorbed_mass, state.boundary_out = stepper.ledgers()
-        if not np.all(np.isfinite(state.values)):
-            raise NumericalError(f"non-finite field at t={t:g}")
-        row = observe.observe(state, ref_sup)
-        if row["rho"] > 0.9 * grid.L:
-            raise SupportOverflowError(
-                f"support overflow: radius {row['rho']:.3g} exceeds 0.9 L = "
-                f"{0.9 * grid.L:.3g} at t={t:g}; enlarge L"
-            )
-        series.append(row)
-        if on_record is not None:
-            on_record(state)
-    return state, series
+def run_batch(configs):
+    """Evolve each config's problem as `run` would, and return one outcome
+    per config, in order: (final state, time series), or the NumericalError
+    or InvalidParams that ended its run.  Configs that share a grid, eps and
+    recording times, such as the cells of a (p, q) sweep, advance together
+    as the columns of one array, each with its own p, q and dt; a column's
+    bits do not depend on which configs share its array."""
+    groups = {}
+    for i, c in enumerate(configs):
+        key = (c.grid(), c.eps, c.profile_obj().t0, c.t_end, c.record_start)
+        groups.setdefault(key, []).append(i)
+    outcomes = [None] * len(configs)
+    for members in groups.values():
+        for i, outcome in zip(members, _record([configs[i] for i in members], batch=True)):
+            outcomes[i] = outcome
+    return outcomes
 
 
 def comparison_run(profile_a, profile_b, config: RunConfig,
@@ -582,6 +781,6 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
         gap = u[:b, 0] - u[:b, 1]
         worst = max(worst, gap.item(gap.argmax()))
 
-    _advance(stepper, u, t0, config.t_end, take_gap)
+    _advance(stepper, u, [t0], config.t_end, take_gap)
     ua[:], ub[:] = u[:, 0], u[:, 1]
     return {"max_violation": max(worst, 0.0), "t_end": config.t_end}

@@ -43,10 +43,13 @@ def test_every_benchmark_workload_sets_up(name):
         assert state.values.min() == state.floor < state.values.max()
 
 
-@pytest.mark.parametrize("entry", ["run", "comparison_run"])
+@pytest.mark.parametrize("entry", ["run", "comparison_run", "run_batch"])
 def test_solver_entry_points_reach_every_solver_and_model_hook(entry):
     # a hook point the program stops calling reads 0 calls, and every
-    # per-layer metric built on it would silently read 0 too
+    # per-layer metric built on it would silently read 0 too; the traced
+    # sweep runs its cells as one batch of mixed (p, q) columns
+    import dataclasses
+
     from gradabs import model, solver
 
     spans = load("spans")
@@ -54,8 +57,12 @@ def test_solver_entry_points_reach_every_solver_and_model_hook(entry):
     with spans.Tracer() as tracer:
         if entry == "run":
             solver.run(cfg)
-        else:
+        elif entry == "comparison_run":
             solver.comparison_run(model.Bump(H=1.0), model.Bump(H=1.5), cfg)
+        else:
+            outcomes = solver.run_batch([dataclasses.replace(cfg, p=p, q=q)
+                                         for p, q in ((3.0, 1.6), (3.5, 2.0), (4.0, 3.0))])
+            assert not any(isinstance(outcome, Exception) for outcome in outcomes)
     assert tracer.absent == []
     layers = [n for n in spans.HOOKS if n.startswith(("solver.", "model."))]
     assert layers and all(tracer.spans[n].calls > 0 for n in layers)

@@ -352,20 +352,56 @@ def test_fit_rejects_series_with_a_nan_value(tmp_path, capsys):
 
 
 def test_sweep_deterministic_across_workers(tmp_path, capsys):
+    # one, two and four batches deal the cells to different arrays, yet every
+    # output but the wall time is byte for byte the same: a column's bits do
+    # not depend on which cells share its batch
     cfg = tmp_path / "base.cfg"
     cfg.write_text(GOOD_CONFIG)
     args = ["sweep", "--p", "3,3.5", "--q", "1.5,3", "--config", str(cfg)]
-    # the (3.5, 1.5) cell violates the floor, so both sweeps exit 3
-    assert run_cli(*args, "--workers", "1", "--out", str(tmp_path / "s1")) == 3
-    assert run_cli(*args, "--workers", "4", "--out", str(tmp_path / "s4")) == 3
+    # the (3.5, 1.5) cell violates the floor, so every sweep exits 3
+    outs = [tmp_path / f"s{workers}" for workers in (1, 2, 4)]
+    for out in outs:
+        assert run_cli(*args, "--workers", out.name[1:], "--out", str(out)) == 3
     capsys.readouterr()
-    s1 = (tmp_path / "s1" / "summary.csv").read_text()
-    s4 = (tmp_path / "s4" / "summary.csv").read_text()
-    assert s1 == s4
+    s1 = (outs[0] / "summary.csv").read_text()
     assert s1.splitlines()[0] == "p,q,regime,status,passes"
     assert len(s1.splitlines()) == 5
     row = next(line for line in s1.splitlines() if line.startswith("3.5,1.5,"))
     assert ",error: FloorViolationError: " in row
+
+    def report(path):
+        rep = json.loads(path.read_text())
+        del rep["wall_seconds"]
+        rep["series"] = rep["series"].rpartition("/")[2]
+        return rep
+
+    labels = ["p3_q1.5", "p3_q3", "p3.5_q3"]
+    assert sorted(p.name for p in outs[0].glob("*.csv")) == sorted(
+        [f"{label}.csv" for label in labels] + ["summary.csv"])
+    for out in outs[1:]:
+        assert (out / "summary.csv").read_text() == s1
+        for label in labels:
+            assert (out / f"{label}.csv").read_bytes() == (outs[0] / f"{label}.csv").read_bytes()
+            assert report(out / f"{label}.report.json") == report(
+                outs[0] / f"{label}.report.json")
+
+
+def test_sweep_exits_on_a_fault_of_the_batch(tmp_path, monkeypatch, capsys):
+    # a fault that is neither a numerical failure nor a bad config is a
+    # defect of the program: it ends the sweep with a traceback (exit 1), and
+    # is not written as an error row of every cell of the batch (exit 3)
+    from gradabs import solver
+
+    def broken(*args):
+        raise TypeError("a fault of the batch machinery")
+
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(GOOD_CONFIG.replace("t_end = 2", "t_end = 0.5"))
+    monkeypatch.setattr(solver._Stepper, "step_window", broken)
+    with pytest.raises(TypeError, match="a fault of the batch machinery"):
+        run_cli("sweep", "--p", "3", "--q", "2,3", "--config", str(cfg),
+                "--workers", "1", "--out", str(tmp_path / "sweep"))
+    assert not (tmp_path / "sweep" / "summary.csv").exists()
 
 
 def test_sweep_rejects_duplicates(capsys):

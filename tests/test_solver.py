@@ -520,8 +520,10 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p=
     assert np.any(got != u0) and out != 0.0
     # bit for bit, absorption on or off: the reference forms the centered
     # difference as the kernel does, the sum of the cell's face differences;
-    # the stage books each cell's absorption in that cell's ledger entry
-    assert st.outflow == out
+    # the stage books each cell's absorption in that cell's ledger entry, and
+    # outflow only on a window that ends at the pinned cell (the interior
+    # window's end fluxes are not 0 here, since the bump fills the grid)
+    assert st.outflow == [out if b == st.hi_max else 0.0]
     assert np.array_equal(got, ref)
     assert dt == dt_ref and np.array_equal(st.absorbed_cells[a:b], absorbed)
     assert not st.absorbed_cells[:a].any() and not st.absorbed_cells[b:].any()
@@ -968,31 +970,168 @@ def test_floor_cells_stay_exact(p, q):
             assert np.any(new[14:26] != bump[14:26])
 
 
+# a batch of three columns of their own p and q, one of them without
+# absorption, on their own clocks
+BATCH = (ProblemParams(3.0, 1.6, 2), ProblemParams(3.5, 2.0, 2), ProblemParams(4.0, 1.2, 2))
+
+
 def test_a_step_allocates_nothing():
     # after the first step has bound its views, the stages, the SSPRK
     # combination and the ledgers allocate no array: the traced peak of
     # several steps is the same on windows of 200 and 2000 cells of the same
     # periodic field (the window is held fixed, since a refresh scans the
-    # whole field); one field at N = 1, and two fields as the columns of one
-    # (n, 2) array at N = 2, with and without absorption in the second
-    for N, absorption in ((1, (True,)), (2, (True, True)), (2, (True, False))):
-        params = ProblemParams(3.0, 1.6, N)
+    # whole field); one field at N = 1, two fields as the columns of one
+    # (n, 2) array at N = 2, with and without absorption in the second, and
+    # the mixed (p, q) batch as the columns of one (n, 3) array
+    for N, absorption in ((1, (True,)), (2, (True, True)), (2, (True, False)),
+                          (2, (True, False, True))):
+        params = list(BATCH) if len(absorption) == 3 else ProblemParams(3.0, 1.6, N)
         peaks = []
         for n in (202, 2002):
             grid = Grid(0.01, n, N)
-            u = params.floor + 0.5 + 0.25 * np.cos(2.0 * np.pi * grid.centers() / 0.4)
-            if len(absorption) == 2:
-                u = np.stack((u, 1.5 * u), axis=1)
+            wave = 0.5 + 0.25 * np.cos(2.0 * np.pi * grid.centers() / 0.4)
+            if len(absorption) == 3:
+                u = np.stack([P.floor + (1.0 + 0.25 * j) * wave
+                              for j, P in enumerate(params)], axis=1)
+            elif len(absorption) == 2:
+                u = np.stack((params.floor + wave, 1.5 * (params.floor + wave)), axis=1)
+            else:
+                u = params.floor + wave
             st = solver._Stepper(params, grid, *absorption)
             st.active_window = lambda u, window=(0, st.hi_max): window
-            steps = []
-            solver._advance(st, u, 0.0, 1e-6)
+            steps, clocks = [], [0.0] * (len(absorption) if st.rows else 1)
+            solver._advance(st, u, clocks, 1e-6)
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
-                solver._advance(st, u, 1e-6, 1e-3, lambda a, b: steps.append(b - a))
+                solver._advance(st, u, clocks, 1e-3, lambda a, b: steps.append(b - a))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert len(steps) >= 5 and steps[0] == n - 1
+            assert len(steps) >= 5 and steps[0] == n - 1 and clocks == [1e-3] * len(clocks)
         assert peaks[1] - peaks[0] < 1000, (N, absorption, peaks)
+
+
+def test_window_end_fluxes_vanish_past_the_origin(monkeypatch):
+    # the annulus's window starts past cell 0, and in its early steps ends
+    # short of the pinned cell; by the padding invariant the fluxes through
+    # both of its end faces are exactly 0, so a stage books no outflow there
+    cfg = RunConfig(3.0, 1.5, 1, eps=1e-5, h=0.01, L=9.0, t_end=0.5,
+                    profile="annulus:R0=4,R1=6,H=1")
+    step_window, ends = solver._Stepper.step_window, []
+
+    def checked(self, u, a, b, *args):
+        step_window(self, u, a, b, *args)
+        ends.append((a, b < self.hi_max, self.flux[0], self.flux[b - a]))
+
+    monkeypatch.setattr(solver._Stepper, "step_window", checked)
+    state, _ = run(cfg)
+    assert ends and all(a > 0 and short for a, short, _, _ in ends)
+    assert all(first == 0.0 and last == 0.0 for _, _, first, last in ends)
+    assert state.boundary_out == 0.0 and state.absorbed_mass > 0.0
+
+
+def test_row_coefficients_keep_floor_cells_exact():
+    # a row stepper's coefficients take np.power with row exponents, and
+    # their offsets by that same np.power, so b_eps is exactly 0 at sc = 0
+    # at every (eps, h, q), including those (eps = 0.2, q = 1.5) at which
+    # numpy's np.power and Python's ** round eps^q apart
+    qs = (1.2, 1.5, 1.6, 2.0, 3.0, 4.0)
+    for eps in (1e-5, 1e-3, 0.2, 0.3):
+        for h in (0.0025, 0.01, 0.02, 0.03, 0.05):
+            params = [ProblemParams(p, q, 1, eps) for p, q in zip((3.0, 3.5, 4.0) * 2, qs)]
+            st = solver._Stepper(params, Grid(h, 40, 1), *[True] * len(qs))
+            flat = np.repeat(st.floor[None, :], 40, axis=0)
+            u = flat.copy()
+            solver._advance(st, u, [0.0] * len(qs), 1e-3)
+            assert np.array_equal(u, flat)
+            assert [st.ledgers(j) for j in range(len(qs))] == [(0.0, 0.0)] * len(qs)
+
+
+SWEEP_CELLS = [(p, q) for p in (3.0, 3.5, 4.0, 5.0) for q in (1.2, 1.5, 2.0, 3.0)]
+
+
+def sweep_configs(cells):
+    """The benchmark sweep's config (h = 0.01, L = 8, t_end = 0.5) at each
+    (p, q) cell."""
+    base = RunConfig(3.0, 2.0, 1, h=0.01, L=8.0, t_end=0.5)
+    return [dataclasses.replace(base, p=p, q=q) for p, q in cells]
+
+
+def outcome_of_run(config):
+    try:
+        return run(config)
+    except solver.NumericalError as exc:
+        return exc
+
+
+def test_batch_columns_match_single_runs():
+    # every cell of the benchmark's sweep, as a column of one batch, against
+    # run at its config: the same error, or the same records and verdicts
+    # and the same series to within 1e-14 of each column's largest value
+    # (measured worst: 7.2e-15, on grad_sup).  Bit for bit wherever run's
+    # coefficients take np.power or no call; at p = 3 run's a_eps takes
+    # np.sqrt, where the batch's row takes np.power
+    from gradabs import fit
+
+    configs = sweep_configs(SWEEP_CELLS)
+    batch = solver.run_batch(configs)
+    completed = 0
+    for config, got in zip(configs, batch):
+        want = outcome_of_run(config)
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            continue
+        completed += 1
+        (state, series), (ref_state, ref_series) = got, want
+        assert len(series) == len(ref_series)
+        if config.p != 3.0:
+            assert series.to_csv() == ref_series.to_csv()
+            assert np.array_equal(state.values, ref_state.values)
+        for name in observe.CSV_COLUMNS:
+            ref = ref_series.column(name)
+            assert np.max(np.abs(series.column(name) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        passes = [[v.passed for v in fit.verdict(config.params(), s, h=config.h)]
+                  for s in (series, ref_series)]
+        assert passes[0] == passes[1]
+    assert completed == 7
+
+
+def test_batch_splits_configs_of_other_grids():
+    # without L, a config's grid depends on p, so run_batch steps each grid's
+    # configs as an array of its own, and returns the outcomes in order
+    base = RunConfig(3.0, 2.0, 1, h=0.02, t_end=0.25)
+    configs = [dataclasses.replace(base, p=p, q=q)
+               for p, q in ((4.0, 3.0), (3.5, 2.0), (4.0, 2.5))]
+    assert len({c.grid() for c in configs}) == 2
+    for config, (state, series) in zip(configs, solver.run_batch(configs)):
+        ref_state, ref_series = run(config)
+        assert state.grid == ref_state.grid and series.to_csv() == ref_series.to_csv()
+
+
+def test_a_failed_column_leaves_no_trace(monkeypatch):
+    # (3.5, 1.5) breaks the floor at its 291st step, as in its own run; the
+    # batch drops its column right after that step, and the other columns'
+    # outputs are byte for byte those of the batch without it
+    cells = [(3.0, 1.5), (3.5, 1.5), (3.5, 2.0), (4.0, 3.0)]
+    step, steps = solver._Stepper.step, []
+
+    def recording(self, u, a, b, dt_max):
+        dts, failed = step(self, u, a, b, dt_max)
+        steps.append((u.shape[1], dts[1] if u.shape[1] == 4 else None, dict(failed)))
+        return dts, failed
+
+    monkeypatch.setattr(solver._Stepper, "step", recording)
+    with_it = solver.run_batch(sweep_configs(cells))
+    monkeypatch.undo()
+    without = solver.run_batch(sweep_configs(cells[:1] + cells[2:]))
+    assert isinstance(with_it[1], FloorViolationError)
+    assert str(with_it[1]) == str(outcome_of_run(sweep_configs(cells[1:2])[0]))
+    last = max(i for i, (k, _, _) in enumerate(steps) if k == 4)
+    assert list(steps[last][2]) == [1] and steps[last + 1][0] == 3
+    assert sum(dt > 0.0 for k, dt, _ in steps if k == 4) == 291
+    for (state, series), (ref_state, ref_series) in zip(with_it[:1] + with_it[2:], without):
+        assert series.to_csv() == ref_series.to_csv()
+        assert np.array_equal(state.values, ref_state.values)
+        assert (state.absorbed_mass, state.boundary_out) == (ref_state.absorbed_mass,
+                                                              ref_state.boundary_out)
