@@ -31,8 +31,12 @@ class Coefficient:
     or np.square for an exponent operand of stride 0, which the row of a
     lone column would be, so the table keeps a column's bits independent of
     the other columns; and a ufunc reads a contiguous table for a fraction
-    of the cost of a broadcast row.  The offsets are taken by that same
-    np.power, so each coefficient is still exactly 0 at s = 0."""
+    of the cost of a broadcast row.
+
+    The offset eps^(2k) is taken by the coefficient's own power, applied to
+    an array of eps^2 as it is applied to eps^2 + s, so that each
+    coefficient is exactly 0 at s = 0: Python's ** and numpy's np.power can
+    round the same power apart."""
 
     __slots__ = ("e2", "offset", "power", "exponent")
 
@@ -42,15 +46,17 @@ class Coefficient:
         if np.ndim(k):
             table = np.repeat(np.array([k], dtype=float), rows, axis=0)
             self.power, self.exponent = np.power, (table,)
-            self.offset = np.power(np.full(table.shape, e2), table)
-            return
-        self.offset = np.array(e2 ** k)
-        # power(out, *exponent, out) is out **= k; at k = 1 there is no call
-        special = {0.5: np.sqrt, 1.0: None, 2.0: np.square}
-        if k in special:
-            self.power, self.exponent = special[k], ()
+            self.offset = np.full(table.shape, e2)
         else:
-            self.power, self.exponent = np.power, (np.array(k),)
+            # power(out, *exponent, out) is out **= k; at k = 1 there is no call
+            special = {0.5: np.sqrt, 1.0: None, 2.0: np.square}
+            if k in special:
+                self.power, self.exponent = special[k], ()
+            else:
+                self.power, self.exponent = np.power, (np.array(k),)
+            self.offset = np.array(e2)
+        if self.power is not None:
+            self.power(self.offset, *self.exponent, self.offset)
 
     def window(self, m):
         """The coefficient on the first m rows: a row k's tables cut to m rows."""

@@ -34,24 +34,27 @@ solution on [-L, L].
 
 The entry points are `run`, `run_batch` and `comparison_run`, driven by
 `RunConfig`s, each of which rejects when it is built a config that no run
-can start from.  `_Stepper.gradients` is the one place the face and centered
-differences are formed, `_Stepper.stable_dt_from` the one CFL rule,
-`_Stepper.step_window` the one stage kernel, `_Stepper.step` the one SSPRK
-step and `_Stepper.ledgers` the one ledger reader.  `_advance` is the one
-time loop, over one array, and calls only `active_window` and `step` of its
-stepper; `_record` is the one record loop, of `run` and `run_batch`.  `run`
-steps its field; `run_batch` the fields of configs that share a grid, eps
-and recording times (a sweep's (p, q) cells) as the columns of one
-C-contiguous (n, k) array, each column with its own p, q and clock, so that
-one gradients and step_window call per stage advances them all, each by its
-own dt; and `comparison_run` its two fields as the columns of one (n, 2)
-array on one clock, so that both advance in lockstep with a shared dt.  A
-column of a batch whose clock has reached the record time takes dt = 0, an
-exact no-op, and a column that fails leaves the array by the end of its
-step.  A stage writes into the stepper's own scratch arrays, model.a_eps
-and model.b_eps included, through views that are formed once per array and
-window, and the step's combination writes into u^n and u, so a step
-allocates nothing.  Every ufunc of a stage gets array operands, 0-d arrays
+can start from.  `_differences` is the one place the face and centered
+differences are formed (by `_Stepper.gradients` for a step's first stage
+and by `_Stepper.step_window` for the others), `_Stepper.stable_dt_from`
+the one CFL rule, `_Stepper.step_window` the one stage kernel, which runs
+all S stages of a step in one call, `_Stepper.step` the one SSPRK step and
+`_Stepper.ledgers` the one ledger reader.  `_advance` is the one time loop,
+over one array, and calls only `active_window` and `step` of its stepper;
+`_record` is the one record loop, of `run` and `run_batch`.  `run` steps its
+field; `run_batch` the fields of configs that share a grid, eps and
+recording times (a sweep's (p, q) cells) as the columns of one C-contiguous
+(n, k) array, each column with its own p, q and clock, so that one stage
+advances them all, each by its own dt; and `comparison_run` its two fields
+as the columns of one (n, 2) array on one clock, so that both advance in
+lockstep with a shared dt.  A column of a batch whose clock has reached the
+record time takes dt = 0, an exact no-op, and a column that fails leaves
+the array by the end of its step.  A stage writes into the stepper's own
+scratch arrays, model.a_eps and model.b_eps included, through views that
+are formed once per array and window, and the step's combination writes
+into u^n and u, so a step allocates nothing.  The face differences and the
+centered sums of a window share one buffer, so that one multiply squares
+both.  Every ufunc of a stage gets array operands, 0-d arrays
 for the constants of one p and q (model.Coefficient) and contiguous (n, k)
 tables for the rows of a batch, and its output positionally, not as an out=
 keyword that it would parse on every call.
@@ -254,19 +257,24 @@ class _Stepper:
         # geometry and scratch, a ufunc's fast path; the sc columns of fields
         # without absorption are 0
         two_d = len(cells) == 2
-        self.off_columns = [j for j, on in enumerate(absorption) if not on] if two_d else []
+        self.off_columns = ([j for j, on in enumerate(absorption) if not on]
+                            if two_d and self.absorption else [])
         # face weights r^(N-1), cell factors 1/(r^(N-1) h) and cell measures;
         # face i lies between cells i-1 and i, and face 0 is the zero-flux
-        # face at r = 0, whose gradient is never written, so it stays 0.
-        # Face weights that are all exactly 1 (N = 1) are not multiplied in.
+        # face at r = 0, whose difference is 0 (see _bind).  Face weights
+        # that are all exactly 1 (N = 1) are not multiplied in.
         rw = (np.arange(n + 1) * h) ** (grid.N - 1.0)
         self.weighted = bool(np.any(rw != 1.0))
         self.rw, self.inv_rch = (np.repeat(x[:, None], k, axis=1) if two_d else x
                                  for x in (rw, 1.0 / (grid.centers() ** (grid.N - 1.0) * h)))
         self.cellw = grid.cell_measures()
         self.hi_max = n - 1                             # the last cell is pinned
-        self.g, self.s, self.flux = np.zeros(faces), np.empty(faces), np.empty(faces)
-        self.sc, self.div, self.babs = np.empty(cells), np.empty(cells), np.empty(cells)
+        # a window of m cells keeps its m + 1 face differences on the first
+        # rows of diffs and, with absorption, their m centered sums on the
+        # next m, so that one multiply squares both into squares
+        joint = (2 * n + 1,) + cells[1:] if self.absorption else faces
+        self.diffs, self.squares, self.flux = np.zeros(joint), np.empty(joint), np.empty(faces)
+        self.div, self.babs = np.empty(cells), np.empty(cells)
         # tau h^(1-p) / (r^(N-1) h), u^n of an SSPRK step and S as a 0-d operand
         self.w, self.u_n = np.empty(cells), np.empty(cells)
         self.stages = np.array(float(STAGES))
@@ -282,10 +290,18 @@ class _Stepper:
         if u is self._u and a == self._a and b == self._b:
             return
         lo, m = max(a, 1), b - a
-        g, flux = self.g[a:b + 1], self.flux[:m + 1]
-        self._grad_views = (u[lo:b + 1], u[lo - 1:b], self.g[lo:b + 1], g,
-                            self.s[:m + 1], g[:-1], g[1:], self.sc[:m],
-                            [self.sc[:m, j] for j in self.off_columns])
+        flux, d, s = self.flux[:m + 1], self.diffs[:m + 1], self.squares[:m + 1]
+        if a == 0:
+            # face 0's difference is never formed, and a window that started
+            # past the origin may have written its row
+            d[0] = 0.0
+        joint, squares, sums, sc = d, s, None, None
+        if self.absorption:
+            joint, squares = self.diffs[:2 * m + 1], self.squares[:2 * m + 1]
+            sums, sc = joint[m + 1:], squares[m + 1:]
+        self._grad_views = (u[lo:b + 1], u[lo - 1:b], d[lo - a:], d[:-1], d[1:], sums,
+                            joint, squares, [sc[:, j] for j in self.off_columns])
+        self._grads = d, s, sc
         if self.rows:
             operands = (self.tau_tables[0][:m], self.tau_tables[1][:m], self.below[:m],
                         self.floor_lim[:m])
@@ -309,19 +325,13 @@ class _Stepper:
         gradient is the mirror-ghost difference.
 
         The arrays are views on this stepper's scratch and are overwritten
-        by its next call; k fields stepped together are the columns of one
-        (n, k) array, so that one call forms the gradients of them all."""
+        by its next call and by the later stages of step_window, which form
+        them by the same `_differences`; k fields stepped together are the
+        columns of one (n, k) array, so that one call forms the gradients of
+        them all."""
         self._bind(u, a, b)
-        u_right, u_left, inner, d, s, d_left, d_right, sc, off = self._grad_views
-        np.subtract(u_right, u_left, inner)
-        np.multiply(d, d, s)
-        if not self.absorption:
-            return d, s, None
-        np.add(d_left, d_right, sc)
-        np.multiply(sc, sc, sc)
-        for column in off:
-            column.fill(0.0)
-        return d, s, sc
+        _differences(*self._grad_views)
+        return self._grads
 
     def stable_dt_from(self, s, sc):
         """Euler stage bound SAFETY * h^2 / (max(2, 2^(N-1)) D_max), capped
@@ -363,21 +373,24 @@ class _Stepper:
 
     # -- one step on a window, and the active window -------------------------
 
-    def step_window(self, u, a, b, dt, grads):
-        """Advance cells [a, b) by one forward Euler stage of size dt, where
-        grads is this stepper's gradients(u, a, b); dt, a float, or a list of
-        one per column for a row stepper, is bounded by the stable_dt_from
-        of the first stage of the step.
+    def step_window(self, u, a, b, dt, grads, stages):
+        """Advance cells [a, b) by `stages` forward Euler stages of size dt:
+        the first reads grads, this stepper's gradients(u, a, b), and each
+        later one forms its gradients again into the same arrays, by the
+        `_differences` that gradients calls.  dt, a float, or a list of one
+        per column for a row stepper, is bounded by the stable_dt_from of
+        the first stage of the step.  Every stage checks the floor, and a
+        window that ends at the pinned cell books each stage's outflow.
 
         Cells outside [a, b) must be at the floor beyond one padding cell so
         that the omitted fluxes vanish identically; so do the fluxes through
-        face a and through a face b short of the pinned cell, and only a
-        window that ends at the pinned cell books outflow.  A row stepper's
-        column that undershoots its floor is failed (in `failed`), not
-        raised, and its floor check is off for the rest of the step.
+        face a and through a face b short of the pinned cell.  A row
+        stepper's column that undershoots its floor is failed (in `failed`),
+        not raised, and its floor check is off for the rest of the step.
         """
         self._bind(u, a, b)
         d, s, sc = grads
+        grad_views = self._grad_views
         (flux, flux_right, flux_left, rw, div, inv_rch, w, uw, babs, absorbed,
          a_consts, b_consts, tau_flux, tau_abs, below, floor_lim) = self._step_views
         if dt is not self._tau:
@@ -390,35 +403,39 @@ class _Stepper:
             np.copyto(tau_abs, self.tau_abs)
             np.multiply(inv_rch, tau_flux, w)
             self._tau = dt
+        outflow, eps_a, p, eps_b, q = b == self.hi_max, self.eps_a, self.p, self.eps_b, self.q
 
-        # radially weighted flux h^(p-1) r^(N-1) a_eps g on the faces; rw is
-        # None at N = 1, where every weight is 1
-        model.a_eps(s, self.eps_a, self.p, flux, a_consts)
-        np.multiply(flux, d, flux)
-        if rw is not None:
-            np.multiply(flux, rw, flux)
-        np.subtract(flux_right, flux_left, div)
-        np.multiply(div, w, div)
-        if b == self.hi_max:
-            self._book_outflow(flux, dt)
-        np.add(uw, div, uw)
+        for stage in range(stages):
+            if stage:
+                _differences(*grad_views)
+            # radially weighted flux h^(p-1) r^(N-1) a_eps g on the faces; rw
+            # is None at N = 1, where every weight is 1
+            model.a_eps(s, eps_a, p, flux, a_consts)
+            np.multiply(flux, d, flux)
+            if rw is not None:
+                np.multiply(flux, rw, flux)
+            np.subtract(flux_right, flux_left, div)
+            np.multiply(div, w, div)
+            if outflow:
+                self._book_outflow(flux, dt)
+            np.add(uw, div, uw)
 
-        if sc is not None:
-            model.b_eps(sc, self.eps_b, self.q, babs, b_consts)
-            np.multiply(babs, tau_abs, babs)
-            np.add(absorbed, babs, absorbed)
-            np.subtract(uw, babs, uw)
+            if sc is not None:
+                model.b_eps(sc, eps_b, q, babs, b_consts)
+                np.multiply(babs, tau_abs, babs)
+                np.add(absorbed, babs, absorbed)
+                np.subtract(uw, babs, uw)
 
-        if below is not None:
-            np.less(uw, floor_lim, below)
-            if below.item(below.argmax()):      # any(), read by index
-                self._fail_below(uw, below, dt)
-            return
-        umin = uw.item(uw.argmin())
-        if umin < self.floor - FLOOR_SLACK:
-            raise FloorViolationError(
-                f"floor violated by {self.floor - umin:.3e} at t-step dt={dt:.3e}"
-            )
+            if below is not None:
+                np.less(uw, floor_lim, below)
+                if below.item(below.argmax()):      # any(), read by index
+                    self._fail_below(uw, below, dt)
+                continue
+            umin = uw.item(uw.argmin())
+            if umin < self.floor - FLOOR_SLACK:
+                raise FloorViolationError(
+                    f"floor violated by {self.floor - umin:.3e} at t-step dt={dt:.3e}"
+                )
 
     def _book_outflow(self, flux, dt):
         """Add each column's outflow through the pinned cell's face."""
@@ -444,9 +461,10 @@ class _Stepper:
         on each clock: one for all columns, or one per column of a row
         stepper.  A clock's dt is the lesser of its dt_max and S - 1 times
         the CFL bound of u^n; the step is S Euler stages of tau = dt/(S-1),
-        then u += (u^n - u)/S.  Returns (each clock's dt, failed): failed
-        maps each column of a row stepper that the step failed to its error;
-        such a column took the whole step, to be dropped after it."""
+        one step_window call, then u += (u^n - u)/S.  Returns (each clock's
+        dt, failed): failed maps each column of a row stepper that the step
+        failed to its error; such a column took the whole step, to be
+        dropped after it."""
         g = self.gradients(u, a, b)
         self.failed = {}
         bound = self.stable_dt_from(g[1], g[2])
@@ -459,9 +477,7 @@ class _Stepper:
         tau = taus if self.rows else taus[0]
         uw, un = u[a:b], self.u_n[:b - a]
         np.copyto(un, uw)
-        self.step_window(u, a, b, tau, g)
-        for _ in range(STAGES - 1):
-            self.step_window(u, a, b, tau, self.gradients(u, a, b))
+        self.step_window(u, a, b, tau, g, STAGES)
         np.subtract(un, uw, un)
         np.divide(un, self.stages, un)
         np.add(uw, un, uw)
@@ -493,6 +509,20 @@ class _Stepper:
         a = max(int(active[0]) - WINDOW_PAD, 0)
         b = min(int(active[-1]) + 1 + WINDOW_PAD, self.hi_max)
         return a, b
+
+
+def _differences(u_right, u_left, inner, d_left, d_right, sums, joint, squares, off):
+    """Form a stage's gradients on the views of _Stepper._bind: the face
+    differences d (inner: all but face 0 at r = 0), with absorption their
+    centered sums d_l + d_r, which follow them in one buffer, and the
+    squares s and sc of both by one multiply; sc is 0 in the columns of the
+    fields without absorption."""
+    np.subtract(u_right, u_left, inner)
+    if sums is not None:
+        np.add(d_left, d_right, sums)
+    np.multiply(joint, joint, squares)
+    for column in off:
+        column.fill(0.0)
 
 
 def _advance(stepper, u, clocks, t_target, after_step=None):
@@ -757,9 +787,9 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
     sequence and report the worst ordering violation max_t max_i (uA - uB)_+.
 
     Both fields advance as the two columns of one (n, 2) array through one
-    `_Stepper` and `_advance`, so each stage makes one gradients and one
-    step call for the pair, and each step one CFL call, on the union of the
-    two fields' active windows.  The gap is taken once per step, below the
+    `_Stepper` and `_advance`, so each stage forms the pair's differences
+    once, and each step makes one CFL and one step_window call, on the union
+    of the two fields' active windows.  The gap is taken once per step, below the
     window's end, past which both sit exactly at the floor.  The final
     fields are copied back into the two initial states' arrays."""
     t0 = profile_a.t0

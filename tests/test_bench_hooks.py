@@ -68,12 +68,20 @@ def test_solver_entry_points_reach_every_solver_and_model_hook(entry):
     assert layers and all(tracer.spans[n].calls > 0 for n in layers)
 
 
-@pytest.mark.parametrize("name", ["decay-narrow", "barenblatt-wide", "lockstep"])
+@pytest.mark.parametrize("name", ["decay-narrow", "barenblatt-wide", "lockstep", "sweep-pq"])
 def test_benchmark_workload_operation_passes_its_checks(tmp_path, name):
     # one operation of the workload, with the checks the benchmark applies to
-    # its output: a break in run, comparison_run or the CLI run path fails
-    # here, not only when the benchmark runs
+    # its output: a break in run, comparison_run, run_batch or the CLI run
+    # and sweep paths fails here, not only when the benchmark runs
     workloads = load("workloads")
-    _, res = workloads.WORKLOADS[name](tmp_path, 0).run_op()
+    workload = workloads.WORKLOADS[name](tmp_path, 0)
+    if name == "sweep-pq":
+        # one worker steps all 16 cells as one batch; 9 of them undershoot
+        # their floor (the centered absorption, ROADMAP item 1)
+        _, res = workload.run_op(workers=1)
+        assert res.attempted == 16 and res.bad_output == []
+        assert res.failed == 9 and res.errors == ["FloorViolationError"] * 9
+        return
+    _, res = workload.run_op()
     assert res.attempted == 1
     assert res.failed == 0 and res.bad_output == [] and res.errors == []

@@ -33,7 +33,7 @@ def stable_dt(st, u):
 
 def step(st, u, dt):
     """Advance every unpinned cell of u by dt, in place; returns u."""
-    st.step_window(u, 0, st.hi_max, dt, st.gradients(u, 0, st.hi_max))
+    st.step_window(u, 0, st.hi_max, dt, st.gradients(u, 0, st.hi_max), 1)
     return u
 
 
@@ -516,7 +516,7 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p=
     ref, absorbed, out = reference(u0, a, b, dt_ref)
     dt = st.stable_dt_from(*st.gradients(u0, a, b)[1:])
     got = u0.copy()
-    st.step_window(got, a, b, dt_ref, st.gradients(got, a, b))
+    st.step_window(got, a, b, dt_ref, st.gradients(got, a, b), 1)
     assert np.any(got != u0) and out != 0.0
     # bit for bit, absorption on or off: the reference forms the centered
     # difference as the kernel does, the sum of the cell's face differences;
@@ -538,7 +538,7 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p=
     for k, w in ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0)):
         u, other = fields[k], fields[1 - k].copy()
         ref, _, _ = reference(u, *windows[w], dt_ref)
-        reused.step_window(u, *windows[w], dt_ref, reused.gradients(u, *windows[w]))
+        reused.step_window(u, *windows[w], dt_ref, reused.gradients(u, *windows[w]), 1)
         assert np.array_equal(fields[1 - k], other)
         assert np.array_equal(u, ref)
 
@@ -554,12 +554,88 @@ def test_step_kernel_matches_plain_reference_at_each_power(geometry, N, absorpti
     test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p, q)
 
 
-def count_calls(monkeypatch, *names):
-    """A dict that counts the calls of the named _Stepper methods."""
+def stage_by_stage(monkeypatch, params, grid, flags, u0, a, b, stages):
+    """Advance a copy of u0 over cells [a, b) by STAGES Euler stages of the
+    CFL bound of u0, through step_window calls of `stages` stages each, the
+    first fed the gradients of u0 and each later call its own.  Returns the
+    field, the absorbed running sums, the outflow and, per failed column,
+    its message and the stage (counted by model.a_eps calls) it failed at."""
+    st, u, failed_at = solver._Stepper(params, grid, *flags), u0.copy(), {}
+    a_eps, fail_below, count = model.a_eps, solver._Stepper._fail_below, []
+
+    def counted(*args):
+        count.append(1)
+        return a_eps(*args)
+
+    def recorded(self, *args):
+        before = set(self.failed)
+        fail_below(self, *args)
+        failed_at.update(dict.fromkeys(set(self.failed) - before, len(count)))
+
+    monkeypatch.setattr(model, "a_eps", counted)
+    monkeypatch.setattr(solver._Stepper, "_fail_below", recorded)
+    grads = st.gradients(u, a, b)
+    tau = st.stable_dt_from(grads[1], grads[2])
+    for call in range(solver.STAGES // stages):
+        st.step_window(u, a, b, tau, grads if call == 0 else st.gradients(u, a, b), stages)
+    monkeypatch.undo()
+    assert len(count) == solver.STAGES
+    failed = {j: (str(exc), failed_at[j]) for j, exc in st.failed.items()}
+    return u, st.absorbed_cells, st.outflow, failed
+
+
+# name -> params, absorption flags, one profile per column, h, L
+STAGE_LOOP_CASES = {
+    "field_N1": (ProblemParams(3.0, 1.6, 1), (True,), [model.Bump(R0=2.0)], 0.05, 1.5),
+    # face weights r^(N-1)
+    "field_N3": (ProblemParams(3.0, 1.6, 3), (True,), [model.Bump(R0=2.0)], 0.05, 1.5),
+    "pair_on_off": (ProblemParams(3.0, 1.6, 1), (True, False),
+                    [model.Bump(R0=2.0), model.Bump(R0=2.0, H=1.5)], 0.05, 1.5),
+    # no sc at all
+    "pair_off_off": (ProblemParams(3.0, 1.6, 1), (False, False),
+                     [model.Bump(R0=2.0), model.Bump(R0=2.0, H=1.5)], 0.05, 1.5),
+    # the second column undershoots its floor at a later stage (the fourth)
+    "batch_fails": ([ProblemParams(3.0, 2.0, 1), ProblemParams(4.0, 1.5, 1)], (True, True),
+                    [model.Bump(R0=0.5, H=4.0)] * 2, 0.02, 3.0),
+}
+
+
+@pytest.mark.parametrize("case,window", [(case, window) for case in STAGE_LOOP_CASES
+                                         for window in ("full", "interior")
+                                         if case != "batch_fails" or window == "full"])
+def test_stage_loop_matches_single_stage_calls(monkeypatch, case, window):
+    # one step_window call of S stages gives the bits of S calls of one
+    # stage, each fed its own gradients: the field, the ledgers' running
+    # sums, and each failed column's message and stage; the bump of R0 = 2
+    # fills the grid, so a full window books outflow
+    params, flags, profiles, h, L = STAGE_LOOP_CASES[case]
+    columns = params if isinstance(params, list) else [params] * len(flags)
+    grid = Grid.from_extent(h, L, columns[0].N)
+    fields = [initial_state(P, grid, profile).values for P, profile in zip(columns, profiles)]
+    u0 = fields[0] if len(fields) == 1 else np.stack(fields, axis=1)
+    a, b = (0, grid.n - 1) if window == "full" else (3, grid.n - 4)
+    u, absorbed, outflow, failed = stage_by_stage(monkeypatch, params, grid, flags, u0, a, b,
+                                                  solver.STAGES)
+    single = stage_by_stage(monkeypatch, params, grid, flags, u0, a, b, 1)
+    assert np.array_equal(u, single[0]) and np.array_equal(absorbed, single[1])
+    assert outflow == single[2] and failed == single[3]
+    assert np.any(u != u0)
+    if case == "batch_fails":
+        assert list(failed) == [1] and failed[1][1] > 1
+        assert failed[1][0].startswith("floor violated by")
+    else:
+        assert failed == {} and all((x != 0.0) == (window == "full") for x in outflow)
+        columns = absorbed.reshape(grid.n, len(flags))
+        assert [bool(columns[:, j].any()) for j in range(len(flags))] == list(flags)
+
+
+def count_calls(monkeypatch, *names, owner=solver._Stepper):
+    """A dict that counts the calls of the named _Stepper methods, or of
+    the named functions of another owner."""
     calls = dict.fromkeys(names, 0)
 
     def counting(name):
-        original = getattr(solver._Stepper, name)
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -567,30 +643,35 @@ def count_calls(monkeypatch, *names):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(solver._Stepper, name, counting(name))
+        monkeypatch.setattr(owner, name, counting(name))
     return calls
 
 
 def test_comparison_run_forms_gradients_once_per_field_per_step(monkeypatch):
-    # both fields are the columns of one array, so a stage of the pair is one
-    # gradients and one step_window call, and a step of the pair one CFL
-    # call and one active window; the step count comes from the full-grid
-    # reference, which takes the same dt sequence with one CFL call per
-    # field and step
+    # both fields are the columns of one array, so a step of the pair is one
+    # gradients, CFL, step_window and active window call, and each of its S
+    # stages forms the pair's differences once, through gradients at the
+    # first stage and step_window at the others; the step count comes from
+    # the full-grid reference, which takes the same dt sequence with one CFL
+    # call per field and step, and steps each field one stage per call
     calls = count_calls(monkeypatch, "gradients", "stable_dt_from", "step_window",
                         "active_window")
+    formed = count_calls(monkeypatch, "_differences", owner=solver)
     cfg = RunConfig(3.0, 2.0, 1, h=0.02, L=4.0, t_end=0.05)
     profiles = (model.Bump(H=1.0), model.Bump(H=1.5))
     comparison_run(*profiles, cfg)
-    paired = dict(calls)
+    paired, paired_formed = dict(calls), dict(formed)
     calls.update(dict.fromkeys(calls, 0))
+    formed.update(dict.fromkeys(formed, 0))
     reference_comparison_run(*profiles, cfg, True, True)
     steps = calls["stable_dt_from"] // 2
     S = solver.STAGES
     assert steps > 3 and calls == {"gradients": 2 * S * steps, "stable_dt_from": 2 * steps,
                                    "step_window": 2 * S * steps, "active_window": 0}
-    assert paired == {"gradients": S * steps, "stable_dt_from": steps,
-                      "step_window": S * steps, "active_window": steps}
+    assert formed == {"_differences": 2 * S * steps}
+    assert paired == {"gradients": steps, "stable_dt_from": steps,
+                      "step_window": steps, "active_window": steps}
+    assert paired_formed == {"_differences": S * steps}
 
 
 def test_run_takes_the_active_window_once_per_step(monkeypatch):
@@ -643,7 +724,7 @@ def ssprk_step(pairs, lo, hi, dt_max):
         if stage:
             grads = [st.gradients(u, lo, hi) for st, u in pairs]
         for (st, u), g in zip(pairs, grads):
-            st.step_window(u, lo, hi, tau, g)
+            st.step_window(u, lo, hi, tau, g, 1)
     for (_, u), u_n in zip(pairs, starts):
         u += (u_n - u) / S
     return dt
@@ -758,7 +839,7 @@ def test_windowed_comparison_run_matches_full_grid(monkeypatch, geometry, N, pai
 def windowed_and_reference(monkeypatch, profiles, cfg, absorption):
     """Run comparison_run and the full-grid reference on the same pair and
     assert that their final fields and violations are bit for bit equal.
-    Returns the final fields, the violation and, per stage, the width b - a
+    Returns the final fields, the violation and, per step, the width b - a
     of the window that holds both fields' columns."""
     ref_a, ref_b, ref_violation = reference_comparison_run(*profiles, cfg, *absorption)
 
@@ -857,25 +938,40 @@ def test_no_stage_reads_or_writes_past_its_window(monkeypatch, entry, p, q, eps)
     # cells that is not the grid's own boundary, must still sit at the
     # floor; the window is taken before every step, and at eps = 0.2 the
     # tail that the floor's diffusivity spreads would cross the padding if
-    # it were taken every STAGES steps instead
+    # it were taken every STAGES steps instead.  A step is one step_window
+    # call; its field is checked before each stage's model.a_eps, which sees
+    # the stages before it, and after the call, which sees the last
     cfg = RunConfig(p, q, 1, eps=eps, h=0.02, L=3.0, t_end=0.14)
-    step_window, windows = solver._Stepper.step_window, []
+    step_window, a_eps, windows, checks, stepping = (solver._Stepper.step_window,
+                                                     model.a_eps, [], [], [])
+
+    def check():
+        st, u, a, b = stepping
+        outside = np.concatenate((u[:a], u[b:]))
+        edges = [u[a]] * (a > 0) + [u[b - 1]] * (b < st.hi_max)
+        assert np.all(outside == st.floor) and np.all(np.array(edges) == st.floor)
+        checks.append(b)
+
+    def checked_a_eps(*args):
+        check()
+        return a_eps(*args)
 
     def checked_step(self, u, a, b, *args):
+        stepping[:] = [self, u, a, b]
         step_window(self, u, a, b, *args)
-        outside = np.concatenate((u[:a], u[b:]))
-        edges = [u[a]] * (a > 0) + [u[b - 1]] * (b < self.hi_max)
-        assert np.all(outside == self.floor) and np.all(np.array(edges) == self.floor)
+        check()
         windows.append(b < self.hi_max)
 
+    monkeypatch.setattr(model, "a_eps", checked_a_eps)
     monkeypatch.setattr(solver._Stepper, "step_window", checked_step)
     if entry == "run":
         run(cfg)
     else:
         comparison_run(model.Bump(H=1.0), model.Bump(H=1.5), cfg)
-    # the run took several windows, and stepped some of them short of the
-    # grid's outer boundary
-    assert len(windows) > solver.STAGES and any(windows)
+    # the run took several steps, each of STAGES stages, and stepped some of
+    # them short of the grid's outer boundary
+    assert len(windows) > 1 and any(windows)
+    assert len(checks) == (solver.STAGES + 1) * len(windows)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -884,23 +980,29 @@ def test_no_stage_exceeds_the_euler_limit(monkeypatch, p, N):
     # the step takes its CFL bound at its first stage only; each later
     # stage's Euler step must still lie within SAFETY of its own monotone
     # limit h^2 / (w D_max), w = stencil_weight, and the pair must stay above
-    # the floor and ordered
+    # the floor and ordered.  A step is one step_window call, and each of its
+    # stages hands its squared face differences h^2 g^2 to model.a_eps
     cfg = RunConfig(p, 2.0, N, h=0.02, L=3.0, t_end=0.25, absorption=False)
-    step_window, cfl, w = solver._Stepper.step_window, [], stencil_weight(cfg.grid())
+    step_window, a_eps, w = solver._Stepper.step_window, model.a_eps, stencil_weight(cfg.grid())
+    taus, cfl = [], []
 
-    def measured_step(self, u, a, b, tau, grads):
-        # grads[1] holds the squared face differences h^2 g^2
-        dmax = model.effective_diffusivity(float(grads[1].max()) / cfg.h ** 2, self.eps,
-                                           self.p)
-        cfl.append(tau * w * dmax / cfg.h ** 2)
-        step_window(self, u, a, b, tau, grads)
+    def measured_step(self, u, a, b, tau, grads, stages):
+        taus.append(tau)
+        step_window(self, u, a, b, tau, grads, stages)
+
+    def measured_a_eps(s, *args):
+        dmax = model.effective_diffusivity(float(s.max()) / cfg.h ** 2, cfg.eps, p)
+        cfl.append(taus[-1] * w * dmax / cfg.h ** 2)
+        return a_eps(s, *args)
 
     states, init = [], solver.initial_state
     monkeypatch.setattr(solver, "initial_state",
                         lambda *args: states.append(init(*args)) or states[-1])
     monkeypatch.setattr(solver._Stepper, "step_window", measured_step)
+    monkeypatch.setattr(model, "a_eps", measured_a_eps)
     rep = comparison_run(model.Bump(H=1.0), model.Bump(H=1.5), cfg)
-    assert len(cfl) > solver.STAGES and max(cfl) <= solver.SAFETY * (1.0 + 1e-12)
+    assert len(taus) > 1 and len(cfl) == solver.STAGES * len(taus)
+    assert max(cfl) <= solver.SAFETY * (1.0 + 1e-12)
     assert rep["max_violation"] == 0.0
     assert all(np.all(s.values >= s.floor) for s in states)
 
@@ -970,6 +1072,21 @@ def test_floor_cells_stay_exact(p, q):
             assert np.any(new[14:26] != bump[14:26])
 
 
+def test_zero_gradients_absorb_exactly_nothing():
+    # b_eps subtracts its offset (2 eps h)^q, taken by the stage's own
+    # power, so it is exactly 0 where sc = 0, on zero arrays of every length
+    # from 1 to 40, which cover numpy's SIMD body and its tail; Python's **
+    # and np.power round the offset apart at some (eps, h, q), such as
+    # eps = 0.2, h = 0.02, q = 1.5
+    for eps in (1e-3, 1e-5, 0.2, 0.3):
+        for h in (0.0025, 0.005, 0.01, 0.02, 0.03, 0.05):
+            for q in (1.2, 1.5, 1.6, 3.0):
+                st = solver._Stepper(ProblemParams(3.0, q, 1, eps), Grid(h, 40, 1), True)
+                for m in range(1, 41):
+                    absorbed = model.b_eps(np.zeros(m), st.eps_b, q, np.empty(m), st.b_consts)
+                    assert not np.any(absorbed), (eps, h, q, m)
+
+
 # a batch of three columns of their own p and q, one of them without
 # absorption, on their own clocks
 BATCH = (ProblemParams(3.0, 1.6, 2), ProblemParams(3.5, 2.0, 2), ProblemParams(4.0, 1.2, 2))
@@ -1015,17 +1132,30 @@ def test_a_step_allocates_nothing():
 def test_window_end_fluxes_vanish_past_the_origin(monkeypatch):
     # the annulus's window starts past cell 0, and in its early steps ends
     # short of the pinned cell; by the padding invariant the fluxes through
-    # both of its end faces are exactly 0, so a stage books no outflow there
+    # both of its end faces are exactly 0, so a stage books no outflow
+    # there.  Each stage's fluxes are read when it calls model.b_eps, after
+    # it has formed them (the CFL rule's own b_eps calls come between steps)
     cfg = RunConfig(3.0, 1.5, 1, eps=1e-5, h=0.01, L=9.0, t_end=0.5,
                     profile="annulus:R0=4,R1=6,H=1")
-    step_window, ends = solver._Stepper.step_window, []
+    step_window, b_eps, ends, stepping, steps = (solver._Stepper.step_window, model.b_eps,
+                                                 [], [], [])
 
     def checked(self, u, a, b, *args):
+        stepping[:] = [self, a, b]
+        steps.append(a)
         step_window(self, u, a, b, *args)
-        ends.append((a, b < self.hi_max, self.flux[0], self.flux[b - a]))
+        stepping.clear()
+
+    def checked_b_eps(*args):
+        if stepping:
+            st, a, b = stepping
+            ends.append((a, b < st.hi_max, st.flux[0], st.flux[b - a]))
+        return b_eps(*args)
 
     monkeypatch.setattr(solver._Stepper, "step_window", checked)
+    monkeypatch.setattr(model, "b_eps", checked_b_eps)
     state, _ = run(cfg)
+    assert len(ends) == solver.STAGES * len(steps)
     assert ends and all(a > 0 and short for a, short, _, _ in ends)
     assert all(first == 0.0 and last == 0.0 for _, _, first, last in ends)
     assert state.boundary_out == 0.0 and state.absorbed_mass > 0.0

@@ -83,16 +83,33 @@ def test_advance_calls_only_the_window_and_the_step_of_its_stepper():
 LEDGERS = ("absorbed_cells", "outflow", "ledgers", "absorbed", "boundary_out")
 
 
-def test_step_books_no_ledger():
-    # the stages add to the ledgers' running sums and _Stepper.ledgers alone
-    # weights them, so the step names no ledger
+def stepper_step():
+    """The AST of _Stepper.step."""
     tree = ast.parse((ROOT / "src" / "gradabs" / "solver.py").read_text())
     stepper = next(node for node in tree.body
                    if isinstance(node, ast.ClassDef) and node.name == "_Stepper")
-    step = next(item for item in stepper.body
+    return next(item for item in stepper.body
                 if isinstance(item, ast.FunctionDef) and item.name == "step")
-    names = [node.attr for node in ast.walk(step) if isinstance(node, ast.Attribute)]
+
+
+def test_step_books_no_ledger():
+    # the stages add to the ledgers' running sums and _Stepper.ledgers alone
+    # weights them, so the step names no ledger
+    names = [node.attr for node in ast.walk(stepper_step()) if isinstance(node, ast.Attribute)]
     assert "step_window" in names and not set(names) & set(LEDGERS)
+
+
+def test_step_runs_its_stages_in_one_step_window_call():
+    # the stage loop lives in step_window, so the step holds no loop and
+    # calls step_window once, outside any comprehension
+    step = stepper_step()
+    loops = [node for node in ast.walk(step) if isinstance(node, (ast.For, ast.While))]
+    calls = [node for node in ast.walk(step) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "step_window"]
+    looped = [call for node in ast.walk(step)
+              if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
+              for call in ast.walk(node) if call in calls]
+    assert loops == [] and len(calls) == 1 and looped == []
 
 
 def test_every_criterion_has_its_acceptance_test():
