@@ -48,8 +48,11 @@ recording times (a sweep's (p, q) cells) as the columns of one C-contiguous
 advances them all, each by its own dt; and `comparison_run` its two fields
 as the columns of one (n, 2) array on one clock, so that both advance in
 lockstep with a shared dt.  A column of a batch whose clock has reached the
-record time takes dt = 0, an exact no-op, and a column that fails leaves
-the array by the end of its step.  A stage writes into the stepper's own
+record time takes dt = 0, an exact no-op.  No method of `_Stepper` raises:
+a step returns each clock it failed in `failed`, and `_record` makes the
+error the field's outcome, which `run` raises and `run_batch` returns (a
+failed batch column leaves the array by the end of its step), and
+`comparison_run` raises it.  A stage writes into the stepper's own
 scratch arrays, model.a_eps and model.b_eps included, through views that
 are formed once per array and window, and the step's combination writes
 into u^n and u, so a step allocates nothing.  The face differences and the
@@ -65,7 +68,7 @@ eps h and 2 eps h, so that model.a_eps(d^2) = h^(p-2) a_eps(g^2) and
 model.b_eps(sc) = (2h)^q b_eps(gc^2), each still exactly 0 where d = 0 or
 sc = 0.  The powers of h return as scalars: the flux difference is
 multiplied by one window operand W = tau h^(1-p) / (r^(N-1) h), formed
-once per tau, array and window (in practice once per step), the
+once per step_window call, that is once per step, the
 absorption, and with it the absorbed ledger, by tau (2h)^(-q), and the
 outflow and the CFL rule's two maxima by the matching constants.
 The extrema (a step's CFL maxima and comparison gap, a stage's floor-check
@@ -202,8 +205,9 @@ class _Stepper:
     field.  Given one ProblemParams, the fields share it and one clock, and
     a stage's constants are 0-d operands; given a list of k, one per column,
     each column has its own p, q and clock, and the constants are (k,) rows,
-    the exponents a row model.Coefficient.  Views are formed once per array
-    and window."""
+    the exponents a row model.Coefficient.  Either way p, q and the CFL
+    constants are lists, one entry per clock, and a stepper reports a failed
+    clock only in `failed`.  Views are formed once per array and window."""
 
     def __init__(self, params, grid, *absorption):
         self.rows = isinstance(params, list)
@@ -223,19 +227,19 @@ class _Stepper:
         # h^(N-1) over (h/2)^(N-1)) from N = 3 on; a power of two, so exact
         weight = max(2.0, 2.0 ** (grid.N - 1))
         ps, qs, floors = ([getattr(P, x) for P in columns] for x in ("p", "q", "floor"))
-        cfl = [SAFETY * h ** p / weight for p in ps]
-        cap = [SAFETY * f * (2.0 * h) ** q for f, q in zip(floors, qs)]   # dt <= cap / b_max
+        # the CFL rule's exponents and constants, one per clock
+        self.p, self.q = ps, qs
+        self.cfl = [SAFETY * h ** p / weight for p in ps]
+        self.cap = [SAFETY * f * (2.0 * h) ** q for f, q in zip(floors, qs)]   # dt <= cap / b_max
         flux_scale, abs_scale = [h ** (1.0 - p) for p in ps], [(2.0 * h) ** -q for q in qs]
         omega_out = [sphere_area(grid.N) * x for x in flux_scale]
         self.omega_out = omega_out if self.rows else omega_out * k
         faces, cells = (n + 1, k), (n, k)
         if self.rows:
-            # Python floats per column for the CFL rule, rows for the step;
-            # a ufunc reads contiguous (n, k) tables of the rows tau h^(1-p),
-            # tau (2h)^(-q) and the floor limits, not the rows themselves,
-            # which it would broadcast through a buffer; the limit of a
-            # column that has failed is set to -inf
-            self.p, self.q, self.cfl, self.cap = ps, qs, cfl, cap
+            # rows for the step: a ufunc reads contiguous (n, k) tables of
+            # the rows tau h^(1-p), tau (2h)^(-q) and the floor limits, not
+            # the rows themselves, which it would broadcast through a buffer;
+            # the limit of a column that has failed is set to -inf
             self.floor = np.array(floors)
             self.floor_lim = np.repeat([[f - FLOOR_SLACK for f in floors]], n, axis=0)
             self.flux_scale, self.abs_scale = np.array(flux_scale), np.array(abs_scale)
@@ -244,13 +248,12 @@ class _Stepper:
             self.a_consts = model.Coefficient(self.eps_a, [0.5 * (p - 2.0) for p in ps], n + 1)
             self.b_consts = model.Coefficient(self.eps_b, [0.5 * q for q in qs], n)
         else:
-            self.p, self.q, self.cfl, self.cap, self.floor = ps[0], qs[0], cfl[0], cap[0], floors[0]
-            self.flux_scale, self.abs_scale = flux_scale[0], abs_scale[0]
-            # 0-d operands of a stage, written when tau changes: tau h^(1-p)
-            # and tau (2h)^(-q)
+            self.floor, self.flux_scale, self.abs_scale = floors[0], flux_scale[0], abs_scale[0]
+            # 0-d operands of a stage, written once per step_window call:
+            # tau h^(1-p) and tau (2h)^(-q)
             self.tau_flux, self.tau_abs = np.array(0.0), np.array(0.0)
-            self.a_consts = model.Coefficient(self.eps_a, 0.5 * (self.p - 2.0))
-            self.b_consts = model.Coefficient(self.eps_b, 0.5 * self.q)
+            self.a_consts = model.Coefficient(self.eps_a, 0.5 * (ps[0] - 2.0))
+            self.b_consts = model.Coefficient(self.eps_b, 0.5 * qs[0])
             if k == 1:
                 faces, cells = (n + 1,), (n,)
         # k > 1 fields, and every row stepper's, take C-contiguous (n(+1), k)
@@ -278,7 +281,7 @@ class _Stepper:
         # tau h^(1-p) / (r^(N-1) h), u^n of an SSPRK step and S as a 0-d operand
         self.w, self.u_n = np.empty(cells), np.empty(cells)
         self.stages = np.array(float(STAGES))
-        self._u, self._a, self._b, self._tau = None, -1, -1, None
+        self._u, self._a, self._b = None, -1, -1
         self.absorbed_cells, self.outflow = np.zeros(cells), [0.0] * k
         self.failed = {}
 
@@ -312,7 +315,7 @@ class _Stepper:
                             self.div[:m], self.inv_rch[a:b], self.w[:m], u[a:b],
                             self.babs[:m], self.absorbed_cells[a:b],
                             self.a_consts.window(m + 1), self.b_consts.window(m), *operands)
-        self._u, self._a, self._b, self._tau = u, a, b, None
+        self._u, self._a, self._b = u, a, b
 
     # -- gradients and CFL ---------------------------------------------------
 
@@ -334,75 +337,65 @@ class _Stepper:
         return self._grads
 
     def stable_dt_from(self, s, sc):
-        """Euler stage bound SAFETY * h^2 / (max(2, 2^(N-1)) D_max), capped
-        so one absorption stage cannot undershoot the floor;
+        """Each clock's Euler stage bound SAFETY * h^2 / (max(2, 2^(N-1))
+        D_max), capped so one absorption stage cannot undershoot the floor;
         effective_diffusivity and b_eps are increasing in s, so the face/cell
-        maxima suffice, and the maxima over all columns give the least of
-        their bounds.  On the folded s and sc they return h^(p-2) D and
-        (2h)^q b, which cfl and cap absorb.  A NaN gradient gives dt = NaN,
-        and maxima whose coefficients overflow a float raise NumericalError.
-        A row stepper returns a list, each column's bound from its own
-        maxima, p and q; a column whose coefficients overflow is failed (in
-        `failed`) and bound by 0."""
-        if not self.rows:
-            return self._bound(s.item(s.argmax()), None if sc is None else sc.item(sc.argmax()),
-                               self.p, self.q, self.cfl, self.cap)
-        smax = s.max(axis=0).tolist()
-        scmax = [None] * len(smax) if sc is None else sc.max(axis=0).tolist()
+        maxima suffice.  On the folded s and sc they return h^(p-2) D and
+        (2h)^q b, which cfl and cap absorb.  Returns a list: the bound of a
+        run's or a pair's one clock from the maxima over all its columns, or
+        of each column of a row stepper from its own maxima, p and q.  A NaN
+        gradient gives dt = NaN, and a clock whose coefficients overflow a
+        float is failed (in `failed`) and bound by 0."""
+        if self.rows:
+            smax = s.max(axis=0).tolist()
+            scmax = [None] * len(smax) if sc is None else sc.max(axis=0).tolist()
+        else:
+            smax, scmax = [s.item(s.argmax())], [None if sc is None else sc.item(sc.argmax())]
         bounds = []
-        for j, column in enumerate(zip(smax, scmax, self.p, self.q, self.cfl, self.cap)):
+        for j, (sm, scm, p, q, cfl, cap) in enumerate(zip(smax, scmax, self.p, self.q,
+                                                          self.cfl, self.cap)):
             try:
-                bounds.append(self._bound(*column))
-            except NumericalError as exc:
-                self.failed[j] = exc
+                dmax = model.effective_diffusivity(sm, self.eps_a, p)
+                bmax = 0.0 if scm is None else model.b_eps(scm, self.eps_b, q)
+            except OverflowError as exc:
+                self.failed[j] = NumericalError(f"CFL bound overflows a float: {exc}")
                 bounds.append(0.0)
+                continue
+            dt = cfl / dmax
+            bounds.append(min(dt, cap / bmax) if bmax > 0.0 else dt)
         return bounds
-
-    def _bound(self, smax, scmax, p, q, cfl, cap):
-        """The CFL rule of one column, or of columns that share p and q, from
-        its maxima of s and sc (None without absorption)."""
-        try:
-            dmax = model.effective_diffusivity(smax, self.eps_a, p)
-            bmax = 0.0 if scmax is None else model.b_eps(scmax, self.eps_b, q)
-        except OverflowError as exc:
-            raise NumericalError(f"CFL bound overflows a float: {exc}") from None
-        dt = cfl / dmax
-        if bmax > 0.0:
-            dt = min(dt, cap / bmax)
-        return dt
 
     # -- one step on a window, and the active window -------------------------
 
-    def step_window(self, u, a, b, dt, grads, stages):
+    def step_window(self, u, a, b, dt, stages):
         """Advance cells [a, b) by `stages` forward Euler stages of size dt:
-        the first reads grads, this stepper's gradients(u, a, b), and each
-        later one forms its gradients again into the same arrays, by the
-        `_differences` that gradients calls.  dt, a float, or a list of one
-        per column for a row stepper, is bounded by the stable_dt_from of
-        the first stage of the step.  Every stage checks the floor, and a
-        window that ends at the pinned cell books each stage's outflow.
+        the first reads the gradients of this stepper's last
+        gradients(u, a, b) call, and each later one forms them again into the
+        same arrays, by the `_differences` that gradients calls.  dt, a
+        float, or a list of one per column for a row stepper, is bounded by
+        the stable_dt_from of the first stage of the step.  Every stage checks
+        the floor, and a window that ends at the pinned cell books each
+        stage's outflow.
 
         Cells outside [a, b) must be at the floor beyond one padding cell so
         that the omitted fluxes vanish identically; so do the fluxes through
-        face a and through a face b short of the pinned cell.  A row
-        stepper's column that undershoots its floor is failed (in `failed`),
-        not raised, and its floor check is off for the rest of the step.
+        face a and through a face b short of the pinned cell.  A clock that
+        undershoots its floor is failed (in `failed`): a run's or a pair's
+        one clock ends the call, and a row stepper's column runs the
+        remaining stages with its floor check off.
         """
         self._bind(u, a, b)
-        d, s, sc = grads
+        d, s, sc = self._grads
         grad_views = self._grad_views
         (flux, flux_right, flux_left, rw, div, inv_rch, w, uw, babs, absorbed,
          a_consts, b_consts, tau_flux, tau_abs, below, floor_lim) = self._step_views
-        if dt is not self._tau:
-            # the stage's operands, formed once per tau, array and window;
-            # tau_flux and tau_abs are a row stepper's tables, else the 0-d
-            # operands themselves
-            np.multiply(dt, self.flux_scale, self.tau_flux)
-            np.multiply(dt, self.abs_scale, self.tau_abs)
-            np.copyto(tau_flux, self.tau_flux)
-            np.copyto(tau_abs, self.tau_abs)
-            np.multiply(inv_rch, tau_flux, w)
-            self._tau = dt
+        # the stage's operands; tau_flux and tau_abs are a row stepper's
+        # tables, else the 0-d operands themselves
+        np.multiply(dt, self.flux_scale, self.tau_flux)
+        np.multiply(dt, self.abs_scale, self.tau_abs)
+        np.copyto(tau_flux, self.tau_flux)
+        np.copyto(tau_abs, self.tau_abs)
+        np.multiply(inv_rch, tau_flux, w)
         outflow, eps_a, p, eps_b, q = b == self.hi_max, self.eps_a, self.p, self.eps_b, self.q
 
         for stage in range(stages):
@@ -433,9 +426,9 @@ class _Stepper:
                 continue
             umin = uw.item(uw.argmin())
             if umin < self.floor - FLOOR_SLACK:
-                raise FloorViolationError(
-                    f"floor violated by {self.floor - umin:.3e} at t-step dt={dt:.3e}"
-                )
+                self.failed[0] = FloorViolationError(
+                    f"floor violated by {self.floor - umin:.3e} at t-step dt={dt:.3e}")
+                return
 
     def _book_outflow(self, flux, dt):
         """Add each column's outflow through the pinned cell's face."""
@@ -446,7 +439,7 @@ class _Stepper:
 
     def _fail_below(self, uw, below, dt):
         """Fail each column of a row stepper that undershot its floor, with
-        the error its field alone would raise, from its own minimum, read by
+        the error its field alone would record, from its own minimum, read by
         index as there (a NaN read first is no undershoot), and its own tau."""
         for j in np.flatnonzero(below.any(axis=0)).tolist():
             column = uw[:, j]
@@ -462,22 +455,20 @@ class _Stepper:
         stepper.  A clock's dt is the lesser of its dt_max and S - 1 times
         the CFL bound of u^n; the step is S Euler stages of tau = dt/(S-1),
         one step_window call, then u += (u^n - u)/S.  Returns (each clock's
-        dt, failed): failed maps each column of a row stepper that the step
-        failed to its error; such a column took the whole step, to be
-        dropped after it."""
-        g = self.gradients(u, a, b)
+        dt, failed): failed maps each clock that the step failed (the one
+        clock of a run or a pair, or a column of a row stepper) to the
+        NumericalError that ends its field's run."""
+        _, s, sc = self.gradients(u, a, b)
         self.failed = {}
-        bound = self.stable_dt_from(g[1], g[2])
+        bounds = self.stable_dt_from(s, sc)
         if self.failed:
-            # a column's coefficients overflow: no column takes this step
+            # a clock's coefficients overflow: no clock takes this step
             return [0.0] * len(dt_max), self.failed
-        dts = [min((STAGES - 1) * x, m)
-               for x, m in zip(bound if self.rows else [bound], dt_max)]
+        dts = [min((STAGES - 1) * x, m) for x, m in zip(bounds, dt_max)]
         taus = [dt / (STAGES - 1) for dt in dts]
-        tau = taus if self.rows else taus[0]
         uw, un = u[a:b], self.u_n[:b - a]
         np.copyto(un, uw)
-        self.step_window(u, a, b, tau, g, STAGES)
+        self.step_window(u, a, b, taus if self.rows else taus[0], STAGES)
         np.subtract(un, uw, un)
         np.divide(un, self.stages, un)
         np.add(uw, un, uw)
@@ -531,7 +522,7 @@ def _advance(stepper, u, clocks, t_target, after_step=None):
     clocks holds the time of all columns of u (one entry) or of each column
     (a row stepper), and is advanced in place; a clock that has reached
     t_target takes exactly dt = 0, an exact no-op.  Calls after_step(a, b),
-    if given, after every step of window [a, b).  Returns the failed columns
+    if given, after every step of window [a, b).  Returns the failed clocks
     of a step that failed any, right after it, for the caller to drop, and
     {} otherwise; returns early once u is at the floor, a steady state."""
     t_stop = t_target - 1e-15 * max(1.0, t_target)
@@ -571,8 +562,9 @@ class RunConfig:
 
     def __post_init__(self):
         """A config that no run can start from is rejected when it is built:
-        a number that is not finite, a step scalar that a float cannot hold,
-        and the checks of ProblemParams, Grid and model.sample_profile."""
+        a number that is not finite, recording times or a step scalar that a
+        float cannot hold, and the checks of ProblemParams, Grid and
+        model.sample_profile."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -583,6 +575,11 @@ class RunConfig:
                          (self.L is None or self.L > 0.0, "L > 0")):
             if not ok:
                 raise InvalidParams(f"need {rule}")
+        try:
+            record_times(self.profile_obj().t0, self.t_end, self.record_start)
+        except OverflowError:
+            raise InvalidParams(f"the recording times from record_start={self.record_start} "
+                                f"to t_end={self.t_end} overflow a float") from None
         grid = self.grid()
         # the powers of h that a stage takes as scalars (_Stepper), checked
         # as Grid checks its radial weights
@@ -687,12 +684,12 @@ def _record(configs, on_record=None, batch=False):
     the NumericalError or InvalidParams that ended its run.
 
     One config that is not a batch steps its state's own array on one clock
-    with 0-d operands, and its stage and CFL failures raise.  A batch steps
-    the fields as the columns of one C-contiguous (n, k) array through a
-    row stepper, each column on its own clock, and copies each column into
-    its state to record it.  A column that fails leaves the array by the end
-    of its step, or at its record, and the others go on bit for bit as they
-    would without it."""
+    with 0-d operands.  A batch steps the fields as the columns of one
+    C-contiguous (n, k) array through a row stepper, each column on its own
+    clock, and copies each column into its state to record it.  A clock
+    that fails, in a step or at its record, gives its config's outcome, and
+    a failed batch column leaves the array then; the others go on bit for
+    bit as they would without it."""
     first, grid = configs[0], configs[0].grid()
     params = [c.params() for c in configs]
     states = [initial_state(P, grid, c.profile_obj()) for P, c in zip(params, configs)]
@@ -811,6 +808,7 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
         gap = u[:b, 0] - u[:b, 1]
         worst = max(worst, gap.item(gap.argmax()))
 
-    _advance(stepper, u, [t0], config.t_end, take_gap)
+    if failed := _advance(stepper, u, [t0], config.t_end, take_gap):
+        raise failed[0]
     ua[:], ub[:] = u[:, 0], u[:, 1]
     return {"max_violation": max(worst, 0.0), "t_end": config.t_end}

@@ -183,6 +183,29 @@ def test_run_and_sweep_reject_step_scalars_floats_cannot_hold(tmp_path, capsys, 
     assert err.endswith(" overflows or underflows\n") and not (tmp_path / "sweep").exists()
 
 
+# recording times that a float cannot hold, t_end / record_start past about
+# 2^1023.75: each config used to create --out and end in an OverflowError
+# traceback (exit 1) from record_times
+RECORD_OVERFLOW = {"record_start_5e-324": "record_start = 5e-324\nt_end = 1",
+                   "record_start_1e-300_t_end_1e10": "record_start = 1e-300\nt_end = 1e10"}
+
+
+@pytest.mark.parametrize("case", RECORD_OVERFLOW)
+def test_run_and_sweep_reject_recording_times_floats_cannot_hold(tmp_path, capsys, case):
+    cfg = tmp_path / "records.cfg"
+    cfg.write_text("p = 3\nq = 2\nh = 0.02\nL = 4\n" + RECORD_OVERFLOW[case] + "\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config: the recording times from record_start=")
+    assert err.endswith(" overflow a float\n") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    # the sweep's base config is parsed whole, so it is rejected before any
+    # cell is formed
+    assert run_cli("sweep", "--p", "3,4", "--q", "2", "--config", str(cfg),
+                   "--out", str(tmp_path / "sweep")) == 2
+    assert capsys.readouterr().err == err and not (tmp_path / "sweep").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_run_and_sweep_reject_config_without_p_or_q(tmp_path, capsys, command):
     # a config without a required key used to end in a TypeError traceback

@@ -28,12 +28,14 @@ def stepper(state, absorption=True):
 
 
 def stable_dt(st, u):
-    return st.stable_dt_from(*st.gradients(u, 0, st.hi_max)[1:])
+    (dt,) = st.stable_dt_from(*st.gradients(u, 0, st.hi_max)[1:])
+    return dt
 
 
 def step(st, u, dt):
     """Advance every unpinned cell of u by dt, in place; returns u."""
-    st.step_window(u, 0, st.hi_max, dt, st.gradients(u, 0, st.hi_max), 1)
+    st.gradients(u, 0, st.hi_max)
+    st.step_window(u, 0, st.hi_max, dt, 1)
     return u
 
 
@@ -209,9 +211,9 @@ def test_absorption_cap_keeps_the_floor_on_steep_runs(monkeypatch, q, profile):
     stable_dt_from, capped = solver._Stepper.stable_dt_from, []
 
     def spy(self, s, sc):
-        dt = stable_dt_from(self, s, sc)
-        capped.append(dt < stable_dt_from(self, s, None))
-        return dt
+        (dt,), (uncapped,) = stable_dt_from(self, s, sc), stable_dt_from(self, s, None)
+        capped.append(dt < uncapped)
+        return [dt]
 
     monkeypatch.setattr(solver._Stepper, "stable_dt_from", spy)
     state, series = run(cfg)
@@ -236,8 +238,10 @@ def test_floor_violation_detected_on_cfl_breach():
     vals = np.full(64, PARAMS.floor)
     vals[:20] += np.linspace(1.0, 0.0, 20)    # steep ramp
     state = solver.State(0.0, vals, PARAMS, grid)
-    with pytest.raises(FloorViolationError):
-        step(stepper(state), vals, 1.0)       # far beyond the stable dt
+    st = stepper(state)
+    step(st, vals, 1.0)                       # far beyond the stable dt
+    assert list(st.failed) == [0] and type(st.failed[0]) is FloorViolationError
+    assert str(st.failed[0]).startswith("floor violated by ")
 
 
 def test_run_zero_profile():
@@ -514,9 +518,10 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p=
     a, b = (0, st.hi_max) if window == "full" else (3, grid.n - 4)
     dt_ref = reference_dt(u0, a, b)
     ref, absorbed, out = reference(u0, a, b, dt_ref)
-    dt = st.stable_dt_from(*st.gradients(u0, a, b)[1:])
+    (dt,) = st.stable_dt_from(*st.gradients(u0, a, b)[1:])
     got = u0.copy()
-    st.step_window(got, a, b, dt_ref, st.gradients(got, a, b), 1)
+    st.gradients(got, a, b)
+    st.step_window(got, a, b, dt_ref, 1)
     assert np.any(got != u0) and out != 0.0
     # bit for bit, absorption on or off: the reference forms the centered
     # difference as the kernel does, the sum of the cell's face differences;
@@ -538,7 +543,8 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p=
     for k, w in ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0)):
         u, other = fields[k], fields[1 - k].copy()
         ref, _, _ = reference(u, *windows[w], dt_ref)
-        reused.step_window(u, *windows[w], dt_ref, reused.gradients(u, *windows[w]), 1)
+        reused.gradients(u, *windows[w])
+        reused.step_window(u, *windows[w], dt_ref, 1)
         assert np.array_equal(fields[1 - k], other)
         assert np.array_equal(u, ref)
 
@@ -557,9 +563,10 @@ def test_step_kernel_matches_plain_reference_at_each_power(geometry, N, absorpti
 def stage_by_stage(monkeypatch, params, grid, flags, u0, a, b, stages):
     """Advance a copy of u0 over cells [a, b) by STAGES Euler stages of the
     CFL bound of u0, through step_window calls of `stages` stages each, the
-    first fed the gradients of u0 and each later call its own.  Returns the
-    field, the absorbed running sums, the outflow and, per failed column,
-    its message and the stage (counted by model.a_eps calls) it failed at."""
+    first after the gradients of u0 and each later call after its own.
+    Returns the field, the absorbed running sums, the outflow and, per
+    failed column, its message and the stage (counted by model.a_eps
+    calls) it failed at."""
     st, u, failed_at = solver._Stepper(params, grid, *flags), u0.copy(), {}
     a_eps, fail_below, count = model.a_eps, solver._Stepper._fail_below, []
 
@@ -574,10 +581,12 @@ def stage_by_stage(monkeypatch, params, grid, flags, u0, a, b, stages):
 
     monkeypatch.setattr(model, "a_eps", counted)
     monkeypatch.setattr(solver._Stepper, "_fail_below", recorded)
-    grads = st.gradients(u, a, b)
-    tau = st.stable_dt_from(grads[1], grads[2])
+    bounds = st.stable_dt_from(*st.gradients(u, a, b)[1:])
+    tau = bounds if st.rows else bounds[0]
     for call in range(solver.STAGES // stages):
-        st.step_window(u, a, b, tau, grads if call == 0 else st.gradients(u, a, b), stages)
+        if call:
+            st.gradients(u, a, b)
+        st.step_window(u, a, b, tau, stages)
     monkeypatch.undo()
     assert len(count) == solver.STAGES
     failed = {j: (str(exc), failed_at[j]) for j, exc in st.failed.items()}
@@ -710,21 +719,49 @@ def test_comparison_run_rejects_profiles_of_other_start_times():
         with pytest.raises(InvalidParams, match="^need two profiles of one start time"):
             comparison_run(*profiles, cfg)
 
+
+# the steep bump of test_run_command_floor_violation, whose first failing
+# stage undershoots the floor, and a bump so high that the CFL maxima of its
+# coefficients overflow a float
+FAILING_RUNS = {
+    "steep": (RunConfig(3.0, 6.0, 1, eps=1e-3, h=0.01, L=6.0, t_end=0.25,
+                        profile="bump:R0=0.25,H=16,m=2"),
+              FloorViolationError, r"^floor violated by 2\.214e-03 at t-step dt=3\.506e-11$"),
+    "overflowing": (RunConfig(5.0, 3.0, 1, h=0.01, L=6.0, t_end=1.0, profile="bump:H=1e150"),
+                    solver.NumericalError, "^CFL bound overflows a float: "),
+}
+
+
+@pytest.mark.parametrize("case", FAILING_RUNS)
+def test_every_entry_point_ends_a_failed_run_with_its_error(case):
+    # a step records its failed clock and raises nothing; the error is the
+    # field's outcome, which run raises, a batch of one returns and
+    # comparison_run, whose pair has one clock, raises
+    config, kind, message = FAILING_RUNS[case]
+    profile = config.profile_obj()
+    with pytest.raises(kind, match=message) as raised:
+        run(config)
+    with pytest.raises(kind) as paired:
+        comparison_run(profile, profile, config)
+    (batched,) = solver.run_batch([config])
+    for exc in (raised.value, paired.value, batched):
+        assert type(exc) is kind and str(exc) == str(raised.value)
+
+
 def ssprk_step(pairs, lo, hi, dt_max):
     """One SSPRK(S, 2) step of every (stepper, field) pair on cells
     [lo, hi), written out plainly: the shared dt from the CFL bounds of u^n,
     S Euler stages of tau = dt/(S-1), then u += (u^n - u)/S.  Returns dt."""
     S = solver.STAGES
-    grads = [st.gradients(u, lo, hi) for st, u in pairs]
-    dt = min((S - 1) * min(st.stable_dt_from(*g[1:]) for (st, _), g in zip(pairs, grads)),
-             dt_max)
+    bounds = [st.stable_dt_from(*st.gradients(u, lo, hi)[1:]) for st, u in pairs]
+    dt = min((S - 1) * min(bound for (bound,) in bounds), dt_max)
     tau = dt / (S - 1)
     starts = [u.copy() for _, u in pairs]
     for stage in range(S):
-        if stage:
-            grads = [st.gradients(u, lo, hi) for st, u in pairs]
-        for (st, u), g in zip(pairs, grads):
-            st.step_window(u, lo, hi, tau, g, 1)
+        for st, u in pairs:
+            if stage:
+                st.gradients(u, lo, hi)
+            st.step_window(u, lo, hi, tau, 1)
     for (_, u), u_n in zip(pairs, starts):
         u += (u_n - u) / S
     return dt
@@ -986,9 +1023,9 @@ def test_no_stage_exceeds_the_euler_limit(monkeypatch, p, N):
     step_window, a_eps, w = solver._Stepper.step_window, model.a_eps, stencil_weight(cfg.grid())
     taus, cfl = [], []
 
-    def measured_step(self, u, a, b, tau, grads, stages):
+    def measured_step(self, u, a, b, tau, stages):
         taus.append(tau)
-        step_window(self, u, a, b, tau, grads, stages)
+        step_window(self, u, a, b, tau, stages)
 
     def measured_a_eps(s, *args):
         dmax = model.effective_diffusivity(float(s.max()) / cfg.h ** 2, cfg.eps, p)

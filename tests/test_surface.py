@@ -83,13 +83,24 @@ def test_advance_calls_only_the_window_and_the_step_of_its_stepper():
 LEDGERS = ("absorbed_cells", "outflow", "ledgers", "absorbed", "boundary_out")
 
 
+def stepper_class():
+    """The AST of the _Stepper class."""
+    tree = ast.parse((ROOT / "src" / "gradabs" / "solver.py").read_text())
+    return next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "_Stepper")
+
+
 def stepper_step():
     """The AST of _Stepper.step."""
-    tree = ast.parse((ROOT / "src" / "gradabs" / "solver.py").read_text())
-    stepper = next(node for node in tree.body
-                   if isinstance(node, ast.ClassDef) and node.name == "_Stepper")
-    return next(item for item in stepper.body
+    return next(item for item in stepper_class().body
                 if isinstance(item, ast.FunctionDef) and item.name == "step")
+
+
+def test_the_stepper_raises_nothing():
+    # a stepper reports every failure of a clock in `failed`, the one
+    # failure channel of each of its entry points, and never raises
+    raises = [node.lineno for node in ast.walk(stepper_class()) if isinstance(node, ast.Raise)]
+    assert raises == []
 
 
 def test_step_books_no_ledger():
