@@ -19,7 +19,8 @@ acceptance runs cut to t = 16, no later stage's Euler step was measured
 above SAFETY = 0.9 of its own monotone limit; the largest was 0.899999, on
 bb_h0025, and 0.8998 at N = 2 and 3 (a test keeps the pure-diffusion
 part).  The stages add their absorption, cell by cell, and their outflow to
-running sums, which `_Stepper.ledgers` alone weights by (S-1)/S = 19/20.
+array running sums by ufuncs, which `_Stepper.ledgers` alone weights by
+(S-1)/S = 19/20.
 
 The diffusion of an Euler stage is monotone under the CFL restriction; its
 absorption, which sees the centered cell gradient (the mean of the cell's
@@ -41,26 +42,28 @@ the one CFL rule, `_Stepper.step_window` the one stage kernel, which runs
 all S stages of a step in one call, `_Stepper.step` the one SSPRK step and
 `_Stepper.ledgers` the one ledger reader.  `_advance` is the one time loop,
 over one array, and calls only `active_window` and `step` of its stepper;
-`_record` is the one record loop, of `run` and `run_batch`.  `run` steps its
+`_record` is the one record loop, of `run` and `run_batch`, whose first pass
+takes the t0 row, so that one body checks every row.  `run` steps its
 field; `run_batch` the fields of configs that share a grid, eps and
 recording times (a sweep's (p, q) cells) as the columns of one C-contiguous
 (n, k) array, each column with its own p, q and clock, so that one stage
 advances them all, each by its own dt; and `comparison_run` its two fields
 as the columns of one (n, 2) array on one clock, so that both advance in
 lockstep with a shared dt.  A column of a batch whose clock has reached the
-record time takes dt = 0, an exact no-op.  No method of `_Stepper` raises:
-a step returns each clock it failed in `failed`, and `_record` makes the
-error the field's outcome, which `run` raises and `run_batch` returns (a
-failed batch column leaves the array by the end of its step), and
-`comparison_run` raises it.  A stage writes into the stepper's own
-scratch arrays, model.a_eps and model.b_eps included, through views that
-are formed once per array and window, and the step's combination writes
-into u^n and u, so a step allocates nothing.  The face differences and the
-centered sums of a window share one buffer, so that one multiply squares
-both.  Every ufunc of a stage gets array operands, 0-d arrays
-for the constants of one p and q (model.Coefficient) and contiguous (n, k)
-tables for the rows of a batch, and its output positionally, not as an out=
-keyword that it would parse on every call.
+record time takes dt = 0, an exact no-op.  No method of `_Stepper` raises: a
+step runs out, checking no floor, a clock that undershot it, and returns it
+in `failed`; `_record` makes the error the field's outcome, which `run`
+raises and `run_batch` returns (a failed batch column leaves the array by
+the end of its step), and `comparison_run` raises it.  A stage writes into
+the stepper's own scratch arrays, model.a_eps and model.b_eps included,
+through views that are formed once per array and window, and the step's
+combination writes into u^n and u, so a step allocates nothing, on any
+window.  The face differences and the centered sums of a window share one
+buffer, so that one multiply squares both.  Every ufunc of a stage gets
+array operands, 0-d arrays for the constants of one p and q
+(model.Coefficient) and contiguous (n, k) tables for the rows of a batch,
+and its output positionally, not as an out= keyword that it would parse on
+every call.
 A stage works in a folded algebra that drops every constant factor from
 its cell loops.  It keeps the face differences d = u_i - u_(i-1) = h g and
 sc = (d_l + d_r)^2 = (2h)^2 gc^2, and its coefficients are regularized by
@@ -198,16 +201,17 @@ def initial_state(params, grid, profile):
 
 
 class _Stepper:
-    """Precomputed geometry, per-step scratch, the ledgers' running sums and
-    the in-place update kernel for one field, a 1-D array, or for k fields
+    """Precomputed geometry, per-step scratch, the ledgers' array running
+    sums and the in-place update kernel for one field, a 1-D array, or k fields
     as the columns of one (n, k) array, each column stepped bit for bit as
     its field alone, with one absorption flag and one pair of ledgers per
     field.  Given one ProblemParams, the fields share it and one clock, and
     a stage's constants are 0-d operands; given a list of k, one per column,
     each column has its own p, q and clock, and the constants are (k,) rows,
     the exponents a row model.Coefficient.  Either way p, q and the CFL
-    constants are lists, one entry per clock, and a stepper reports a failed
-    clock only in `failed`.  Views are formed once per array and window."""
+    constants are lists, one entry per clock, and a failed clock runs its
+    step out and is reported only in `failed`.  Views are formed once per
+    array and window."""
 
     def __init__(self, params, grid, *absorption):
         self.rows = isinstance(params, list)
@@ -232,8 +236,9 @@ class _Stepper:
         self.cfl = [SAFETY * h ** p / weight for p in ps]
         self.cap = [SAFETY * f * (2.0 * h) ** q for f, q in zip(floors, qs)]   # dt <= cap / b_max
         flux_scale, abs_scale = [h ** (1.0 - p) for p in ps], [(2.0 * h) ** -q for q in qs]
-        omega_out = [sphere_area(grid.N) * x for x in flux_scale]
-        self.omega_out = omega_out if self.rows else omega_out * k
+        # omega_N h^(1-p) and tau times it, per clock, for the outflow
+        self.omega_out = np.array([sphere_area(grid.N) * x for x in flux_scale])
+        self.tau_out, self.out_stage = np.zeros(len(ps)), np.empty(k)
         faces, cells = (n + 1, k), (n, k)
         if self.rows:
             # rows for the step: a ufunc reads contiguous (n, k) tables of
@@ -282,7 +287,7 @@ class _Stepper:
         self.w, self.u_n = np.empty(cells), np.empty(cells)
         self.stages = np.array(float(STAGES))
         self._u, self._a, self._b = None, -1, -1
-        self.absorbed_cells, self.outflow = np.zeros(cells), [0.0] * k
+        self.absorbed_cells, self.outflow = np.zeros(cells), np.zeros(k)
         self.failed = {}
 
     def _bind(self, u, a, b):
@@ -309,8 +314,8 @@ class _Stepper:
             operands = (self.tau_tables[0][:m], self.tau_tables[1][:m], self.below[:m],
                         self.floor_lim[:m])
         else:
-            operands = (self.tau_flux, self.tau_abs, None, None)
-        self._step_views = (flux, flux[1:], flux[:-1],
+            operands = (self.tau_flux, self.tau_abs, None, self.floor - FLOOR_SLACK)
+        self._step_views = (flux, flux[1:], flux[:-1], flux[:1].reshape(-1), flux[m:].reshape(-1),
                             self.rw[a:b + 1] if self.weighted else None,
                             self.div[:m], self.inv_rch[a:b], self.w[:m], u[a:b],
                             self.babs[:m], self.absorbed_cells[a:b],
@@ -374,20 +379,20 @@ class _Stepper:
         same arrays, by the `_differences` that gradients calls.  dt, a
         float, or a list of one per column for a row stepper, is bounded by
         the stable_dt_from of the first stage of the step.  Every stage checks
-        the floor, and a window that ends at the pinned cell books each
-        stage's outflow.
+        the floor, and on a window that ends at the pinned cell adds each
+        column's outflow, (f_a - f_b) tau omega_N h^(1-p) of its end-face
+        fluxes, to its running sum by ufuncs, as it adds the absorption.
 
         Cells outside [a, b) must be at the floor beyond one padding cell so
         that the omitted fluxes vanish identically; so do the fluxes through
         face a and through a face b short of the pinned cell.  A clock that
-        undershoots its floor is failed (in `failed`): a run's or a pair's
-        one clock ends the call, and a row stepper's column runs the
-        remaining stages with its floor check off.
+        undershoots its floor is failed (in `failed`) at its first failing
+        stage, and runs the step's other stages with its floor limit at -inf.
         """
         self._bind(u, a, b)
         d, s, sc = self._grads
         grad_views = self._grad_views
-        (flux, flux_right, flux_left, rw, div, inv_rch, w, uw, babs, absorbed,
+        (flux, flux_right, flux_left, flux_a, flux_b, rw, div, inv_rch, w, uw, babs, absorbed,
          a_consts, b_consts, tau_flux, tau_abs, below, floor_lim) = self._step_views
         # the stage's operands; tau_flux and tau_abs are a row stepper's
         # tables, else the 0-d operands themselves
@@ -396,7 +401,9 @@ class _Stepper:
         np.copyto(tau_flux, self.tau_flux)
         np.copyto(tau_abs, self.tau_abs)
         np.multiply(inv_rch, tau_flux, w)
-        outflow, eps_a, p, eps_b, q = b == self.hi_max, self.eps_a, self.p, self.eps_b, self.q
+        pinned, eps_a, p, eps_b, q = b == self.hi_max, self.eps_a, self.p, self.eps_b, self.q
+        if pinned:                  # only a window that books outflow forms tau omega
+            np.multiply(dt, self.omega_out, self.tau_out)
 
         for stage in range(stages):
             if stage:
@@ -409,8 +416,10 @@ class _Stepper:
                 np.multiply(flux, rw, flux)
             np.subtract(flux_right, flux_left, div)
             np.multiply(div, w, div)
-            if outflow:
-                self._book_outflow(flux, dt)
+            if pinned:
+                np.subtract(flux_a, flux_b, self.out_stage)
+                np.multiply(self.out_stage, self.tau_out, self.out_stage)
+                np.add(self.outflow, self.out_stage, self.outflow)
             np.add(uw, div, uw)
 
             if sc is not None:
@@ -423,19 +432,10 @@ class _Stepper:
                 np.less(uw, floor_lim, below)
                 if below.item(below.argmax()):      # any(), read by index
                     self._fail_below(uw, below, dt)
-                continue
-            umin = uw.item(uw.argmin())
-            if umin < self.floor - FLOOR_SLACK:
+            elif (umin := uw.item(uw.argmin())) < floor_lim:
                 self.failed[0] = FloorViolationError(
                     f"floor violated by {self.floor - umin:.3e} at t-step dt={dt:.3e}")
-                return
-
-    def _book_outflow(self, flux, dt):
-        """Add each column's outflow through the pinned cell's face."""
-        taus = dt if self.rows else [dt] * len(self.outflow)
-        first, last = flux[[0, -1]].reshape(2, -1).tolist()
-        self.outflow = [x + tau * omega * (f0 - f1) for x, tau, omega, f0, f1
-                        in zip(self.outflow, taus, self.omega_out, first, last)]
+                floor_lim = -math.inf
 
     def _fail_below(self, uw, below, dt):
         """Fail each column of a row stepper that undershot its floor, with
@@ -475,22 +475,22 @@ class _Stepper:
         return dts, self.failed
 
     def ledgers(self, column=0):
-        """(absorbed, boundary outflow) of a column: the stages' sums times
-        (S-1)/S, the absorbed sum read from a contiguous copy of the column
-        (a strided vdot may round differently)."""
+        """(absorbed, boundary outflow) of a column: both running sums times
+        (S-1)/S, read here alone, the absorbed one from a contiguous copy of
+        the column (a strided vdot may round differently)."""
         weight = (STAGES - 1) / STAGES
         cells = self.absorbed_cells
         if cells.ndim == 2:
             cells = np.ascontiguousarray(cells[:, column])
-        return weight * float(np.vdot(cells, self.cellw)), weight * self.outflow[column]
+        return weight * float(np.vdot(cells, self.cellw)), weight * self.outflow.item(column)
 
     def keep(self, columns):
         """A row stepper of the given columns alone, which carries on their
-        ledgers' running sums."""
+        entries of both running sums."""
         kept = _Stepper([self.params[j] for j in columns], self.grid,
                         *[self.flags[j] for j in columns])
         kept.absorbed_cells[:] = self.absorbed_cells[:, columns]
-        kept.outflow = [self.outflow[j] for j in columns]
+        kept.outflow[:] = self.outflow[columns]
         return kept
 
     def active_window(self, u):
@@ -514,6 +514,19 @@ def _differences(u_right, u_left, inner, d_left, d_right, sums, joint, squares, 
     np.multiply(joint, joint, squares)
     for column in off:
         column.fill(0.0)
+
+
+def _check_squares(u, absorption):
+    """Reject a field, one column or k, whose squares a stage cannot form
+    in a float: those of its face differences and, with absorption, of their
+    centered sums (see _differences).  A NaN is left to the stepper."""
+    d = np.diff(u, axis=0, prepend=u[:1])
+    if absorption:
+        d = np.concatenate((d, d[:-1] + d[1:]))
+    largest = float(np.max(np.abs(d)))
+    if math.isinf(largest * largest):
+        raise InvalidParams(f"the squares of the initial field's differences overflow a "
+                            f"float: the largest is {largest:.3g}")
 
 
 def _advance(stepper, u, clocks, t_target, after_step=None):
@@ -562,9 +575,9 @@ class RunConfig:
 
     def __post_init__(self):
         """A config that no run can start from is rejected when it is built:
-        a number that is not finite, recording times or a step scalar that a
-        float cannot hold, and the checks of ProblemParams, Grid and
-        model.sample_profile."""
+        a number that is not finite, recording times, a step scalar or the
+        squares of the initial field's differences that a float cannot hold,
+        and the checks of ProblemParams, Grid and model.sample_profile."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -591,7 +604,7 @@ class RunConfig:
         if not all(0.0 < x < math.inf for x in scalars):
             raise InvalidParams(f"h^p, h^(1-p), (2h)^q or (2h)^(-q) at h={h}, p={p}, "
                                 f"q={q} overflows or underflows")
-        model.sample_profile(self.profile_obj(), grid, params)
+        _check_squares(initial_state(params, grid, self.profile_obj()).values, self.absorption)
 
     def params(self):
         return ProblemParams(self.p, self.q, self.N, self.eps)
@@ -681,7 +694,8 @@ def _record(configs, on_record=None, batch=False):
     """The one record loop: evolve configs that share a grid, eps and
     recording times, and record each one's observables at the geometric
     times.  Returns one outcome per config: (final state, time series), or
-    the NumericalError or InvalidParams that ended its run.
+    the NumericalError or InvalidParams that ended its run.  One body takes
+    every row, t0's too, at which _advance takes no step.
 
     One config that is not a batch steps its state's own array on one clock
     with 0-d operands.  A batch steps the fields as the columns of one
@@ -701,12 +715,9 @@ def _record(configs, on_record=None, batch=False):
         stepper, u = _Stepper(params[0], grid, *flags), states[0].values
     series = [observe.TimeSeries() for _ in states]
     ref_sups = [float(state.values.max()) - state.floor for state in states]
-    for state, rows, ref_sup in zip(states, series, ref_sups):
-        rows.append(observe.observe(state, ref_sup))
-        if on_record is not None:
-            on_record(state)
     outcomes, live = list(zip(states, series)), list(range(len(states)))
-    clocks = [first.profile_obj().t0] * (len(live) if batch else 1)
+    t0 = first.profile_obj().t0
+    clocks = [t0] * (len(live) if batch else 1)
 
     def drop(failed):
         nonlocal u, stepper, clocks, live
@@ -718,7 +729,7 @@ def _record(configs, on_record=None, batch=False):
             u, stepper = np.ascontiguousarray(u[:, keep]), stepper.keep(keep)
             clocks = [clocks[j] for j in keep]
 
-    for t in record_times(clocks[0], first.t_end, first.record_start):
+    for t in [t0, *record_times(t0, first.t_end, first.record_start)]:
         while live and (failed := _advance(stepper, u, clocks, t)):
             drop(failed)
         failed = {}
@@ -788,7 +799,10 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
     once, and each step makes one CFL and one step_window call, on the union
     of the two fields' active windows.  The gap is taken once per step, below the
     window's end, past which both sit exactly at the floor.  The final
-    fields are copied back into the two initial states' arrays."""
+    fields are copied back into the two initial states' arrays, unless the
+    pair raises: a failed clock's error, NumericalError for a non-finite
+    field at t_end, as a record of run does, or InvalidParams for initial
+    fields whose squares overflow, as RunConfig rejects its own."""
     t0 = profile_a.t0
     if profile_b.t0 != t0 or not config.t_end > t0:
         raise InvalidParams(f"need two profiles of one start time t0 < t_end, got "
@@ -800,6 +814,7 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
         raise InvalidParams("profile_a must lie below profile_b pointwise")
     u = np.stack((ua, ub), axis=1)
     flags = [config.absorption if on is None else on for on in (absorption_a, absorption_b)]
+    _check_squares(u, any(flags))
     stepper = _Stepper(params, grid, *flags)
     worst = 0.0
 
@@ -810,5 +825,8 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
 
     if failed := _advance(stepper, u, [t0], config.t_end, take_gap):
         raise failed[0]
+    if not np.all(np.isfinite(u)):
+        # a NaN dt ends the advance at once, and max() drops a NaN gap
+        raise NumericalError(f"non-finite field at t={config.t_end:g}")
     ua[:], ub[:] = u[:, 0], u[:, 1]
     return {"max_violation": max(worst, 0.0), "t_end": config.t_end}

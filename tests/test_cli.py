@@ -183,6 +183,30 @@ def test_run_and_sweep_reject_step_scalars_floats_cannot_hold(tmp_path, capsys, 
     assert err.endswith(" overflows or underflows\n") and not (tmp_path / "sweep").exists()
 
 
+# initial fields whose face differences (3.85e305 and 1.54e298 at most)
+# square past a float: the first config used to create --out and end in an
+# InvalidParams traceback (exit 1) at the t0 record, the second in numpy
+# overflow warnings and "non-finite field at t=0.0625" (exit 3)
+SQUARES_OVERFLOW = {
+    "H_1e308": "h = 0.01\nL = 12\nt_end = 1\nprofile = bump:R0=4,H=1e308,m=2",
+    "H_1e300": "h = 0.005\nL = 6\nprofile = bump:R0=1,H=1e300,m=2",
+}
+
+
+@pytest.mark.parametrize("case", SQUARES_OVERFLOW)
+def test_run_and_sweep_reject_initial_fields_whose_squares_overflow(tmp_path, capsys, case):
+    cfg = tmp_path / "squares.cfg"
+    cfg.write_text("p = 3\nq = 2\n" + SQUARES_OVERFLOW[case] + "\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    assert run_cli("sweep", "--p", "3", "--q", "2", "--config", str(cfg),
+                   "--out", str(tmp_path / "sweep")) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: bad config: the squares of the initial field's differences "
+                     "overflow a float: the largest is ") == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "sweep").exists()
+
+
 # recording times that a float cannot hold, t_end / record_start past about
 # 2^1023.75: each config used to create --out and end in an OverflowError
 # traceback (exit 1) from record_times

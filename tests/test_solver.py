@@ -528,7 +528,7 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p=
     # the stage books each cell's absorption in that cell's ledger entry, and
     # outflow only on a window that ends at the pinned cell (the interior
     # window's end fluxes are not 0 here, since the bump fills the grid)
-    assert st.outflow == [out if b == st.hi_max else 0.0]
+    assert st.outflow.tolist() == [out if b == st.hi_max else 0.0]
     assert np.array_equal(got, ref)
     assert dt == dt_ref and np.array_equal(st.absorbed_cells[a:b], absorbed)
     assert not st.absorbed_cells[:a].any() and not st.absorbed_cells[b:].any()
@@ -590,7 +590,7 @@ def stage_by_stage(monkeypatch, params, grid, flags, u0, a, b, stages):
     monkeypatch.undo()
     assert len(count) == solver.STAGES
     failed = {j: (str(exc), failed_at[j]) for j, exc in st.failed.items()}
-    return u, st.absorbed_cells, st.outflow, failed
+    return u, st.absorbed_cells, st.outflow.tolist(), failed
 
 
 # name -> params, absorption flags, one profile per column, h, L
@@ -746,6 +746,74 @@ def test_every_entry_point_ends_a_failed_run_with_its_error(case):
     (batched,) = solver.run_batch([config])
     for exc in (raised.value, paired.value, batched):
         assert type(exc) is kind and str(exc) == str(raised.value)
+
+
+@pytest.mark.parametrize("entry", ["run", "comparison_run"])
+def test_a_failed_clock_runs_its_step_out(monkeypatch, entry):
+    # the steep bump's one clock undershoots at an early stage of its last
+    # step, then runs the step's remaining stages with its floor check off:
+    # the step makes all S model.a_eps calls, some of them after the
+    # failure, and the error keeps the first failing stage's message
+    config, kind, message = FAILING_RUNS["steep"]
+    a_eps, step_window, stepping, failed_before = model.a_eps, solver._Stepper.step_window, [], []
+
+    def counted(*args):
+        failed_before.append(bool(stepping[0].failed))
+        return a_eps(*args)
+
+    def recorded(self, *args):
+        stepping[:] = [self]
+        failed_before.clear()
+        step_window(self, *args)
+
+    monkeypatch.setattr(model, "a_eps", counted)
+    monkeypatch.setattr(solver._Stepper, "step_window", recorded)
+    profile = config.profile_obj()
+    with pytest.raises(kind, match=message) as raised:
+        run(config) if entry == "run" else comparison_run(profile, profile, config)
+    assert type(raised.value) is kind and list(stepping[0].failed) == [0]
+    assert len(failed_before) == solver.STAGES and True in failed_before
+    assert not failed_before[0]
+
+
+def test_comparison_run_raises_on_a_non_finite_field(monkeypatch):
+    # a NaN in the lower field gives dt = NaN, which ends the advance at
+    # once, and max() would drop the NaN gap: the pair raises as run does
+    # at its next record, with no report and no copy-back of the fields
+    cfg = RunConfig(3.0, 2.0, 1, h=0.01, L=6.0, t_end=0.1)
+    states, starts, init = [], [], solver.initial_state
+
+    def poisoned(*args):
+        states.append(init(*args))
+        if len(states) == 1:
+            states[0].values[0] = np.nan
+        starts.append(states[-1].values.copy())
+        return states[-1]
+
+    monkeypatch.setattr(solver, "initial_state", poisoned)
+    with pytest.raises(solver.NumericalError, match="^non-finite field at t=0.1$") as info:
+        comparison_run(model.Bump(H=1.0), model.Bump(H=1.5), cfg)
+    assert type(info.value) is solver.NumericalError and len(states) == 2
+    for state, start in zip(states, starts):
+        assert np.array_equal(state.values, start, equal_nan=True)
+
+
+def test_comparison_run_rejects_fields_whose_squares_overflow():
+    # the squares of these bumps' face differences overflow a float; the
+    # pair used to step them into 122 NaN cells per field and report 0.0
+    cfg = RunConfig(3.0, 2.0, 1, h=0.01, L=6.0, t_end=0.1)
+    with pytest.raises(InvalidParams, match="^the squares of the initial field's differences"):
+        comparison_run(model.Bump(H=1e300), model.Bump(H=1.5e300), cfg)
+
+
+def test_run_detects_support_overflow_at_t0(monkeypatch):
+    # the t0 row goes through the checks of every record, so a support that
+    # already passes 0.9 L fails before any step, and on_record sees nothing
+    cfg = RunConfig(3.0, 2.0, 1, h=0.02, L=1.2, t_end=1.0, profile="bump:R0=1.15,H=1,m=2")
+    recorded, steps = [], count_calls(monkeypatch, "step")
+    with pytest.raises(SupportOverflowError, match=r"at t=0; enlarge L$"):
+        run(cfg, on_record=recorded.append)
+    assert recorded == [] and steps == {"step": 0}
 
 
 def ssprk_step(pairs, lo, hi, dt_max):
@@ -935,6 +1003,10 @@ def test_run_books_outflow_through_the_pinned_cell(geometry, absorption):
         u, absorbed, out = reference_run(cfg)
         assert np.array_equal(state.values, u)
         assert state.absorbed_mass == absorbed and state.boundary_out == out
+        # the stages sum it by ufuncs on the two end-face fluxes, bit for
+        # bit as x + tau omega (f_a - f_b) summed in Python floats
+        assert state.boundary_out == {True: 1.438248488903603e-10,
+                                      False: 1.7830509635393992e-10}[absorption]
     else:
         # on the line [-L, L] the same mass leaves through both ends
         (u,), ((absorbed, out),), _ = line_reference_run(
@@ -1155,14 +1227,21 @@ def test_a_step_allocates_nothing():
             st.active_window = lambda u, window=(0, st.hi_max): window
             steps, clocks = [], [0.0] * (len(absorption) if st.rows else 1)
             solver._advance(st, u, clocks, 1e-6)
+
+            def spans(a, b, hi=st.hi_max):
+                # a bool, not the width: an int past 256 would be a new
+                # object kept per step, at n = 2002 alone
+                steps.append(a == 0 and b == hi)
+
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
-                solver._advance(st, u, clocks, 1e-3, lambda a, b: steps.append(b - a))
+                solver._advance(st, u, clocks, 1e-3, spans)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert len(steps) >= 5 and steps[0] == n - 1 and clocks == [1e-3] * len(clocks)
+            # every step books outflow, on a window that ends at the pinned cell
+            assert len(steps) >= 5 and all(steps) and clocks == [1e-3] * len(clocks)
         assert peaks[1] - peaks[0] < 1000, (N, absorption, peaks)
 
 

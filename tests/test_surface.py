@@ -103,6 +103,28 @@ def test_the_stepper_raises_nothing():
     assert raises == []
 
 
+def test_step_window_runs_every_stage_of_a_failed_clock():
+    # a clock that undershoots is recorded and runs its step out with its
+    # floor check off, in every layout, so the stage kernel never returns
+    # early
+    window = next(item for item in stepper_class().body
+                  if isinstance(item, ast.FunctionDef) and item.name == "step_window")
+    returns = [node.lineno for node in ast.walk(window) if isinstance(node, ast.Return)]
+    assert returns == []
+
+
+def test_record_takes_every_row_in_one_body():
+    # t0 is the record loop's first pass, so one observe call takes every
+    # row, t0's included, behind the same checks
+    tree = ast.parse((ROOT / "src" / "gradabs" / "solver.py").read_text())
+    record = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_record")
+    calls = [node.lineno for node in ast.walk(record) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "observe"
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "observe"]
+    assert len(calls) == 1, calls
+
+
 def test_step_books_no_ledger():
     # the stages add to the ledgers' running sums and _Stepper.ledgers alone
     # weights them, so the step names no ledger
