@@ -1,10 +1,10 @@
 """The acceptance battery: twelve scripted checks.  Six of them, the decay,
-support, gradient and L1 laws, judge a cached run by `fit.verdict`, the law
-table that also judges `gradabs run`, `sweep` and `fit`: each passes iff the
-verdicts on the columns it gates pass.  The others cover exponent
-arithmetic, solver fidelity against the exact source solution, dead-core
-persistence, the discrete comparison principle, mass balance, and the
-proof-machinery scans.
+support, gradient and L1 laws, are the rows of `AcceptanceLab.LAW_GATES`:
+each passes iff `fit.verdict`, the law table that also judges `gradabs
+run`, `sweep` and `fit`, passes every (run, column) that its row gates.  The
+others cover exponent arithmetic, solver fidelity against the exact source
+solution, dead-core persistence, the discrete comparison principle, mass
+balance, and the proof-machinery scans.
 
 Every simulation a criterion reads is a named entry of `AcceptanceLab.RUNS`,
 simulated once per laboratory by `AcceptanceLab.simulation`, so criteria
@@ -43,8 +43,8 @@ def _barenblatt_config(h, t_end, L):
 
 
 class AcceptanceLab:
-    """The battery's simulations, each run once per laboratory, plus one
-    method per criterion."""
+    """The battery's simulations, each run once per laboratory, and its
+    CRITERIA in battery order: a LAW_GATES row or a method per criterion."""
 
     # every simulation a criterion reads.  Pure diffusion from the source
     # solution: two short runs for the sup error and its h-refinement, one
@@ -69,6 +69,15 @@ class AcceptanceLab:
         "deadcore": solver.RunConfig(3.0, 1.5, 1, eps=1e-5, h=0.01, L=9.0,
                                      t_end=256.0,
                                      profile="annulus:R0=4,R1=6,H=1"),
+    }
+
+    LAW_GATES = {
+        "pure-diffusion-support": (("bb_long", "rho"),),
+        "subcritical-decay": (("q16", "sup_excess"),),
+        "radial-gradient-constant": (("q25", "grad_beta"),),
+        "l1-dichotomy": (("q30", "l1_excess"), ("q15", "l1_excess")),
+        "localization": (("q15", "rho"),),
+        "intermediate-support": (("q225", "rho"), ("q225", "l1_excess")),
     }
 
     def __init__(self):
@@ -130,7 +139,7 @@ class AcceptanceLab:
                     f"{ratio:.2f} (>=1.7), decay exponent {res.exponent:.4f} "
                     f"(within 0.02 of {want:g})")
 
-    def _law_gate(self, *gates):
+    def _law_gate(self, gates):
         """Pass iff fit.verdict passes each (run, column) of gates on the
         cached run; the details quote each verdict."""
         ok, parts = True, []
@@ -141,24 +150,6 @@ class AcceptanceLab:
             ok &= v.passed
             parts.append(f"{name} {column}: {v.fitted} vs {v.predicted}")
         return ok, "; ".join(parts)
-
-    def check_pure_diffusion_support(self):
-        return self._law_gate(("bb_long", "rho"))
-
-    def check_subcritical_decay(self):
-        return self._law_gate(("q16", "sup_excess"))
-
-    def check_radial_gradient_constant(self):
-        return self._law_gate(("q25", "grad_beta"))
-
-    def check_l1_dichotomy(self):
-        return self._law_gate(("q30", "l1_excess"), ("q15", "l1_excess"))
-
-    def check_localization(self):
-        return self._law_gate(("q15", "rho"))
-
-    def check_intermediate_support(self):
-        return self._law_gate(("q225", "rho"), ("q225", "l1_excess"))
 
     def check_deadcore(self):
         _, _, core = self.simulation("deadcore")
@@ -197,12 +188,8 @@ class AcceptanceLab:
     CRITERIA = {
         "exponents": check_exponents,
         "barenblatt": check_barenblatt,
-        "pure-diffusion-support": check_pure_diffusion_support,
-        "subcritical-decay": check_subcritical_decay,
-        "radial-gradient-constant": check_radial_gradient_constant,
-        "l1-dichotomy": check_l1_dichotomy,
-        "localization": check_localization,
-        "intermediate-support": check_intermediate_support,
+        **{name: (lambda lab, gates=gates: lab._law_gate(gates))
+           for name, gates in LAW_GATES.items()},
         "deadcore": check_deadcore,
         "comparison": check_comparison,
         "mass-balance": check_mass_balance,

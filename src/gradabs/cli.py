@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import acceptance, bernstein, fit, observe, solver
 from .exponents import (InvalidParams, ProblemParams, classify_regime,
-                        compute_exponents)
+                        compute_exponents, law_row)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,7 +93,7 @@ def _report(config, series, out_dir, label, wall):
     report = {
         "params": {"p": params.p, "q": params.q, "N": params.N,
                    "eps": params.eps, "gamma": params.gamma},
-        "regime": classify_regime(params).value,
+        "regime": law_row(params, fit.absorbing(series)).value,
         "exponents": _exponent_table(params),
         "mass_balance_residual": observe.mass_balance_residual(series),
         "verdicts": [v.as_dict() for v in verdicts],

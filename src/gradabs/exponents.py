@@ -88,6 +88,7 @@ class Regime(Enum):
     INTERMEDIATE = "Intermediate"                  # p-1 < q < q_*
     CRITICAL_MASS = "CriticalMass"                 # q = q_*
     DIFFUSION_DOMINATED = "DiffusionDominated"     # q > q_*
+    PURE_DIFFUSION = "PureDiffusion"               # nothing absorbed, any q
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,12 @@ def classify_regime(params: ProblemParams) -> Regime:
     return Regime.DIFFUSION_DOMINATED
 
 
+def law_row(params: ProblemParams, absorbing) -> Regime:
+    """The law table's row for params and a series: PureDiffusion when it
+    absorbed nothing (absorbing false), whatever q is, else q's regime."""
+    return classify_regime(params) if absorbing else Regime.PURE_DIFFUSION
+
+
 @dataclass(frozen=True)
 class Law:
     """A predicted large-time law for one observable y(t).
@@ -161,28 +168,28 @@ class Law:
 
 
 def predicted_laws(params: ProblemParams, absorbing) -> dict[str, Law]:
-    """The law table's row for params: {column: Law} for each series column
-    it judges, in report order sup_excess, grad_sup, grad_beta (only where a
-    law holds), rho, l1_excess.  A series without absorption (absorbing
-    false) is pure diffusion and takes the diffusion-dominated row whatever
-    q is, with sharp support growth and no grad_beta law.
+    """The law table's row that `law_row` picks for params and a series:
+    {column: Law} for each series column it judges, in report order
+    sup_excess, grad_sup, grad_beta (only where a law holds), rho, l1_excess.
+    The PureDiffusion row is the diffusion-dominated one with sharp support
+    growth and no grad_beta law.
 
-    The sup and gradient decays are bounds, except the diffusion-dominated
-    sup decay, which follows the self-similar source solution and is sharp.
-    grad_beta = |grad u^beta_pq| obeys t^(-1/q) with the explicit constant
-    (q-1)^((q-1)/q)/q wherever beta_pq = (q-1)/q, that is
+    The sup and gradient decays are bounds, except the sup decay of the two
+    diffusive rows, which follows the self-similar source solution and is
+    sharp.  grad_beta = |grad u^beta_pq| obeys t^(-1/q) with the explicit
+    constant (q-1)^((q-1)/q)/q wherever beta_pq = (q-1)/q, that is
     (q-1)/q >= alpha_p.  At q = q_star the exponents xi and eta coincide.
     """
     q, N = params.q, params.N
     ex = compute_exponents(params)
-    regime = classify_regime(params) if absorbing else Regime.DIFFUSION_DOMINATED
-    if regime is Regime.DIFFUSION_DOMINATED:
+    regime = law_row(params, absorbing)
+    if regime in (Regime.DIFFUSION_DOMINATED, Regime.PURE_DIFFUSION):
         laws = {"sup_excess": Law("power", -N * ex.eta),
                 "grad_sup": Law("power_bound", -(N + 1) * ex.eta)}
     else:
         laws = {"sup_excess": Law("power_bound", -N * ex.xi),
                 "grad_sup": Law("power_bound", -(N + 1) * ex.xi)}
-    if absorbing and (q - 1.0) / q >= ex.alpha_p:
+    if regime is not Regime.PURE_DIFFUSION and (q - 1.0) / q >= ex.alpha_p:
         laws["grad_beta"] = Law("amplitude_bound", -1.0 / q,
                                 (q - 1.0) ** ((q - 1.0) / q) / q)
 
@@ -198,8 +205,8 @@ def predicted_laws(params: ProblemParams, absorbing) -> dict[str, Law]:
     elif regime is Regime.CRITICAL_MASS:
         rho = Law("power_bound", ex.eta)
         l1 = Law("inverse_log_power", -1.0 / (q - 1.0))
-    else:
-        rho = Law("power_bound" if absorbing else "power", ex.eta)
+    else:   # the diffusive rows: pure diffusion grows its support sharply
+        rho = Law("power" if regime is Regime.PURE_DIFFUSION else "power_bound", ex.eta)
         l1 = Law("positive_limit")
     laws.update(rho=rho, l1_excess=l1)
     return laws

@@ -121,10 +121,15 @@ class Verdict:
         }
 
 
+def absorbing(series):
+    """Whether series absorbed anything, which picks its law-table row."""
+    return bool(np.any(series.column("absorbed")))
+
+
 def verdict(params: ProblemParams, series, h=None):
     """One pass/fail verdict per law in the row of the law table
     (`predicted_laws`) that applies to params and series; the row is the
-    pure-diffusion one when nothing was absorbed.
+    PureDiffusion one when nothing was absorbed (`absorbing`).
 
     Power laws are fitted on the last DEFAULT_WINDOW_OCTAVES recorded
     octaves: a sharp law passes within EXPONENT_TOL of its exponent on
@@ -147,7 +152,7 @@ def verdict(params: ProblemParams, series, h=None):
             f"(3 octaves past the first positive record) and >= 10 samples"
         )
     window = (float(t[-1]) / 2.0 ** DEFAULT_WINDOW_OCTAVES, float(t[-1]))
-    laws = predicted_laws(params, absorbing=bool(np.any(series.column("absorbed"))))
+    laws = predicted_laws(params, absorbing(series))
     out = []
     for name, law in laws.items():
         y = series.column(name)

@@ -57,13 +57,14 @@ raises and `run_batch` returns (a failed batch column leaves the array by
 the end of its step), and `comparison_run` raises it.  A stage writes into
 the stepper's own scratch arrays, model.a_eps and model.b_eps included,
 through views that are formed once per array and window, and the step's
-combination writes into u^n and u, so a step allocates nothing, on any
-window.  The face differences and the centered sums of a window share one
-buffer, so that one multiply squares both.  Every ufunc of a stage gets
-array operands, 0-d arrays for the constants of one p and q
-(model.Coefficient) and contiguous (n, k) tables for the rows of a batch,
-and its output positionally, not as an out= keyword that it would parse on
-every call.
+combination writes into u^n and u.  The face differences and the centered
+sums of a window share one buffer, so that one multiply squares both.
+Every ufunc of a step gets array operands, the clocks' tau too, which
+step_window writes by item: 0-d arrays for one p and q (model.Coefficient),
+(n, k) tables for a batch's rows.  So it makes no temporary array, on any
+window (a batch's CFL rule alone makes its column maxima), and it takes its
+output positionally, not as an out= keyword that it would parse on every
+call.
 A stage works in a folded algebra that drops every constant factor from
 its cell loops.  It keeps the face differences d = u_i - u_(i-1) = h g and
 sc = (d_l + d_r)^2 = (2h)^2 gc^2, and its coefficients are regularized by
@@ -248,15 +249,17 @@ class _Stepper:
             self.floor = np.array(floors)
             self.floor_lim = np.repeat([[f - FLOOR_SLACK for f in floors]], n, axis=0)
             self.flux_scale, self.abs_scale = np.array(flux_scale), np.array(abs_scale)
+            self.tau = np.zeros(k)          # each column's tau, written by item
             self.tau_flux, self.tau_abs = np.zeros(k), np.zeros(k)
             self.tau_tables, self.below = (np.zeros(cells), np.zeros(cells)), np.empty(cells, bool)
             self.a_consts = model.Coefficient(self.eps_a, [0.5 * (p - 2.0) for p in ps], n + 1)
             self.b_consts = model.Coefficient(self.eps_b, [0.5 * q for q in qs], n)
         else:
-            self.floor, self.flux_scale, self.abs_scale = floors[0], flux_scale[0], abs_scale[0]
-            # 0-d operands of a stage, written once per step_window call:
-            # tau h^(1-p) and tau (2h)^(-q)
-            self.tau_flux, self.tau_abs = np.array(0.0), np.array(0.0)
+            self.floor = floors[0]
+            self.flux_scale, self.abs_scale = np.array(flux_scale[0]), np.array(abs_scale[0])
+            # 0-d operands: the clock's tau, written by item in step_window,
+            # and the stage's tau h^(1-p) and tau (2h)^(-q)
+            self.tau, self.tau_flux, self.tau_abs = np.array(0.0), np.array(0.0), np.array(0.0)
             self.a_consts = model.Coefficient(self.eps_a, 0.5 * (ps[0] - 2.0))
             self.b_consts = model.Coefficient(self.eps_b, 0.5 * qs[0])
             if k == 1:
@@ -394,16 +397,21 @@ class _Stepper:
         grad_views = self._grad_views
         (flux, flux_right, flux_left, flux_a, flux_b, rw, div, inv_rch, w, uw, babs, absorbed,
          a_consts, b_consts, tau_flux, tau_abs, below, floor_lim) = self._step_views
-        # the stage's operands; tau_flux and tau_abs are a row stepper's
-        # tables, else the 0-d operands themselves
-        np.multiply(dt, self.flux_scale, self.tau_flux)
-        np.multiply(dt, self.abs_scale, self.tau_abs)
+        # the stage's operands, from array operands alone: tau_flux and
+        # tau_abs are a row stepper's tables, else the 0-d operands themselves
+        if self.rows:
+            for j, x in enumerate(dt):
+                self.tau[j] = x
+        else:
+            self.tau[()] = dt
+        np.multiply(self.tau, self.flux_scale, self.tau_flux)
+        np.multiply(self.tau, self.abs_scale, self.tau_abs)
         np.copyto(tau_flux, self.tau_flux)
         np.copyto(tau_abs, self.tau_abs)
         np.multiply(inv_rch, tau_flux, w)
         pinned, eps_a, p, eps_b, q = b == self.hi_max, self.eps_a, self.p, self.eps_b, self.q
         if pinned:                  # only a window that books outflow forms tau omega
-            np.multiply(dt, self.omega_out, self.tau_out)
+            np.multiply(self.tau, self.omega_out, self.tau_out)
 
         for stage in range(stages):
             if stage:

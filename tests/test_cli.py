@@ -77,6 +77,41 @@ def test_run_command(tmp_path, capsys):
     assert code in (0, 4)
 
 
+PURE_DIFFUSION_CONFIG = """
+p = 3
+q = 2
+h = 0.02
+L = 8
+t_end = 16
+profile = barenblatt:t0=1
+absorption = off
+record_start = 1
+"""
+
+
+def test_run_reports_the_row_that_judges_a_pure_diffusion_series(tmp_path, capsys):
+    # nothing is absorbed, so the verdicts come from the PureDiffusion row
+    # of the law table, not from the critical-absorption row of q = p - 1,
+    # and the report names the row they read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(PURE_DIFFUSION_CONFIG)
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["regime"] == "PureDiffusion"
+    assert [v["quantity"] for v in report["verdicts"]] == [
+        "sup_excess", "grad_sup", "rho", "l1_excess"]
+
+
+def test_sweep_summary_names_the_row_that_judges_a_pure_diffusion_cell(tmp_path, capsys):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "sweep"
+    cfg.write_text(PURE_DIFFUSION_CONFIG)
+    assert run_cli("sweep", "--p", "3", "--q", "2", "--config", str(cfg),
+                   "--out", str(out)) == 0
+    capsys.readouterr()
+    assert (out / "summary.csv").read_text().splitlines() == [
+        "p,q,regime,status,passes", "3,2,PureDiffusion,ok,4/4"]
+
+
 def test_run_command_short_series_reports_verdict_error(tmp_path, capsys):
     # recording from t = 0.5 to 2 spans only 2 octaves, too short to fit
     cfg = tmp_path / "short.cfg"

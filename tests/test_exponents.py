@@ -6,7 +6,7 @@ import pytest
 from gradabs.exponents import (EQUALITY_TOL, InvalidParams, Law, ProblemParams,
                                Regime, alpha_p, beta_pq, classify_regime,
                                compute_exponents, eta_exponent, gamma_cap,
-                               predicted_laws, q_star, xi_exponent)
+                               law_row, predicted_laws, q_star, xi_exponent)
 from gradabs.observe import CSV_COLUMNS
 
 
@@ -153,7 +153,11 @@ def test_pure_diffusion_takes_the_diffusion_dominated_row():
     del row["grad_beta"]
     row["rho"] = Law("power", row["rho"].exponent)
     for q in (1.5, 2.0, 2.25, 2.5, 3.0):
-        laws = predicted_laws(ProblemParams(3.0, q, 1), absorbing=False)
+        params = ProblemParams(3.0, q, 1)
+        # the row has a name of its own, which classify_regime never gives
+        assert law_row(params, False) is Regime.PURE_DIFFUSION
+        assert law_row(params, True) is classify_regime(params) is not Regime.PURE_DIFFUSION
+        laws = predicted_laws(params, absorbing=False)
         assert laws == row and list(laws) == list(row)
         assert laws["sup_excess"] == Law("power", pytest.approx(-0.25))
         assert laws["rho"] == Law("power", pytest.approx(0.25))

@@ -1,6 +1,7 @@
-"""The battery's laboratory without its simulations.  The six law criteria
-on synthetic series: each passes on a series that obeys the law it gates and
-fails on one that misses the law by more than the table's tolerance.  Mass
+"""The battery's laboratory without its simulations.  The law criteria,
+the rows of AcceptanceLab.LAW_GATES, on synthetic series: each passes on a
+series that obeys the law it gates and fails on one that misses the law by
+more than the table's tolerance, in every cell of its row.  Mass
 balance on synthetic ledgers of every run of the table.  The series are
 seeded into the laboratory's cache, so no simulation runs; the cache itself
 is checked with the solver stubbed."""
@@ -70,6 +71,13 @@ def seeded_lab(criterion, missed=None):
         seed(lab, name, {column: laws[(name, column) == missed]
                          for column, laws in cols.items()})
     return lab
+
+
+def test_cases_gate_exactly_the_cells_of_the_law_gates():
+    # a new row of LAW_GATES fails here until each of its (run, column)
+    # cells has a case that obeys its law and one that misses it
+    assert [(c, gates(c)) for c in CASES] == [
+        (c, list(row)) for c, row in AcceptanceLab.LAW_GATES.items()]
 
 
 @pytest.mark.parametrize("criterion", list(CASES))

@@ -1245,6 +1245,49 @@ def test_a_step_allocates_nothing():
         assert peaks[1] - peaks[0] < 1000, (N, absorption, peaks)
 
 
+class OperandLog:
+    """numpy, with every call that gets a Python float or list as a
+    positional operand logged: each such operand makes a temporary array."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr):
+            return attr
+
+        def logged(*args, **kwargs):
+            scalars = [type(x).__name__ for x in args if isinstance(x, (float, list))]
+            if scalars:
+                self.calls.append((name, *scalars))
+            return attr(*args, **kwargs)
+        return logged
+
+
+@pytest.mark.parametrize("absorption", [(True,), (True, False), (True, False, True)])
+def test_a_step_hands_numpy_no_python_operand(monkeypatch, absorption):
+    # once its first step has bound the views, a step of a run, of an on/off
+    # pair and of a mixed batch passes numpy arrays alone, the dt of each
+    # clock and its scales included, on a window that books outflow
+    k = len(absorption)
+    params = list(BATCH) if k == 3 else ProblemParams(3.0, 1.6, 2)
+    grid = Grid(0.01, 202, 2)
+    wave = 0.5 + 0.25 * np.cos(2.0 * np.pi * grid.centers() / 0.4)
+    fields = [P.floor + (1.0 + 0.25 * j) * wave
+              for j, P in enumerate(params if k == 3 else [params] * k)]
+    u = np.stack(fields, axis=1) if k > 1 else fields[0]
+    st = solver._Stepper(params, grid, *absorption)
+    st.active_window = lambda u, window=(0, st.hi_max): window
+    clocks = [0.0] * (k if st.rows else 1)
+    solver._advance(st, u, clocks, 1e-6)
+    log, steps = OperandLog(), []
+    monkeypatch.setattr(solver, "np", log)
+    assert solver._advance(st, u, clocks, 1e-3, lambda a, b: steps.append(b)) == {}
+    assert len(steps) >= 5 and clocks == [1e-3] * len(clocks)
+    assert log.calls == []
+
+
 def test_window_end_fluxes_vanish_past_the_origin(monkeypatch):
     # the annulus's window starts past cell 0, and in its early steps ends
     # short of the pinned cell; by the padding invariant the fluxes through

@@ -6,6 +6,7 @@ import ast
 from pathlib import Path
 
 from gradabs.acceptance import AcceptanceLab
+from gradabs.observe import CSV_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "gradabs").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
@@ -46,24 +47,42 @@ def test_no_name_is_reached_only_from_tests():
     assert unused == []
 
 
-LAW_CRITERIA = ("check_pure_diffusion_support", "check_subcritical_decay",
-                "check_radial_gradient_constant", "check_l1_dichotomy",
-                "check_localization", "check_intermediate_support")
-
-
 def test_law_criteria_hold_no_bound_of_their_own():
     # exponents, tolerances, windows and caps of the laws live in the law
-    # table (exponents.predicted_laws and fit.verdict) alone
+    # table (exponents.predicted_laws and fit.verdict) alone: a law
+    # criterion is a row of LAW_GATES, which _law_gate judges through the
+    # lambdas of CRITERIA; none of them holds a number, and every gate is a
+    # (run, column) pair that names a simulation of RUNS and a column of the
+    # series
     tree = ast.parse((ROOT / "src" / "gradabs" / "acceptance.py").read_text())
     lab = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "AcceptanceLab")
-    bodies = {item.name: item for item in lab.body
-              if isinstance(item, ast.FunctionDef) and item.name in LAW_CRITERIA}
-    assert sorted(bodies) == sorted(LAW_CRITERIA)
-    literals = [f"{name}: {node.value!r}" for name, body in bodies.items()
-                for node in ast.walk(body) if isinstance(node, ast.Constant)
-                and type(node.value) in (int, float, complex)]
+    assigned = {target.id: item.value for item in lab.body if isinstance(item, ast.Assign)
+                for target in item.targets if isinstance(target, ast.Name)}
+    judge = [item for item in lab.body
+             if isinstance(item, ast.FunctionDef) and item.name == "_law_gate"]
+    lambdas = [node for node in ast.walk(assigned["CRITERIA"]) if isinstance(node, ast.Lambda)]
+    assert len(judge) == 1 and len(lambdas) == 1
+    literals = [node.value for body in [assigned["LAW_GATES"], *judge, *lambdas]
+                for node in ast.walk(body)
+                if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex)]
     assert literals == []
+    assert set(AcceptanceLab.LAW_GATES) <= set(AcceptanceLab.CRITERIA)
+    for row in AcceptanceLab.LAW_GATES.values():
+        assert row and all(len(gate) == 2 for gate in row)
+        assert all(run in AcceptanceLab.RUNS and column in CSV_COLUMNS for run, column in row)
+
+
+def test_only_the_exponents_command_classifies_a_regime():
+    # a run and a sweep cell are labelled by the row of the law table that
+    # judges their series (exponents.law_row), which knows whether it
+    # absorbed anything; classify_regime, of (p, q, N) alone, labels only the
+    # exponent table
+    tree = ast.parse((ROOT / "src" / "gradabs" / "cli.py").read_text())
+    callers = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+               for call in ast.walk(node) if isinstance(call, ast.Call)
+               and getattr(call.func, "id", None) == "classify_regime"]
+    assert callers == ["cmd_exponents"]
 
 
 def test_advance_calls_only_the_window_and_the_step_of_its_stepper():
