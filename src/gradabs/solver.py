@@ -59,12 +59,12 @@ the stepper's own scratch arrays, model.a_eps and model.b_eps included,
 through views that are formed once per array and window, and the step's
 combination writes into u^n and u.  The face differences and the centered
 sums of a window share one buffer, so that one multiply squares both.
-Every ufunc of a step gets array operands, the clocks' tau too, which
-step_window writes by item: 0-d arrays for one p and q (model.Coefficient),
-(n, k) tables for a batch's rows.  So it makes no temporary array, on any
+Every ufunc of a step gets array operands.  A stepper holds its constants
+in per-clock arrays, each clock's tau too, which step_window writes by item:
+one clock hands a stage 0-d views of them (and 0-d model.Coefficients), a
+batch (n, k) tables of its rows.  So a step makes no temporary array, on any
 window (a batch's CFL rule alone makes its column maxima), and it takes its
-output positionally, not as an out= keyword that it would parse on every
-call.
+output positionally, not as an out= keyword that it would parse on every call.
 A stage works in a folded algebra that drops every constant factor from
 its cell loops.  It keeps the face differences d = u_i - u_(i-1) = h g and
 sc = (d_l + d_r)^2 = (2h)^2 gc^2, and its coefficients are regularized by
@@ -206,13 +206,13 @@ class _Stepper:
     sums and the in-place update kernel for one field, a 1-D array, or k fields
     as the columns of one (n, k) array, each column stepped bit for bit as
     its field alone, with one absorption flag and one pair of ledgers per
-    field.  Given one ProblemParams, the fields share it and one clock, and
-    a stage's constants are 0-d operands; given a list of k, one per column,
-    each column has its own p, q and clock, and the constants are (k,) rows,
-    the exponents a row model.Coefficient.  Either way p, q and the CFL
-    constants are lists, one entry per clock, and a failed clock runs its
-    step out and is reported only in `failed`.  Views are formed once per
-    array and window."""
+    field.  Given one ProblemParams, the fields share it and one clock; given
+    a list of k, one per column, each column has its own p, q and clock, and
+    the exponents are a row model.Coefficient.  Either way the clock is the
+    unit of time: p, q, the CFL constants, tau and its scales hold one entry
+    per clock, which one clock hands a stage as 0-d views and a row stepper
+    copies into (n, k) tables, and a failed clock runs its step out and is
+    reported only in `failed`.  Views are formed once per array and window."""
 
     def __init__(self, params, grid, *absorption):
         self.rows = isinstance(params, list)
@@ -236,10 +236,12 @@ class _Stepper:
         self.p, self.q = ps, qs
         self.cfl = [SAFETY * h ** p / weight for p in ps]
         self.cap = [SAFETY * f * (2.0 * h) ** q for f, q in zip(floors, qs)]   # dt <= cap / b_max
-        flux_scale, abs_scale = [h ** (1.0 - p) for p in ps], [(2.0 * h) ** -q for q in qs]
-        # omega_N h^(1-p) and tau times it, per clock, for the outflow
-        self.omega_out = np.array([sphere_area(grid.N) * x for x in flux_scale])
-        self.tau_out, self.out_stage = np.zeros(len(ps)), np.empty(k)
+        # per clock: h^(1-p), (2h)^(-q) and omega_N h^(1-p), for the outflow,
+        # and tau (written by item in step_window) times each
+        self.flux_scale = np.array([h ** (1.0 - p) for p in ps])
+        self.abs_scale = np.array([(2.0 * h) ** -q for q in qs])
+        self.omega_out = sphere_area(grid.N) * self.flux_scale
+        self.tau, self.tau_flux, self.tau_abs, self.tau_out = (np.zeros(len(ps)) for _ in range(4))
         faces, cells = (n + 1, k), (n, k)
         if self.rows:
             # rows for the step: a ufunc reads contiguous (n, k) tables of
@@ -248,18 +250,11 @@ class _Stepper:
             # the limit of a column that has failed is set to -inf
             self.floor = np.array(floors)
             self.floor_lim = np.repeat([[f - FLOOR_SLACK for f in floors]], n, axis=0)
-            self.flux_scale, self.abs_scale = np.array(flux_scale), np.array(abs_scale)
-            self.tau = np.zeros(k)          # each column's tau, written by item
-            self.tau_flux, self.tau_abs = np.zeros(k), np.zeros(k)
             self.tau_tables, self.below = (np.zeros(cells), np.zeros(cells)), np.empty(cells, bool)
             self.a_consts = model.Coefficient(self.eps_a, [0.5 * (p - 2.0) for p in ps], n + 1)
             self.b_consts = model.Coefficient(self.eps_b, [0.5 * q for q in qs], n)
         else:
             self.floor = floors[0]
-            self.flux_scale, self.abs_scale = np.array(flux_scale[0]), np.array(abs_scale[0])
-            # 0-d operands: the clock's tau, written by item in step_window,
-            # and the stage's tau h^(1-p) and tau (2h)^(-q)
-            self.tau, self.tau_flux, self.tau_abs = np.array(0.0), np.array(0.0), np.array(0.0)
             self.a_consts = model.Coefficient(self.eps_a, 0.5 * (ps[0] - 2.0))
             self.b_consts = model.Coefficient(self.eps_b, 0.5 * qs[0])
             if k == 1:
@@ -285,7 +280,7 @@ class _Stepper:
         # next m, so that one multiply squares both into squares
         joint = (2 * n + 1,) + cells[1:] if self.absorption else faces
         self.diffs, self.squares, self.flux = np.zeros(joint), np.empty(joint), np.empty(faces)
-        self.div, self.babs = np.empty(cells), np.empty(cells)
+        self.div, self.babs, self.out_stage = np.empty(cells), np.empty(cells), np.empty(k)
         # tau h^(1-p) / (r^(N-1) h), u^n of an SSPRK step and S as a 0-d operand
         self.w, self.u_n = np.empty(cells), np.empty(cells)
         self.stages = np.array(float(STAGES))
@@ -317,7 +312,8 @@ class _Stepper:
             operands = (self.tau_tables[0][:m], self.tau_tables[1][:m], self.below[:m],
                         self.floor_lim[:m])
         else:
-            operands = (self.tau_flux, self.tau_abs, None, self.floor - FLOOR_SLACK)
+            operands = (self.tau_flux.reshape(()), self.tau_abs.reshape(()), None,
+                        self.floor - FLOOR_SLACK)
         self._step_views = (flux, flux[1:], flux[:-1], flux[:1].reshape(-1), flux[m:].reshape(-1),
                             self.rw[a:b + 1] if self.weighted else None,
                             self.div[:m], self.inv_rch[a:b], self.w[:m], u[a:b],
@@ -344,16 +340,18 @@ class _Stepper:
         _differences(*self._grad_views)
         return self._grads
 
-    def stable_dt_from(self, s, sc):
+    def stable_dt_from(self):
         """Each clock's Euler stage bound SAFETY * h^2 / (max(2, 2^(N-1))
-        D_max), capped so one absorption stage cannot undershoot the floor;
-        effective_diffusivity and b_eps are increasing in s, so the face/cell
-        maxima suffice.  On the folded s and sc they return h^(p-2) D and
-        (2h)^q b, which cfl and cap absorb.  Returns a list: the bound of a
-        run's or a pair's one clock from the maxima over all its columns, or
-        of each column of a row stepper from its own maxima, p and q.  A NaN
-        gradient gives dt = NaN, and a clock whose coefficients overflow a
-        float is failed (in `failed`) and bound by 0."""
+        D_max) of the gradients of the last gradients call, capped so one
+        absorption stage cannot undershoot the floor; effective_diffusivity
+        and b_eps are increasing in s, so the face/cell maxima suffice.  On
+        the folded s and sc they return h^(p-2) D and (2h)^q b, which cfl and
+        cap absorb.  Returns a list: the bound of a run's or a pair's one
+        clock from the maxima over all its columns, or of each column of a
+        row stepper from its own maxima, p and q.  A NaN gradient gives
+        dt = NaN, and a clock whose coefficients overflow a float is failed
+        (in `failed`) and bound by 0."""
+        _, s, sc = self._grads
         if self.rows:
             smax = s.max(axis=0).tolist()
             scmax = [None] * len(smax) if sc is None else sc.max(axis=0).tolist()
@@ -375,16 +373,16 @@ class _Stepper:
 
     # -- one step on a window, and the active window -------------------------
 
-    def step_window(self, u, a, b, dt, stages):
-        """Advance cells [a, b) by `stages` forward Euler stages of size dt:
-        the first reads the gradients of this stepper's last
+    def step_window(self, u, a, b, taus, stages):
+        """Advance cells [a, b) by `stages` forward Euler stages, of taus[j]
+        on clock j: the first reads the gradients of this stepper's last
         gradients(u, a, b) call, and each later one forms them again into the
-        same arrays, by the `_differences` that gradients calls.  dt, a
-        float, or a list of one per column for a row stepper, is bounded by
-        the stable_dt_from of the first stage of the step.  Every stage checks
-        the floor, and on a window that ends at the pinned cell adds each
-        column's outflow, (f_a - f_b) tau omega_N h^(1-p) of its end-face
-        fluxes, to its running sum by ufuncs, as it adds the absorption.
+        same arrays, by the `_differences` that gradients calls.  taus, one
+        per clock, is bounded by the stable_dt_from of the first stage of the
+        step.  Every stage checks the floor, and on a window that ends at the
+        pinned cell adds each column's outflow, (f_a - f_b) tau omega_N
+        h^(1-p) of its end-face fluxes, to its running sum by ufuncs, as it
+        adds the absorption.
 
         Cells outside [a, b) must be at the floor beyond one padding cell so
         that the omitted fluxes vanish identically; so do the fluxes through
@@ -397,17 +395,14 @@ class _Stepper:
         grad_views = self._grad_views
         (flux, flux_right, flux_left, flux_a, flux_b, rw, div, inv_rch, w, uw, babs, absorbed,
          a_consts, b_consts, tau_flux, tau_abs, below, floor_lim) = self._step_views
-        # the stage's operands, from array operands alone: tau_flux and
-        # tau_abs are a row stepper's tables, else the 0-d operands themselves
-        if self.rows:
-            for j, x in enumerate(dt):
-                self.tau[j] = x
-        else:
-            self.tau[()] = dt
+        # tau_flux and tau_abs: a batch's (m, k) tables, else 0-d views of the one clock's
+        for j, x in enumerate(taus):
+            self.tau[j] = x
         np.multiply(self.tau, self.flux_scale, self.tau_flux)
         np.multiply(self.tau, self.abs_scale, self.tau_abs)
-        np.copyto(tau_flux, self.tau_flux)
-        np.copyto(tau_abs, self.tau_abs)
+        if below is not None:
+            np.copyto(tau_flux, self.tau_flux)
+            np.copyto(tau_abs, self.tau_abs)
         np.multiply(inv_rch, tau_flux, w)
         pinned, eps_a, p, eps_b, q = b == self.hi_max, self.eps_a, self.p, self.eps_b, self.q
         if pinned:                  # only a window that books outflow forms tau omega
@@ -439,23 +434,27 @@ class _Stepper:
             if below is not None:
                 np.less(uw, floor_lim, below)
                 if below.item(below.argmax()):      # any(), read by index
-                    self._fail_below(uw, below, dt)
+                    self._fail_below(uw, below)
             elif (umin := uw.item(uw.argmin())) < floor_lim:
-                self.failed[0] = FloorViolationError(
-                    f"floor violated by {self.floor - umin:.3e} at t-step dt={dt:.3e}")
+                self._fail(0, umin)
                 floor_lim = -math.inf
 
-    def _fail_below(self, uw, below, dt):
+    def _fail_below(self, uw, below):
         """Fail each column of a row stepper that undershot its floor, with
         the error its field alone would record, from its own minimum, read by
-        index as there (a NaN read first is no undershoot), and its own tau."""
+        index as there (a NaN read first is no undershoot)."""
         for j in np.flatnonzero(below.any(axis=0)).tolist():
             column = uw[:, j]
             umin = column.item(column.argmin())
             if umin < self.floor_lim[0, j]:
-                self.failed[j] = FloorViolationError(
-                    f"floor violated by {self.floor[j] - umin:.3e} at t-step dt={dt[j]:.3e}")
+                self._fail(j, umin)
                 self.floor_lim[:, j] = -np.inf
+
+    def _fail(self, j, umin):
+        """Fail clock j, whose least value umin undershot its floor."""
+        self.failed[j] = FloorViolationError(
+            f"floor violated by {self.params[j].floor - umin:.3e} "
+            f"at t-step dt={self.tau.item(j):.3e}")
 
     def step(self, u, a, b, dt_max):
         """One SSPRK(S, 2) step of cells [a, b).  dt_max lists the time left
@@ -466,9 +465,9 @@ class _Stepper:
         dt, failed): failed maps each clock that the step failed (the one
         clock of a run or a pair, or a column of a row stepper) to the
         NumericalError that ends its field's run."""
-        _, s, sc = self.gradients(u, a, b)
+        self.gradients(u, a, b)
         self.failed = {}
-        bounds = self.stable_dt_from(s, sc)
+        bounds = self.stable_dt_from()
         if self.failed:
             # a clock's coefficients overflow: no clock takes this step
             return [0.0] * len(dt_max), self.failed
@@ -476,7 +475,7 @@ class _Stepper:
         taus = [dt / (STAGES - 1) for dt in dts]
         uw, un = u[a:b], self.u_n[:b - a]
         np.copyto(un, uw)
-        self.step_window(u, a, b, taus if self.rows else taus[0], STAGES)
+        self.step_window(u, a, b, taus, STAGES)
         np.subtract(un, uw, un)
         np.divide(un, self.stages, un)
         np.add(uw, un, uw)
@@ -485,11 +484,10 @@ class _Stepper:
     def ledgers(self, column=0):
         """(absorbed, boundary outflow) of a column: both running sums times
         (S-1)/S, read here alone, the absorbed one from a contiguous copy of
-        the column (a strided vdot may round differently)."""
+        the column of the (n, k) running sums (a strided vdot may round
+        differently); for one 1-D field that copies nothing."""
         weight = (STAGES - 1) / STAGES
-        cells = self.absorbed_cells
-        if cells.ndim == 2:
-            cells = np.ascontiguousarray(cells[:, column])
+        cells = np.ascontiguousarray(self.absorbed_cells.reshape(self.cellw.size, -1)[:, column])
         return weight * float(np.vdot(cells, self.cellw)), weight * self.outflow.item(column)
 
     def keep(self, columns):
@@ -583,9 +581,10 @@ class RunConfig:
 
     def __post_init__(self):
         """A config that no run can start from is rejected when it is built:
-        a number that is not finite, recording times, a step scalar or the
-        squares of the initial field's differences that a float cannot hold,
-        and the checks of ProblemParams, Grid and model.sample_profile."""
+        a number that is not finite, recording times, a step scalar, the
+        squares of the initial field's differences or its observables that a
+        float cannot hold, and the checks of ProblemParams, Grid and
+        model.sample_profile."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -612,7 +611,15 @@ class RunConfig:
         if not all(0.0 < x < math.inf for x in scalars):
             raise InvalidParams(f"h^p, h^(1-p), (2h)^q or (2h)^(-q) at h={h}, p={p}, "
                                 f"q={q} overflows or underflows")
-        _check_squares(initial_state(params, grid, self.profile_obj()).values, self.absorption)
+        state = initial_state(params, grid, self.profile_obj())
+        _check_squares(state.values, self.absorption)
+        # the t0 row, which _record takes first and a float must hold
+        with np.errstate(all="ignore"):
+            row = observe.observe(state, float(state.values.max()) - state.floor)
+        overflowing = [f"{key}={x}" for key, x in row.items() if not math.isfinite(x)]
+        if overflowing:
+            raise InvalidParams(f"the initial field's observables overflow a float: "
+                                f"{', '.join(overflowing)}")
 
     def params(self):
         return ProblemParams(self.p, self.q, self.N, self.eps)
@@ -705,8 +712,8 @@ def _record(configs, on_record=None, batch=False):
     the NumericalError or InvalidParams that ended its run.  One body takes
     every row, t0's too, at which _advance takes no step.
 
-    One config that is not a batch steps its state's own array on one clock
-    with 0-d operands.  A batch steps the fields as the columns of one
+    The stepper gives the clocks: one config that is not a batch steps its
+    state's own array on one clock, a batch the fields as the columns of one
     C-contiguous (n, k) array through a row stepper, each column on its own
     clock, and copies each column into its state to record it.  A clock
     that fails, in a step or at its record, gives its config's outcome, and
@@ -725,7 +732,7 @@ def _record(configs, on_record=None, batch=False):
     ref_sups = [float(state.values.max()) - state.floor for state in states]
     outcomes, live = list(zip(states, series)), list(range(len(states)))
     t0 = first.profile_obj().t0
-    clocks = [t0] * (len(live) if batch else 1)
+    clocks = [t0] * len(stepper.p)
 
     def drop(failed):
         nonlocal u, stepper, clocks, live

@@ -242,6 +242,27 @@ def test_run_and_sweep_reject_initial_fields_whose_squares_overflow(tmp_path, ca
     assert not (tmp_path / "out").exists() and not (tmp_path / "sweep").exists()
 
 
+# an initial field whose L1 norm, omega_100 r^99 h summed over a tall
+# annulus, overflows a float while its squares do not: it used to print a
+# numpy overflow warning, create --out and end in an InvalidParams traceback
+# (exit 1) at the t0 record, and a sweep over it in an error row (exit 3)
+OBSERVABLES_OVERFLOW = ("p = 3\nq = 2\nN = 100\nh = 0.5\nL = 1200\nt_end = 1\n"
+                        "profile = annulus:R0=800,R1=1000,H=1e60\n")
+
+
+def test_run_and_sweep_reject_initial_fields_whose_observables_overflow(tmp_path, capsys):
+    cfg = tmp_path / "observables.cfg"
+    cfg.write_text(OBSERVABLES_OVERFLOW)
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    assert run_cli("sweep", "--p", "3", "--q", "2", "--config", str(cfg),
+                   "--out", str(tmp_path / "sweep")) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: bad config: the initial field's observables overflow a float: "
+                     "l1_excess=inf\n") == 2
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "sweep").exists()
+
+
 # recording times that a float cannot hold, t_end / record_start past about
 # 2^1023.75: each config used to create --out and end in an OverflowError
 # traceback (exit 1) from record_times

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -27,15 +29,22 @@ def stepper(state, absorption=True):
     return solver._Stepper(state.params, state.grid, absorption)
 
 
+def bounds(st, u, a, b):
+    """Each clock's CFL bound of u on cells [a, b), from the gradients
+    that the stepper binds."""
+    st.gradients(u, a, b)
+    return st.stable_dt_from()
+
+
 def stable_dt(st, u):
-    (dt,) = st.stable_dt_from(*st.gradients(u, 0, st.hi_max)[1:])
+    (dt,) = bounds(st, u, 0, st.hi_max)
     return dt
 
 
 def step(st, u, dt):
     """Advance every unpinned cell of u by dt, in place; returns u."""
     st.gradients(u, 0, st.hi_max)
-    st.step_window(u, 0, st.hi_max, dt, 1)
+    st.step_window(u, 0, st.hi_max, [dt], 1)
     return u
 
 
@@ -210,8 +219,11 @@ def test_absorption_cap_keeps_the_floor_on_steep_runs(monkeypatch, q, profile):
     cfg = RunConfig(3.0, q, 1, eps=1e-3, h=0.01, L=6.0, t_end=0.25, profile=profile)
     stable_dt_from, capped = solver._Stepper.stable_dt_from, []
 
-    def spy(self, s, sc):
-        (dt,), (uncapped,) = stable_dt_from(self, s, sc), stable_dt_from(self, s, None)
+    def spy(self):
+        # the bound of the same gradients without the cap
+        (dt,), cap = stable_dt_from(self), self.cap
+        self.cap = [math.inf]
+        (uncapped,), self.cap = stable_dt_from(self), cap
         capped.append(dt < uncapped)
         return [dt]
 
@@ -518,10 +530,10 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p=
     a, b = (0, st.hi_max) if window == "full" else (3, grid.n - 4)
     dt_ref = reference_dt(u0, a, b)
     ref, absorbed, out = reference(u0, a, b, dt_ref)
-    (dt,) = st.stable_dt_from(*st.gradients(u0, a, b)[1:])
+    (dt,) = bounds(st, u0, a, b)
     got = u0.copy()
     st.gradients(got, a, b)
-    st.step_window(got, a, b, dt_ref, 1)
+    st.step_window(got, a, b, [dt_ref], 1)
     assert np.any(got != u0) and out != 0.0
     # bit for bit, absorption on or off: the reference forms the centered
     # difference as the kernel does, the sum of the cell's face differences;
@@ -544,7 +556,7 @@ def test_step_kernel_matches_plain_reference(geometry, N, absorption, window, p=
         u, other = fields[k], fields[1 - k].copy()
         ref, _, _ = reference(u, *windows[w], dt_ref)
         reused.gradients(u, *windows[w])
-        reused.step_window(u, *windows[w], dt_ref, 1)
+        reused.step_window(u, *windows[w], [dt_ref], 1)
         assert np.array_equal(fields[1 - k], other)
         assert np.array_equal(u, ref)
 
@@ -581,12 +593,11 @@ def stage_by_stage(monkeypatch, params, grid, flags, u0, a, b, stages):
 
     monkeypatch.setattr(model, "a_eps", counted)
     monkeypatch.setattr(solver._Stepper, "_fail_below", recorded)
-    bounds = st.stable_dt_from(*st.gradients(u, a, b)[1:])
-    tau = bounds if st.rows else bounds[0]
+    taus = bounds(st, u, a, b)
     for call in range(solver.STAGES // stages):
         if call:
             st.gradients(u, a, b)
-        st.step_window(u, a, b, tau, stages)
+        st.step_window(u, a, b, taus, stages)
     monkeypatch.undo()
     assert len(count) == solver.STAGES
     failed = {j: (str(exc), failed_at[j]) for j, exc in st.failed.items()}
@@ -721,23 +732,35 @@ def test_comparison_run_rejects_profiles_of_other_start_times():
 
 
 # the steep bump of test_run_command_floor_violation, whose first failing
-# stage undershoots the floor, and a bump so high that the CFL maxima of its
-# coefficients overflow a float
+# stage undershoots the floor, a bump so high that the CFL maxima of its
+# coefficients overflow a float, and a smooth bump stepped past its CFL
+# bound, which undershoots the floor in its first step
 FAILING_RUNS = {
     "steep": (RunConfig(3.0, 6.0, 1, eps=1e-3, h=0.01, L=6.0, t_end=0.25,
                         profile="bump:R0=0.25,H=16,m=2"),
               FloorViolationError, r"^floor violated by 2\.214e-03 at t-step dt=3\.506e-11$"),
     "overflowing": (RunConfig(5.0, 3.0, 1, h=0.01, L=6.0, t_end=1.0, profile="bump:H=1e150"),
                     solver.NumericalError, "^CFL bound overflows a float: "),
+    "breached": (RunConfig(3.0, 2.0, 1, h=0.02, L=4.0, t_end=0.25),
+                 FloorViolationError, r"^floor violated by 4\.662e-02 at t-step dt=2\.923e-04$"),
 }
+
+# the factor by which a spy scales every CFL bound of a case: at 5 the first
+# step's stages undershoot the floor and stay finite, while at 3.5 and at 7
+# the field overflows a float, in a later step or in the first
+CFL_BREACHES = {"breached": 5.0}
 
 
 @pytest.mark.parametrize("case", FAILING_RUNS)
-def test_every_entry_point_ends_a_failed_run_with_its_error(case):
+def test_every_entry_point_ends_a_failed_run_with_its_error(monkeypatch, case):
     # a step records its failed clock and raises nothing; the error is the
     # field's outcome, which run raises, a batch of one returns and
     # comparison_run, whose pair has one clock, raises
     config, kind, message = FAILING_RUNS[case]
+    if case in CFL_BREACHES:
+        stable_dt_from = solver._Stepper.stable_dt_from
+        monkeypatch.setattr(solver._Stepper, "stable_dt_from",
+                            lambda self: [CFL_BREACHES[case] * dt for dt in stable_dt_from(self)])
     profile = config.profile_obj()
     with pytest.raises(kind, match=message) as raised:
         run(config)
@@ -821,15 +844,15 @@ def ssprk_step(pairs, lo, hi, dt_max):
     [lo, hi), written out plainly: the shared dt from the CFL bounds of u^n,
     S Euler stages of tau = dt/(S-1), then u += (u^n - u)/S.  Returns dt."""
     S = solver.STAGES
-    bounds = [st.stable_dt_from(*st.gradients(u, lo, hi)[1:]) for st, u in pairs]
-    dt = min((S - 1) * min(bound for (bound,) in bounds), dt_max)
+    dt = min((S - 1) * min(bound for st, u in pairs for bound in bounds(st, u, lo, hi)),
+             dt_max)
     tau = dt / (S - 1)
     starts = [u.copy() for _, u in pairs]
     for stage in range(S):
         for st, u in pairs:
             if stage:
                 st.gradients(u, lo, hi)
-            st.step_window(u, lo, hi, tau, 1)
+            st.step_window(u, lo, hi, [tau], 1)
     for (_, u), u_n in zip(pairs, starts):
         u += (u_n - u) / S
     return dt
@@ -1096,7 +1119,7 @@ def test_no_stage_exceeds_the_euler_limit(monkeypatch, p, N):
     taus, cfl = [], []
 
     def measured_step(self, u, a, b, tau, stages):
-        taus.append(tau)
+        taus.extend(tau)                # the pair's one clock
         step_window(self, u, a, b, tau, stages)
 
     def measured_a_eps(s, *args):
@@ -1246,11 +1269,12 @@ def test_a_step_allocates_nothing():
 
 
 class OperandLog:
-    """numpy, with every call that gets a Python float or list as a
-    positional operand logged: each such operand makes a temporary array."""
+    """numpy, with every call counted by name and every call that gets a
+    Python float or list as a positional operand logged: each such operand
+    makes a temporary array."""
 
     def __init__(self):
-        self.calls = []
+        self.calls, self.counts = [], collections.Counter()
 
     def __getattr__(self, name):
         attr = getattr(np, name)
@@ -1258,6 +1282,7 @@ class OperandLog:
             return attr
 
         def logged(*args, **kwargs):
+            self.counts[name] += 1
             scalars = [type(x).__name__ for x in args if isinstance(x, (float, list))]
             if scalars:
                 self.calls.append((name, *scalars))
@@ -1265,11 +1290,13 @@ class OperandLog:
         return logged
 
 
-@pytest.mark.parametrize("absorption", [(True,), (True, False), (True, False, True)])
-def test_a_step_hands_numpy_no_python_operand(monkeypatch, absorption):
-    # once its first step has bound the views, a step of a run, of an on/off
-    # pair and of a mixed batch passes numpy arrays alone, the dt of each
-    # clock and its scales included, on a window that books outflow
+STEPPED_LAYOUTS = [(True,), (True, False), (True, False, True)]
+
+
+def logged_steps(monkeypatch, absorption):
+    """The stepper of a run, of an on/off pair or of the mixed batch, on a
+    fixed window that books outflow, after a first step has bound its views,
+    and the OperandLog and step count of the steps it takes next."""
     k = len(absorption)
     params = list(BATCH) if k == 3 else ProblemParams(3.0, 1.6, 2)
     grid = Grid(0.01, 202, 2)
@@ -1284,8 +1311,27 @@ def test_a_step_hands_numpy_no_python_operand(monkeypatch, absorption):
     log, steps = OperandLog(), []
     monkeypatch.setattr(solver, "np", log)
     assert solver._advance(st, u, clocks, 1e-3, lambda a, b: steps.append(b)) == {}
+    monkeypatch.undo()
     assert len(steps) >= 5 and clocks == [1e-3] * len(clocks)
+    return st, log, len(steps)
+
+
+@pytest.mark.parametrize("absorption", STEPPED_LAYOUTS)
+def test_a_step_hands_numpy_no_python_operand(monkeypatch, absorption):
+    # once its first step has bound the views, a step of a run, of an on/off
+    # pair and of a mixed batch passes numpy arrays alone, the dt of each
+    # clock and its scales included, on a window that books outflow
+    _, log, _ = logged_steps(monkeypatch, absorption)
     assert log.calls == []
+
+
+@pytest.mark.parametrize("absorption", STEPPED_LAYOUTS)
+def test_a_step_copies_only_what_its_layout_needs(monkeypatch, absorption):
+    # a step copies u^n once; its one clock's stages read 0-d views of its
+    # scaled taus, and only a batch copies its two scaled rows into its
+    # (m, k) tables
+    st, log, steps = logged_steps(monkeypatch, absorption)
+    assert log.counts["copyto"] == (3 if st.rows else 1) * steps
 
 
 def test_window_end_fluxes_vanish_past_the_origin(monkeypatch):

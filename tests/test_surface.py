@@ -144,6 +144,28 @@ def test_record_takes_every_row_in_one_body():
     assert len(calls) == 1, calls
 
 
+def test_only_the_layout_forks_read_the_layout():
+    # the clock is the stepper's one unit of time in every layout: a step
+    # takes one tau per clock and reads each ledger one way, so only the
+    # constructor, the view binding and the CFL maxima read whether the
+    # stepper is a batch
+    readers = {item.name for item in stepper_class().body if isinstance(item, ast.FunctionDef)
+               for node in ast.walk(item) if isinstance(node, ast.Attribute)
+               and node.attr == "rows" and isinstance(node.value, ast.Name)
+               and node.value.id == "self"}
+    assert readers == {"__init__", "_bind", "stable_dt_from"}
+
+
+def test_the_cfl_rule_reads_the_gradients_its_stepper_bound():
+    # the only right gradients for a step's CFL bound are the ones its
+    # stepper just bound, so the rule takes none
+    rule = next(item for item in stepper_class().body
+                if isinstance(item, ast.FunctionDef) and item.name == "stable_dt_from")
+    args = rule.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["self"]
+    assert args.vararg is None and args.kwarg is None
+
+
 def test_step_books_no_ledger():
     # the stages add to the ledgers' running sums and _Stepper.ledgers alone
     # weights them, so the step names no ledger
