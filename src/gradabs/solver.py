@@ -41,18 +41,20 @@ and by `_Stepper.step_window` for the others), `_Stepper.stable_dt_from`
 the one CFL rule, `_Stepper.step_window` the one stage kernel, which runs
 all S stages of a step in one call, `_Stepper.step` the one SSPRK step and
 `_Stepper.ledgers` the one ledger reader.  `_advance` is the one time loop,
-over one array, and calls only `active_window` and `step` of its stepper;
+over one array, and calls only `active_window` and `step` of its stepper; it
+takes one target per clock and steps until some clock reaches its own.
 `_record` is the one record loop, of `run` and `run_batch`, whose first pass
 takes the t0 row, so that one body checks every row.  `run` steps its
-field; `run_batch` the fields of configs that share a grid, eps and
-recording times (a sweep's (p, q) cells) as the columns of one C-contiguous
-(n, k) array, each column with its own p, q and clock, so that one stage
-advances them all, each by its own dt; and `comparison_run` its two fields
-as the columns of one (n, 2) array on one clock, so that both advance in
-lockstep with a shared dt.  A column of a batch whose clock has reached the
-record time takes dt = 0, an exact no-op.  No method of `_Stepper` raises: a
-step runs out, checking no floor, a clock that undershot it, and returns it
-in `failed`; `_record` makes the error the field's outcome, which `run`
+field; `run_batch` the fields of configs that share a grid and eps (a
+sweep's (p, q) cells) as the columns of one C-contiguous (n, k) array, each
+column a run of its own, with its own p, q, clock and recording times, so
+that one stage advances them all, each by its own dt; and `comparison_run`
+its two fields as the columns of one (n, 2) array on one clock, so that
+both advance in lockstep with a shared dt.  No column of a batch takes
+dt = 0: each clock is handed the time left to its own next record, and a
+column leaves the array when its run ends.  No method of `_Stepper` raises:
+a step runs out, checking no floor, a clock that undershot it, and returns
+it in `failed`; `_record` makes the error the field's outcome, which `run`
 raises and `run_batch` returns (a failed batch column leaves the array by
 the end of its step), and `comparison_run` raises it.  A stage writes into
 the stepper's own scratch arrays, model.a_eps and model.b_eps included,
@@ -535,28 +537,33 @@ def _check_squares(u, absorption):
                             f"float: the largest is {largest:.3g}")
 
 
-def _advance(stepper, u, clocks, t_target, after_step=None):
-    """Step u in place until every clock reads t_target, hit exactly, by
-    SSPRK(STAGES, 2) steps, each on the active window taken before it.
-    clocks holds the time of all columns of u (one entry) or of each column
-    (a row stepper), and is advanced in place; a clock that has reached
-    t_target takes exactly dt = 0, an exact no-op.  Calls after_step(a, b),
-    if given, after every step of window [a, b).  Returns the failed clocks
-    of a step that failed any, right after it, for the caller to drop, and
-    {} otherwise; returns early once u is at the floor, a steady state."""
-    t_stop = t_target - 1e-15 * max(1.0, t_target)
-    while any(t < t_stop for t in clocks):
+def _advance(stepper, u, clocks, targets, after_step=None):
+    """Step u in place by SSPRK(STAGES, 2) steps, each on the active window
+    taken before it, while some clock is short of its target, and stop after
+    the step at which a clock reaches its target, which that clock then
+    reads exactly, or fails.  clocks holds the time of all columns of u (one
+    entry) or of each column (a row stepper), and is advanced in place;
+    targets holds one time per clock, and a step hands each clock the time
+    it has left, which is never 0 from _record, since a field that reaches
+    its record time takes its next one or leaves the array.  A NaN clock
+    counts as arrived.  Calls after_step(a, b), if given, after every step
+    of window [a, b).  Returns the failed clocks of a step that failed any,
+    right after it, for the caller to drop, and {} otherwise; once u is at
+    the floor, a steady state, every clock takes its target."""
+    stops = [t - 1e-15 * max(1.0, t) for t in targets]
+    failed, going = {}, any(t < stop for t, stop in zip(clocks, stops))
+    while going and not failed:
         win = stepper.active_window(u)
         if win is None:
+            clocks[:] = targets
             return {}
-        dts, failed = stepper.step(u, *win, [t_target - t if t < t_stop else 0.0
-                                             for t in clocks])
+        dts, failed = stepper.step(u, *win, [target - t for target, t in zip(targets, clocks)])
         clocks[:] = [t + dt for t, dt in zip(clocks, dts)]
         if after_step is not None:
             after_step(*win)
-        if failed:
-            return failed
-    return {}
+        going = all(t < stop for t, stop in zip(clocks, stops))
+    clocks[:] = [t if t < stop else target for t, stop, target in zip(clocks, stops, targets)]
+    return failed
 
 
 # ---------------------------------------------------------------------------
@@ -706,20 +713,22 @@ def record_times(t_start, t_end, record_start):
 
 
 def _record(configs, on_record=None, batch=False):
-    """The one record loop: evolve configs that share a grid, eps and
-    recording times, and record each one's observables at the geometric
-    times.  Returns one outcome per config: (final state, time series), or
-    the NumericalError or InvalidParams that ended its run.  One body takes
-    every row, t0's too, at which _advance takes no step.
+    """The one record loop: evolve configs that share a grid and eps, and
+    record each one's observables at its own geometric times, from its own
+    t0 to its own t_end.  Returns one outcome per config: (final state, time
+    series), or the NumericalError or InvalidParams that ended its run.  One
+    body takes every row, t0's too, at which _advance takes no step.
 
     The stepper gives the clocks: one config that is not a batch steps its
     state's own array on one clock, a batch the fields as the columns of one
     C-contiguous (n, k) array through a row stepper, each column on its own
-    clock, and copies each column into its state to record it.  A clock
-    that fails, in a step or at its record, gives its config's outcome, and
-    a failed batch column leaves the array then; the others go on bit for
-    bit as they would without it."""
-    first, grid = configs[0], configs[0].grid()
+    clock, and copies each column into its state to record it.  _advance
+    brings each clock to its own next record time, and a field is recorded
+    when its own clock arrives.  A column leaves the array by one path when
+    its run ends, at its last record or at a clock that fails, in a step or
+    at its record, whose error is its outcome; the others go on bit for bit
+    as they would without it."""
+    grid = configs[0].grid()
     params = [c.params() for c in configs]
     states = [initial_state(P, grid, c.profile_obj()) for P, c in zip(params, configs)]
     flags = [c.absorption for c in configs]
@@ -731,25 +740,28 @@ def _record(configs, on_record=None, batch=False):
     series = [observe.TimeSeries() for _ in states]
     ref_sups = [float(state.values.max()) - state.floor for state in states]
     outcomes, live = list(zip(states, series)), list(range(len(states)))
-    t0 = first.profile_obj().t0
-    clocks = [t0] * len(stepper.p)
+    schedules = [[s.time, *record_times(s.time, c.t_end, c.record_start)]
+                 for s, c in zip(states, configs)]
+    clocks = [state.time for state in states]
 
-    def drop(failed):
+    def drop(ended):
         nonlocal u, stepper, clocks, live
-        for j, exc in failed.items():
-            outcomes[live[j]] = exc
-        keep = [j for j in range(len(live)) if j not in failed]
+        for j, outcome in ended.items():
+            outcomes[live[j]] = outcome
+        keep = [j for j in range(len(live)) if j not in ended]
         live = [live[j] for j in keep]
         if keep:
             u, stepper = np.ascontiguousarray(u[:, keep]), stepper.keep(keep)
             clocks = [clocks[j] for j in keep]
 
-    for t in [t0, *record_times(t0, first.t_end, first.record_start)]:
-        while live and (failed := _advance(stepper, u, clocks, t)):
-            drop(failed)
-        failed = {}
+    while live:
+        # a config's next record time is the one after its last row
+        targets = [schedules[i][len(series[i])] for i in live]
+        ended = dict(_advance(stepper, u, clocks, targets))    # not the stepper's own dict
         for j, i in enumerate(live):
-            state = states[i]
+            t, state = targets[j], states[i]
+            if j in ended or clocks[j] != t:
+                continue
             if batch:
                 np.copyto(state.values, u[:, j])
             state.time = t
@@ -765,15 +777,14 @@ def _record(configs, on_record=None, batch=False):
                     )
                 series[i].append(row)
             except (NumericalError, InvalidParams) as exc:
-                failed[j] = exc
+                ended[j] = exc
                 continue
             if on_record is not None:
                 on_record(state)
-        if failed:
-            drop(failed)
-        if not live:
-            break
-        clocks = [t] * len(clocks)
+            if len(series[i]) == len(schedules[i]):
+                ended[j] = outcomes[i]
+        if ended:
+            drop(ended)
     return outcomes
 
 
@@ -789,14 +800,15 @@ def run(config: RunConfig, on_record=None):
 def run_batch(configs):
     """Evolve each config's problem as `run` would, and return one outcome
     per config, in order: (final state, time series), or the NumericalError
-    or InvalidParams that ended its run.  Configs that share a grid, eps and
-    recording times, such as the cells of a (p, q) sweep, advance together
-    as the columns of one array, each with its own p, q and dt; a column's
-    bits do not depend on which configs share its array."""
+    or InvalidParams that ended its run.  Configs that share a grid and
+    eps, such as the cells of a (p, q) sweep, advance together as the
+    columns of one array, each a run of its own, with its own p, q, dt and
+    recording times, from its own t0 to its own t_end, which leaves the
+    array when it ends; a column's bits do not depend on which configs
+    share its array."""
     groups = {}
     for i, c in enumerate(configs):
-        key = (c.grid(), c.eps, c.profile_obj().t0, c.t_end, c.record_start)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault((c.grid(), c.eps), []).append(i)
     outcomes = [None] * len(configs)
     for members in groups.values():
         for i, outcome in zip(members, _record([configs[i] for i in members], batch=True)):
@@ -838,7 +850,7 @@ def comparison_run(profile_a, profile_b, config: RunConfig,
         gap = u[:b, 0] - u[:b, 1]
         worst = max(worst, gap.item(gap.argmax()))
 
-    if failed := _advance(stepper, u, [t0], config.t_end, take_gap):
+    if failed := _advance(stepper, u, [t0], [config.t_end], take_gap):
         raise failed[0]
     if not np.all(np.isfinite(u)):
         # a NaN dt ends the advance at once, and max() drops a NaN gap

@@ -1224,6 +1224,17 @@ def test_zero_gradients_absorb_exactly_nothing():
 BATCH = (ProblemParams(3.0, 1.6, 2), ProblemParams(3.5, 2.0, 2), ProblemParams(4.0, 1.2, 2))
 
 
+def advance_to(st, u, clocks, t, after_step=None):
+    """Call _advance, which stops after the step at which a clock reads its
+    target, until every clock reads t or a step fails a clock; a clock that
+    already reads t has no time left, and steps at dt = 0 while the others
+    catch up.  Returns the failed clocks of the last call."""
+    failed = {}
+    while not failed and clocks != [t] * len(clocks):
+        failed = solver._advance(st, u, clocks, [t] * len(clocks), after_step)
+    return failed
+
+
 def test_a_step_allocates_nothing():
     # after the first step has bound its views, the stages, the SSPRK
     # combination and the ledgers allocate no array: the traced peak of
@@ -1249,7 +1260,7 @@ def test_a_step_allocates_nothing():
             st = solver._Stepper(params, grid, *absorption)
             st.active_window = lambda u, window=(0, st.hi_max): window
             steps, clocks = [], [0.0] * (len(absorption) if st.rows else 1)
-            solver._advance(st, u, clocks, 1e-6)
+            advance_to(st, u, clocks, 1e-6)
 
             def spans(a, b, hi=st.hi_max):
                 # a bool, not the width: an int past 256 would be a new
@@ -1259,7 +1270,7 @@ def test_a_step_allocates_nothing():
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
-                solver._advance(st, u, clocks, 1e-3, spans)
+                advance_to(st, u, clocks, 1e-3, spans)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1307,10 +1318,10 @@ def logged_steps(monkeypatch, absorption):
     st = solver._Stepper(params, grid, *absorption)
     st.active_window = lambda u, window=(0, st.hi_max): window
     clocks = [0.0] * (k if st.rows else 1)
-    solver._advance(st, u, clocks, 1e-6)
+    advance_to(st, u, clocks, 1e-6)
     log, steps = OperandLog(), []
     monkeypatch.setattr(solver, "np", log)
-    assert solver._advance(st, u, clocks, 1e-3, lambda a, b: steps.append(b)) == {}
+    assert advance_to(st, u, clocks, 1e-3, lambda a, b: steps.append(b)) == {}
     monkeypatch.undo()
     assert len(steps) >= 5 and clocks == [1e-3] * len(clocks)
     return st, log, len(steps)
@@ -1378,7 +1389,7 @@ def test_row_coefficients_keep_floor_cells_exact():
             st = solver._Stepper(params, Grid(h, 40, 1), *[True] * len(qs))
             flat = np.repeat(st.floor[None, :], 40, axis=0)
             u = flat.copy()
-            solver._advance(st, u, [0.0] * len(qs), 1e-3)
+            solver._advance(st, u, [0.0] * len(qs), [1e-3] * len(qs))
             assert np.array_equal(u, flat)
             assert [st.ledgers(j) for j in range(len(qs))] == [(0.0, 0.0)] * len(qs)
 
@@ -1470,3 +1481,85 @@ def test_a_failed_column_leaves_no_trace(monkeypatch):
         assert np.array_equal(state.values, ref_state.values)
         assert (state.absorbed_mass, state.boundary_out) == (ref_state.absorbed_mass,
                                                               ref_state.boundary_out)
+
+
+def outcome_bytes(outcome):
+    """An outcome of run_batch as bytes: its error's type and message, or its
+    series CSV, final field and both ledgers in hex."""
+    if isinstance(outcome, Exception):
+        return f"{type(outcome).__name__}: {outcome}".encode()
+    state, series = outcome
+    return b"|".join((series.to_csv().encode(), state.values.tobytes(),
+                      state.absorbed_mass.hex().encode(), state.boundary_out.hex().encode()))
+
+
+def batch_steps(monkeypatch, configs, spy=None):
+    """run_batch of configs, and the dts, one per live column, of each step
+    it took; spy(u), if given, is called before every step."""
+    step, steps = solver._Stepper.step, []
+
+    def recording(self, u, a, b, dt_max):
+        if spy is not None:
+            spy(u)
+        dts, failed = step(self, u, a, b, dt_max)
+        steps.append(dts)
+        return dts, failed
+
+    monkeypatch.setattr(solver._Stepper, "step", recording)
+    try:
+        return solver.run_batch(configs), steps
+    finally:
+        monkeypatch.undo()
+
+
+def test_a_batch_does_its_columns_work_and_no_more(monkeypatch):
+    # each column of a batch is its own run on its own clock: no live
+    # column waits at dt = 0 for the others, so the 16 sweep-pq cells as one
+    # batch and as the two worker halves take as many steps as their slowest
+    # column alone and as many column-steps as their columns alone
+    configs = sweep_configs(SWEEP_CELLS)
+    alone = [batch_steps(monkeypatch, [c])[1] for c in configs]
+    counts = []
+    for members in (slice(None), slice(0, None, 2), slice(1, None, 2)):
+        _, steps = batch_steps(monkeypatch, configs[members])
+        solo = alone[members]
+        assert all(dt > 0.0 for dts in steps for dt in dts)
+        assert len(steps) == max(map(len, solo))
+        assert sum(map(len, steps)) == sum(map(len, solo))
+        counts.append((len(steps), sum(map(len, steps))))
+    assert counts == [(690, 4930), (662, 1956), (690, 2974)]
+
+
+def test_configs_that_share_a_grid_and_eps_share_one_array(monkeypatch):
+    # configs of their own t0, t_end and recording times, one of them
+    # failing, advance as the columns of one array, and each outcome is byte
+    # for byte its own batch of one
+    base = RunConfig(3.0, 1.5, 1, h=0.01, L=8.0, t_end=0.5)
+    configs = [base, dataclasses.replace(base, p=3.5, q=2.0, t_end=0.25, record_start=0.125),
+               dataclasses.replace(base, q=2.0, t_end=1.5, profile="barenblatt:t0=1",
+                                   absorption=False, record_start=1.0),
+               dataclasses.replace(base, p=4.0, q=1.2)]
+    outcomes, steps = batch_steps(monkeypatch, configs)
+    assert len(steps[0]) == 4
+    assert isinstance(outcomes[3], FloorViolationError)
+    for config, outcome in zip(configs, outcomes):
+        assert outcome_bytes(outcome) == outcome_bytes(solver.run_batch([config])[0])
+
+
+def test_a_nan_column_fails_alone_at_its_next_record(monkeypatch):
+    # a NaN written into column 1 before the batch's first step gives that
+    # column dt = NaN, a clock that counts as arrived: it fails at its first
+    # record after t0, and the other columns are bit for bit their own runs
+    configs = sweep_configs([(3.0, 1.5), (3.5, 2.0), (4.0, 3.0)])
+    poisoned = []
+
+    def poison(u):
+        if not poisoned:
+            u[0, 1] = np.nan
+            poisoned.append(True)
+
+    outcomes, _ = batch_steps(monkeypatch, configs, poison)
+    assert type(outcomes[1]) is solver.NumericalError
+    assert str(outcomes[1]) == "non-finite field at t=0.0625"
+    for i in (0, 2):
+        assert outcome_bytes(outcomes[i]) == outcome_bytes(solver.run_batch([configs[i]])[0])

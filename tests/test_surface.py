@@ -85,18 +85,35 @@ def test_only_the_exponents_command_classifies_a_regime():
     assert callers == ["cmd_exponents"]
 
 
+def advance_function():
+    """The AST of solver._advance."""
+    tree = ast.parse((ROOT / "src" / "gradabs" / "solver.py").read_text())
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_advance")
+
+
 def test_advance_calls_only_the_window_and_the_step_of_its_stepper():
     # the SSPRK step and its combination live in _Stepper.step, so the time
     # loop reads no other attribute of its stepper and hands the stepper to
     # nothing else
-    tree = ast.parse((ROOT / "src" / "gradabs" / "solver.py").read_text())
-    advance = next(node for node in tree.body
-                   if isinstance(node, ast.FunctionDef) and node.name == "_advance")
+    advance = advance_function()
     uses = [node for node in ast.walk(advance)
             if isinstance(node, ast.Name) and node.id == "stepper"]
     reads = [node.attr for node in ast.walk(advance) if isinstance(node, ast.Attribute)
              and isinstance(node.value, ast.Name) and node.value.id == "stepper"]
     assert len(reads) == len(uses) and set(reads) == {"active_window", "step"}
+
+
+def test_advance_hands_each_clock_its_time_left():
+    # the columns of a batch are runs of their own: a step hands every clock
+    # the time it has left to its own target, with no branch that would hold
+    # an arrived clock at dt = 0 until the others arrive
+    calls = [node for node in ast.walk(advance_function()) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "step"]
+    assert len(calls) == 1
+    branches = [node.lineno for arg in calls[0].args for node in ast.walk(arg)
+                if isinstance(node, ast.IfExp)]
+    assert branches == []
 
 
 LEDGERS = ("absorbed_cells", "outflow", "ledgers", "absorbed", "boundary_out")
